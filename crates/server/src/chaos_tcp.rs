@@ -47,6 +47,7 @@ use tre_core::{KeyUpdate, TreError};
 use tre_wire::Telemetry;
 
 use crate::clock::Granularity;
+use crate::evloop::Waker;
 use crate::faults::{fault_name, Fault, FaultEvent, FaultPlan};
 use crate::feed::Feed;
 use crate::net::SubscriberId;
@@ -651,6 +652,52 @@ impl<const L: usize> SupervisedFeed<L> {
         shares
     }
 
+    /// The nearest instant at which [`Feed::poll`] has supervision work
+    /// for this subscriber even if no byte arrives: the reconnect
+    /// backoff while disconnected; otherwise the cold-start request, the
+    /// pending catch-up's re-issue (its `Busy` retry hint or timeout) or
+    /// the next interior-gap repair, whichever comes first. `None` when
+    /// only upstream traffic can create work. A past instant means a
+    /// poll is due now.
+    pub fn next_deadline(&self, id: SubscriberId) -> Option<Instant> {
+        let now = Instant::now();
+        let Some(state) = self.subs.get(&id.index()) else {
+            // Never polled: the first poll sets the state up.
+            return Some(now);
+        };
+        if !self.feed.is_connected(id) {
+            return Some(state.retry_at.unwrap_or(now));
+        }
+        if self.cold_start_from.is_some() && !state.cold_started {
+            return Some(now);
+        }
+        let catch_up = state.pending.map(|p| {
+            p.retry_at
+                .unwrap_or(p.issued_at + self.config.catch_up_timeout)
+        });
+        let has_gaps = state
+            .seen
+            .iter()
+            .next_back()
+            .is_some_and(|&max| (state.seen.len() as u64) <= max);
+        let repair = has_gaps.then(|| state.next_repair_at.unwrap_or(now));
+        catch_up.into_iter().chain(repair).min()
+    }
+
+    /// Blocks until the subscriber's connection is readable,
+    /// [`SupervisedFeed::next_deadline`] passes, or `waker` is woken.
+    /// Returns whether the connection became readable. Follow it with
+    /// [`Feed::poll`].
+    pub(crate) fn wait_with(&self, id: SubscriberId, waker: Option<&Waker>) -> bool {
+        let timeout = self
+            .next_deadline(id)
+            .map(|at| at.saturating_duration_since(Instant::now()));
+        if timeout == Some(Duration::ZERO) {
+            return false;
+        }
+        self.feed.wait_with(id, timeout, waker)
+    }
+
     /// Jittered exponential backoff: `base * 2^attempts` capped at
     /// `max`, then uniformly jittered into `[d/2, d]` so a fleet of
     /// receivers does not reconnect in lockstep after a partition heals.
@@ -1006,6 +1053,54 @@ mod tests {
         assert_eq!(delays, delays2);
     }
 
+    /// A subscriber whose upstream is down has its reconnect backoff as
+    /// its only deadline; a wait on it ends early when the waker fires.
+    #[test]
+    fn backoff_is_the_deadline_and_a_wake_ends_the_wait() {
+        let down = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = down.local_addr().unwrap();
+        drop(down);
+        let feed: TcpFeed<8> = TcpFeed::new(tre_pairing::toy64(), addr);
+        let config = SupervisorConfig {
+            base_delay: Duration::from_secs(60),
+            max_delay: Duration::from_secs(60),
+            ..SupervisorConfig::default()
+        };
+        let mut sup = SupervisedFeed::new(feed, Granularity::Seconds, config, 7);
+        let sub = sup.subscribe_lazy();
+        assert!(
+            sup.next_deadline(sub).unwrap() <= Instant::now(),
+            "a lazy subscriber dials on its first poll"
+        );
+        let _ = Feed::poll(&mut sup, sub);
+        assert_eq!(sup.stats().reconnect_attempts, 1);
+        let until = sup.next_deadline(sub).expect("backoff deadline");
+        assert!(
+            until >= Instant::now() + Duration::from_secs(25),
+            "in backoff"
+        );
+
+        let waker = Arc::new(Waker::new().unwrap());
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let waiter = {
+            let (waker, barrier) = (Arc::clone(&waker), Arc::clone(&barrier));
+            std::thread::spawn(move || {
+                barrier.wait();
+                let readable = sup.wait_with(sub, Some(&waker));
+                (readable, sup)
+            })
+        };
+        barrier.wait();
+        waker.wake();
+        let (readable, sup) = waiter.join().unwrap();
+        assert!(!readable, "woken, not readable");
+        assert_eq!(
+            sup.stats().reconnect_attempts,
+            1,
+            "no dial before the deadline"
+        );
+    }
+
     #[test]
     fn supervisor_stats_export_lands_in_registry() {
         let stats = SupervisorStats {
@@ -1046,8 +1141,9 @@ mod tests {
         let mut rng = rand::thread_rng();
         let clock = SimClock::new();
         let keys = ServerKeyPair::generate(curve, &mut rng);
-        let server = TimeServer::new(curve, keys, clock.clone(), Granularity::Seconds);
-        clock.advance(9); // epochs 0..=9 archived before anyone connects
+        let mut server = TimeServer::new(curve, keys, clock.clone(), Granularity::Seconds);
+        clock.advance(9);
+        assert_eq!(server.poll().len(), 10, "epochs 0..=9 archived before bind");
         let tred = Tred::bind(
             "127.0.0.1:0",
             curve,
@@ -1061,10 +1157,6 @@ mod tests {
             },
         )
         .unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while tred.stats().broadcasts.load(Ordering::Relaxed) < 10 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
 
         let feed: TcpFeed<8> = TcpFeed::new(curve, tred.local_addr());
         let mut sup = SupervisedFeed::new(
@@ -1080,13 +1172,15 @@ mod tests {
         sup.set_cold_start_from(0);
         let sub = Feed::subscribe(&mut sup);
 
+        // Each clipped reply ends short of the range; the supervisor's
+        // catch-up deadline (not a timer in the test) paces the resumes.
         let deadline = Instant::now() + Duration::from_secs(10);
         while Instant::now() < deadline {
             let _ = Feed::poll(&mut sup, sub);
             if sup.last_epoch(sub) == Some(9) && sup.missing_epochs(sub).is_empty() {
                 break;
             }
-            std::thread::sleep(Duration::from_millis(5));
+            sup.wait_with(sub, None);
         }
         assert_eq!(sup.last_epoch(sub), Some(9), "full archive recovered");
         assert!(sup.missing_epochs(sub).is_empty(), "no interior gaps");
@@ -1116,7 +1210,8 @@ mod tests {
         let clock = SimClock::new();
         let keys = ServerKeyPair::generate(curve, &mut rng);
         let spk = *keys.public();
-        let server = TimeServer::new(curve, keys, clock.clone(), Granularity::Seconds);
+        let mut server = TimeServer::new(curve, keys, clock.clone(), Granularity::Seconds);
+        assert_eq!(server.poll().len(), 1, "epoch 0 archived before bind");
         let tred = Tred::bind("127.0.0.1:0", curve, server, TredConfig::default()).unwrap();
         let proxy =
             ChaosProxy::bind("127.0.0.1:0", tred.local_addr(), &FaultPlan::new(), 1).unwrap();
@@ -1125,17 +1220,24 @@ mod tests {
             TcpFeed::new(curve, proxy.local_addr()).with_clock(clock.clone());
         let sub = feed.subscribe();
         let deadline = Instant::now() + Duration::from_secs(10);
-        while tred.subscriber_count() < 1 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        clock.advance(2);
         let mut got: Vec<KeyUpdate<8>> = Vec::new();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while got.len() < 2 && Instant::now() < deadline {
-            got.extend(feed.poll(sub).into_iter().map(|(_, u)| u));
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(got.len() >= 2, "broadcasts crossed the proxy");
+        let mut recv_until = |feed: &mut TcpFeed<8>, n: usize| {
+            while got.len() < n && feed.is_connected(sub) {
+                got.extend(feed.poll(sub).into_iter().map(|(_, u)| u));
+                let left = deadline.saturating_duration_since(Instant::now());
+                if got.len() >= n || left.is_zero() {
+                    break;
+                }
+                feed.wait_readable(sub, Some(left));
+            }
+        };
+        // The replayed epoch 0 proves the daemon registered the proxied
+        // connection, so the next epochs reach it live.
+        feed.request_catch_up(sub, 0, 0).unwrap();
+        recv_until(&mut feed, 1);
+        clock.advance(2);
+        recv_until(&mut feed, 3);
+        assert_eq!(got.len(), 3, "broadcasts crossed the proxy");
         for u in &got {
             assert!(u.verify(curve, &spk), "nothing mangled in transit");
         }

@@ -3,10 +3,12 @@
 //! The paper's model is GPS-like: one authoritative clock everyone can
 //! observe (§3). [`SimClock`] is that reference for simulations — a shared
 //! monotone counter of seconds, advanced explicitly by the test harness so
-//! every run is deterministic.
+//! every run is deterministic. A thread can block until the clock reaches
+//! a given tick ([`SimClock::wait_until`]) instead of polling it, which is
+//! how the `tred` ticker sleeps exactly until the next epoch boundary.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 
 use tre_core::ReleaseTag;
 
@@ -103,7 +105,17 @@ impl Granularity {
 /// A shared, monotone simulated clock (seconds since simulation start).
 #[derive(Clone, Debug, Default)]
 pub struct SimClock {
-    now: Arc<AtomicU64>,
+    inner: Arc<ClockInner>,
+}
+
+#[derive(Debug, Default)]
+struct ClockInner {
+    /// The current tick; read lock-free by [`SimClock::now`].
+    now: AtomicU64,
+    /// Serialises waiters' re-checks against notifications, so a tick
+    /// stored between a waiter's check and its sleep is never missed.
+    lock: Mutex<()>,
+    ticked: Condvar,
 }
 
 impl SimClock {
@@ -114,12 +126,14 @@ impl SimClock {
 
     /// Current simulated time in seconds.
     pub fn now(&self) -> u64 {
-        self.now.load(Ordering::SeqCst)
+        self.inner.now.load(Ordering::SeqCst)
     }
 
     /// Advances the clock by `dt` seconds, returning the new time.
     pub fn advance(&self, dt: u64) -> u64 {
-        self.now.fetch_add(dt, Ordering::SeqCst) + dt
+        let now = self.inner.now.fetch_add(dt, Ordering::SeqCst) + dt;
+        self.wake_all();
+        now
     }
 
     /// Sets the clock forward to `t`.
@@ -128,8 +142,37 @@ impl SimClock {
     /// Panics if `t` is in the past — the reference clock never goes
     /// backwards (first trust assumption of §3).
     pub fn set(&self, t: u64) {
-        let prev = self.now.swap(t, Ordering::SeqCst);
+        let prev = self.inner.now.swap(t, Ordering::SeqCst);
         assert!(t >= prev, "SimClock must be monotone (was {prev}, set {t})");
+        self.wake_all();
+    }
+
+    /// Blocks until the clock reads at least `t` (returns `true`) or
+    /// `stop` is set (returns `false`, checked first). Whoever sets
+    /// `stop` must call [`SimClock::wake_all`] afterwards to release the
+    /// waiter.
+    pub fn wait_until(&self, t: u64, stop: &AtomicBool) -> bool {
+        let mut guard = self.inner.lock.lock().unwrap_or_else(|e| e.into_inner());
+        loop {
+            if stop.load(Ordering::SeqCst) {
+                return false;
+            }
+            if self.now() >= t {
+                return true;
+            }
+            guard = self
+                .inner
+                .ticked
+                .wait(guard)
+                .unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    /// Wakes every [`SimClock::wait_until`] caller so it re-checks the
+    /// clock and its stop flag.
+    pub fn wake_all(&self) {
+        let _guard = self.inner.lock.lock().unwrap_or_else(|e| e.into_inner());
+        self.inner.ticked.notify_all();
     }
 }
 
@@ -210,6 +253,73 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn custom_zero_rejected() {
         let _ = Granularity::Custom(0).seconds();
+    }
+
+    /// Runs `wait_until(target)` on a helper thread, calls `release`,
+    /// and returns the wait's result. The `Barrier` handshake guarantees
+    /// the helper is about to wait when `release` runs; the waiter's
+    /// re-check under the clock's lock makes the outcome independent of
+    /// whether it is already asleep. A lost wakeup fails after 30 s
+    /// instead of hanging the suite.
+    fn wait_on_thread(
+        clock: &SimClock,
+        target: u64,
+        stop: &Arc<AtomicBool>,
+        release: impl FnOnce(),
+    ) -> bool {
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        {
+            let (clock, stop, barrier) = (clock.clone(), Arc::clone(stop), Arc::clone(&barrier));
+            std::thread::spawn(move || {
+                barrier.wait();
+                let _ = done_tx.send(clock.wait_until(target, &stop));
+            });
+        }
+        barrier.wait();
+        release();
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("waiter never woke")
+    }
+
+    #[test]
+    fn wait_for_a_passed_tick_returns_at_once() {
+        let c = SimClock::new();
+        c.set(7);
+        let stop = AtomicBool::new(false);
+        assert!(c.wait_until(7, &stop));
+        assert!(c.wait_until(3, &stop));
+    }
+
+    #[test]
+    fn waiter_wakes_on_advance() {
+        let c = SimClock::new();
+        let stop = Arc::new(AtomicBool::new(false));
+        assert!(wait_on_thread(&c, 2, &stop, || {
+            c.advance(1);
+            c.advance(1);
+        }));
+        assert_eq!(c.now(), 2);
+    }
+
+    #[test]
+    fn waiter_wakes_on_set() {
+        let c = SimClock::new();
+        let stop = Arc::new(AtomicBool::new(false));
+        assert!(wait_on_thread(&c, 40, &stop, || c.set(41)));
+    }
+
+    #[test]
+    fn stop_releases_a_waiter_whose_clock_never_moves() {
+        let c = SimClock::new();
+        let stop = Arc::new(AtomicBool::new(false));
+        let reached = wait_on_thread(&c, 1, &stop, || {
+            stop.store(true, Ordering::SeqCst);
+            c.wake_all();
+        });
+        assert!(!reached, "stopped, not reached");
+        assert_eq!(c.now(), 0);
     }
 
     #[test]

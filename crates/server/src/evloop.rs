@@ -32,6 +32,16 @@
 //! [`Hello`] version checks and [`CatchUpRequest`] archive replays run
 //! inline, and replies ride the same bounded queue as live broadcasts,
 //! so replayed history competes fairly with fresh updates.
+//!
+//! A shard never wakes on a timer. Besides its sockets it polls a
+//! [`Waker`] — the read end of a nonblocking socket pair at
+//! `pollfds[0]` — with no timeout. Whoever hands a shard work (a
+//! broadcast, the accept thread) sends its [`Cmd`] first and then
+//! writes one byte to the waker, as shutdown does after setting its
+//! flag, so `poll(2)` returns as soon as there is work or a ready
+//! socket. A poll return that finds neither counts in
+//! [`TredStats::idle_wakeups`]. Platforms without `poll(2)` keep a 1 ms
+//! busy-poll fallback.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -52,11 +62,6 @@ use crate::archive::UpdateArchive;
 use crate::clock::Granularity;
 use crate::tcp::{CatchUpConfig, TredStats};
 use crate::telemetry::TraceSink;
-
-/// How long a shard sleeps in `poll(2)` when nothing is ready. Bounds
-/// the latency between a broadcast landing on the shard's command
-/// channel and the first byte hitting a socket.
-const SHARD_POLL_TIMEOUT_MS: i32 = 5;
 
 /// The `poll(2)` shim: readiness multiplexing over raw fds with no
 /// dependency beyond the platform libc already linked by `std`.
@@ -79,6 +84,11 @@ pub(crate) mod sys {
         fn poll(fds: *mut PollFd, nfds: core::ffi::c_ulong, timeout: i32) -> i32;
     }
 
+    /// The fd to register for a socket.
+    pub fn fd_of(socket: &impl std::os::unix::io::AsRawFd) -> i32 {
+        socket.as_raw_fd()
+    }
+
     /// Waits until a registered fd is ready or `timeout_ms` elapses.
     /// Returns the number of ready fds (0 on timeout, <0 on EINTR-style
     /// errors — callers just re-poll).
@@ -99,8 +109,8 @@ pub(crate) mod sys {
 
 /// Portable fallback: no readiness facility, so report every socket as
 /// ready each round and let the nonblocking reads/writes sort it out
-/// (`WouldBlock` is handled on every path). Costs a busy-poll at the
-/// shard cadence; correctness is identical.
+/// (`WouldBlock` is handled on every path). Costs a 1 ms busy-poll;
+/// correctness is identical.
 #[cfg(not(unix))]
 pub(crate) mod sys {
     #[repr(C)]
@@ -115,12 +125,96 @@ pub(crate) mod sys {
     pub const POLLERR: i16 = 0x008;
     pub const POLLHUP: i16 = 0x010;
 
+    /// No fds to register: every entry is reported ready anyway.
+    pub fn fd_of<T>(_socket: &T) -> i32 {
+        0
+    }
+
     pub fn poll_wait(fds: &mut [PollFd], timeout_ms: i32) -> i32 {
-        std::thread::sleep(std::time::Duration::from_millis(timeout_ms.max(1) as u64));
+        // Never longer than 1 ms: nothing can interrupt this sleep, so
+        // it must not outlast a wake.
+        let ms = if timeout_ms == 0 { 0 } else { 1 };
+        std::thread::sleep(std::time::Duration::from_millis(ms));
         for fd in fds.iter_mut() {
             fd.revents = fd.events;
         }
         fds.len() as i32
+    }
+}
+
+/// Converts an optional wait into a `poll(2)` timeout: `-1` (block
+/// until an fd is ready) for `None`, else whole milliseconds rounded
+/// *up*, so a caller waiting for a deadline never wakes just before it
+/// and spins.
+pub(crate) fn poll_timeout_ms(timeout: Option<std::time::Duration>) -> i32 {
+    match timeout {
+        None => -1,
+        Some(d) => {
+            let ms = d.as_nanos().div_ceil(1_000_000);
+            i32::try_from(ms).unwrap_or(i32::MAX)
+        }
+    }
+}
+
+/// A wake fd: one end of a nonblocking socket pair that another thread
+/// writes a byte to, so a thread blocked in `poll(2)` on the other end
+/// wakes up. Shards and the relay's upstream pump poll it next to their
+/// sockets instead of sleeping on a timer.
+#[cfg(unix)]
+#[derive(Debug)]
+pub(crate) struct Waker {
+    rx: std::os::unix::net::UnixStream,
+    tx: std::os::unix::net::UnixStream,
+}
+
+#[cfg(unix)]
+impl Waker {
+    pub fn new() -> std::io::Result<Self> {
+        let (rx, tx) = std::os::unix::net::UnixStream::pair()?;
+        rx.set_nonblocking(true)?;
+        tx.set_nonblocking(true)?;
+        Ok(Self { rx, tx })
+    }
+
+    /// Makes the next (or current) poll on [`Waker::fd`] return. A full
+    /// buffer (`WouldBlock`) is ignored: unread bytes already guarantee
+    /// the wakeup.
+    pub fn wake(&self) {
+        let _ = (&self.tx).write(&[1]);
+    }
+
+    /// Consumes every pending wake byte. Call only after the poll
+    /// returned for it and *before* re-checking the state the wakers
+    /// publish, so a wake that lands after the drain stays pending.
+    pub fn drain(&self) {
+        let mut buf = [0u8; 64];
+        while matches!((&self.rx).read(&mut buf), Ok(n) if n > 0) {}
+    }
+
+    /// The pollable read end.
+    pub fn fd(&self) -> i32 {
+        sys::fd_of(&self.rx)
+    }
+}
+
+/// Without `poll(2)` every wait is a 1 ms busy-poll that re-checks its
+/// state anyway, so waking is a no-op.
+#[cfg(not(unix))]
+#[derive(Debug)]
+pub(crate) struct Waker;
+
+#[cfg(not(unix))]
+impl Waker {
+    pub fn new() -> std::io::Result<Self> {
+        Ok(Self)
+    }
+
+    pub fn wake(&self) {}
+
+    pub fn drain(&self) {}
+
+    pub fn fd(&self) -> i32 {
+        0
     }
 }
 
@@ -403,11 +497,26 @@ pub(crate) enum Cmd {
     Frame(Arc<Vec<u8>>),
 }
 
+/// The sending side of one shard: its command channel plus its wake
+/// fd. Every command is followed by a wake byte.
+#[derive(Clone)]
+struct ShardTx {
+    tx: Sender<Cmd>,
+    waker: Arc<Waker>,
+}
+
+impl ShardTx {
+    fn send(&self, cmd: Cmd) {
+        let _ = self.tx.send(cmd);
+        self.waker.wake();
+    }
+}
+
 /// A clonable front-end for pushing broadcasts into the shards; the
 /// ticker (or a relay's upstream pump) owns one while the
 /// [`Broadcaster`] itself stays with the daemon handle for shutdown.
 pub(crate) struct BroadcastHandle<const L: usize> {
-    shards: Vec<Sender<Cmd>>,
+    shards: Vec<ShardTx>,
     shared: Arc<ServeShared<L>>,
 }
 
@@ -427,8 +536,8 @@ impl<const L: usize> BroadcastHandle<L> {
     pub fn broadcast(&self, update: &KeyUpdate<L>, hops: u8) {
         let frame = encode_update_frame(&self.shared, update, hops);
         self.shared.stats.broadcasts.fetch_add(1, Ordering::Relaxed);
-        for tx in &self.shards {
-            let _ = tx.send(Cmd::Frame(Arc::clone(&frame)));
+        for shard in &self.shards {
+            shard.send(Cmd::Frame(Arc::clone(&frame)));
         }
     }
 }
@@ -437,7 +546,7 @@ impl<const L: usize> BroadcastHandle<L> {
 /// core both `Tred` and `Relay` broadcast through.
 pub(crate) struct Broadcaster<const L: usize> {
     addr: SocketAddr,
-    shards: Vec<Sender<Cmd>>,
+    shards: Vec<ShardTx>,
     live: Arc<AtomicUsize>,
     shared: Arc<ServeShared<L>>,
     shard_handles: Vec<JoinHandle<()>>,
@@ -457,17 +566,22 @@ impl<const L: usize> Broadcaster<L> {
         let local = listener.local_addr()?;
         let live = Arc::new(AtomicUsize::new(0));
         let shard_count = shard_count.max(1);
+        // Every fallible step happens before the first thread starts.
+        let wakers = (0..shard_count)
+            .map(|_| Waker::new().map(Arc::new))
+            .collect::<std::io::Result<Vec<_>>>()?;
         let mut shards = Vec::with_capacity(shard_count);
         let mut shard_handles = Vec::with_capacity(shard_count);
-        for i in 0..shard_count {
+        for (i, waker) in wakers.into_iter().enumerate() {
             let (tx, rx) = channel::<Cmd>();
             let shared = Arc::clone(&shared);
             let live = Arc::clone(&live);
+            let shard_waker = Arc::clone(&waker);
             let handle = std::thread::Builder::new()
                 .name(format!("tred-shard-{i}"))
-                .spawn(move || shard_loop(&shared, &rx, &live))
+                .spawn(move || shard_loop(&shared, &rx, &shard_waker, &live))
                 .expect("spawn shard thread");
-            shards.push(tx);
+            shards.push(ShardTx { tx, waker });
             shard_handles.push(handle);
         }
         let accept_handle = {
@@ -485,7 +599,7 @@ impl<const L: usize> Broadcaster<L> {
                             shared.stats.connections.fetch_add(1, Ordering::Relaxed);
                             // Round-robin: shard ownership is decided
                             // here and never migrates.
-                            let _ = shards[next % shards.len()].send(Cmd::Accept(stream));
+                            shards[next % shards.len()].send(Cmd::Accept(stream));
                             next = next.wrapping_add(1);
                         }
                     }
@@ -519,14 +633,16 @@ impl<const L: usize> Broadcaster<L> {
     }
 
     /// Stops the accept loop and every shard, closing all subscriber
-    /// sockets and joining the threads. The caller must already have
-    /// set `shared.shutdown`.
+    /// sockets and joining the threads.
     pub fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
+        self.shared.shutdown.store(true, Ordering::SeqCst);
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
+        }
+        for shard in &self.shards {
+            shard.waker.wake();
         }
         for h in self.shard_handles.drain(..) {
             let _ = h.join();
@@ -534,14 +650,19 @@ impl<const L: usize> Broadcaster<L> {
     }
 }
 
-/// One shard's event loop: drain commands, poll readiness, service
-/// ready sockets, sweep the dead. Owns its connections exclusively —
-/// no locks on the data path.
-fn shard_loop<const L: usize>(shared: &ServeShared<L>, rx: &Receiver<Cmd>, live: &AtomicUsize) {
+/// One shard's event loop: drain commands, poll readiness (sockets plus
+/// the wake fd, no timeout), service ready sockets, sweep the dead. Owns
+/// its connections exclusively — no locks on the data path.
+fn shard_loop<const L: usize>(
+    shared: &ServeShared<L>,
+    rx: &Receiver<Cmd>,
+    waker: &Waker,
+    live: &AtomicUsize,
+) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut pollfds: Vec<sys::PollFd> = Vec::new();
     loop {
-        let shutting_down = shared.shutdown.load(Ordering::Relaxed);
+        let shutting_down = shared.shutdown.load(Ordering::SeqCst);
         let mut disconnected = false;
         loop {
             match rx.try_recv() {
@@ -582,26 +703,33 @@ fn shard_loop<const L: usize>(shared: &ServeShared<L>, rx: &Receiver<Cmd>, live:
         }
 
         pollfds.clear();
-        #[cfg(unix)]
-        use std::os::unix::io::AsRawFd;
+        pollfds.push(sys::PollFd {
+            fd: waker.fd(),
+            events: sys::POLLIN,
+            revents: 0,
+        });
         for conn in &conns {
             let mut events = sys::POLLIN;
             if !conn.wq.queue.is_empty() {
                 events |= sys::POLLOUT;
             }
-            #[cfg(unix)]
-            let fd = conn.stream.as_raw_fd();
-            #[cfg(not(unix))]
-            let fd = 0;
             pollfds.push(sys::PollFd {
-                fd,
+                fd: sys::fd_of(&conn.stream),
                 events,
                 revents: 0,
             });
         }
-        let ready = sys::poll_wait(&mut pollfds, SHARD_POLL_TIMEOUT_MS);
-        if ready > 0 {
-            for (conn, pfd) in conns.iter_mut().zip(&pollfds) {
+        let ready = sys::poll_wait(&mut pollfds, -1);
+        if ready <= 0 {
+            // Nothing ready and no command: a wakeup that did no work.
+            shared.stats.idle_wakeups.fetch_add(1, Ordering::Relaxed);
+        } else {
+            if pollfds[0].revents != 0 {
+                // Drained before the next `try_recv`, so a command sent
+                // after this point leaves its wake byte pending.
+                waker.drain();
+            }
+            for (conn, pfd) in conns.iter_mut().zip(&pollfds[1..]) {
                 if pfd.revents == 0 || conn.wq.closed {
                     continue;
                 }

@@ -21,7 +21,9 @@
 //! * **upstream**: a [`SupervisedFeed`] (pointed at the root `tred` or
 //!   another relay) pumped by one thread — reconnect supervision, gap
 //!   repair, and cold-start archive catch-up all come from the feed
-//!   layer for free;
+//!   layer for free. Between polls the pump blocks on the upstream
+//!   socket, a shutdown wake fd, and the supervisor's nearest deadline
+//!   ([`SupervisedFeed::next_deadline`]), never on a fixed timer;
 //! * **verify once**: every *new* epoch is checked through the
 //!   prepared-pairing [`BatchVerifier`] exactly once per relay — the
 //!   per-burst cost is 2 pairings regardless of burst size, and
@@ -42,7 +44,6 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use tre_core::ServerPublicKey;
 use tre_pairing::Curve;
@@ -52,7 +53,7 @@ use crate::archive::UpdateArchive;
 use crate::batch::BatchVerifier;
 use crate::chaos_tcp::SupervisedFeed;
 use crate::clock::Granularity;
-use crate::evloop::{Broadcaster, ServeShared};
+use crate::evloop::{Broadcaster, ServeShared, Waker};
 use crate::feed::Feed;
 use crate::tcp::{CatchUpConfig, TredStats};
 use crate::telemetry::{Stage, TraceSink};
@@ -63,8 +64,6 @@ pub struct RelayConfig {
     /// Outbound frames buffered per downstream subscriber before it is
     /// evicted as too slow (same policy as [`crate::TredConfig`]).
     pub queue_capacity: usize,
-    /// How often the pump thread polls the upstream feed.
-    pub poll_interval: Duration,
     /// Kernel send-buffer cap per downstream socket (`SO_SNDBUF`;
     /// Linux only). See [`crate::TredConfig::send_buffer`].
     pub send_buffer: Option<u32>,
@@ -84,7 +83,6 @@ impl Default for RelayConfig {
     fn default() -> Self {
         Self {
             queue_capacity: 64,
-            poll_interval: Duration::from_millis(5),
             send_buffer: None,
             shards: 4,
             granularity: Granularity::Seconds,
@@ -139,6 +137,8 @@ pub struct Relay<const L: usize> {
     stats: Arc<RelayStats>,
     sink: TraceSink,
     broadcaster: Option<Broadcaster<L>>,
+    /// Wakes the upstream pump out of its readiness wait on shutdown.
+    pump_waker: Arc<Waker>,
     pump_handle: Option<JoinHandle<SupervisedFeed<L>>>,
 }
 
@@ -196,6 +196,7 @@ impl<const L: usize> Relay<L> {
             catch_up: config.catch_up,
             active_catch_ups: std::sync::atomic::AtomicUsize::new(0),
         });
+        let pump_waker = Arc::new(Waker::new()?);
         let broadcaster = Broadcaster::bind(addr, Arc::clone(&shared), config.shards)?;
         let local = broadcaster.local_addr();
         let handle = broadcaster.handle();
@@ -205,6 +206,7 @@ impl<const L: usize> Relay<L> {
             let shared = Arc::clone(&shared);
             let stats = Arc::clone(&stats);
             let sink = sink.clone();
+            let waker = Arc::clone(&pump_waker);
             std::thread::Builder::new()
                 .name("trerelay-pump".into())
                 .spawn(move || {
@@ -214,7 +216,7 @@ impl<const L: usize> Relay<L> {
                     // of the pump thread panicking.
                     let sub = upstream.subscribe_lazy();
                     let mut relayed = std::collections::BTreeSet::new();
-                    while !shared.shutdown.load(Ordering::Relaxed) {
+                    while !shared.shutdown.load(Ordering::SeqCst) {
                         pump_once(
                             &shared,
                             &stats,
@@ -225,7 +227,7 @@ impl<const L: usize> Relay<L> {
                             &handle,
                             &mut relayed,
                         );
-                        std::thread::sleep(config.poll_interval);
+                        upstream.wait_with(sub, Some(&waker));
                     }
                     upstream
                 })
@@ -239,6 +241,7 @@ impl<const L: usize> Relay<L> {
             stats,
             sink,
             broadcaster: Some(broadcaster),
+            pump_waker,
             pump_handle: Some(pump_handle),
         })
     }
@@ -305,7 +308,8 @@ impl<const L: usize> Relay<L> {
     /// closes all downstream sockets and joins the relay threads.
     /// Returns the upstream feed so a caller can inspect its stats.
     pub fn shutdown(mut self) -> Option<SupervisedFeed<L>> {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.pump_waker.wake();
         let upstream = self.pump_handle.take().and_then(|h| h.join().ok());
         if let Some(broadcaster) = self.broadcaster.take() {
             broadcaster.shutdown();
@@ -410,7 +414,7 @@ mod tests {
     use crate::feed;
     use crate::server::TimeServer;
     use crate::tcp::{TcpFeed, Tred, TredConfig};
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
     use tre_core::{KeyUpdate, ServerKeyPair};
     use tre_pairing::toy64;
 
@@ -508,6 +512,64 @@ mod tests {
         assert_eq!(stats.updates_rejected.load(Ordering::Relaxed), 0);
         relay.shutdown();
         tred.shutdown();
+    }
+
+    /// With its upstream down, the pump sleeps out a 30–60 s reconnect
+    /// backoff; only the shutdown wake fd can end that wait in time.
+    #[test]
+    fn shutdown_returns_while_upstream_is_in_backoff() {
+        use std::io::{Read, Write};
+        let curve = toy64();
+        let keys = ServerKeyPair::generate(curve, &mut rand::thread_rng());
+        let upstream_listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let backoff = SupervisorConfig {
+            base_delay: Duration::from_secs(60),
+            max_delay: Duration::from_secs(60),
+            ..SupervisorConfig::default()
+        };
+        let upstream = feed::tcp::<8>(curve, upstream_listener.local_addr().unwrap())
+            .supervised(Granularity::Seconds, backoff, 7)
+            .build();
+        let relay = Relay::bind(
+            "127.0.0.1:0",
+            curve,
+            *keys.public(),
+            upstream,
+            RelayConfig::default(),
+        )
+        .unwrap();
+        // The pump's first dial reaches this stand-in upstream: its Hello
+        // proves the pump is running. Then the upstream goes down for good.
+        let (mut conn, _) = upstream_listener.accept().unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut hello = [0u8; 8];
+        conn.read_exact(&mut hello)
+            .expect("relay greets its upstream");
+        drop(upstream_listener);
+        drop(conn);
+        // A downstream round trip (the shard drops a garbage peer) gives
+        // the pump ample time to see the close, fail its re-dial and
+        // enter backoff.
+        let mut peer = std::net::TcpStream::connect(relay.local_addr()).unwrap();
+        peer.write_all(b"not a tre stream").unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let _ = peer.read(&mut [0u8; 16]);
+
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done_tx.send(relay.shutdown());
+        });
+        let upstream = done_rx
+            .recv_timeout(Duration::from_secs(20))
+            .expect("Relay::shutdown hung: the pump was never woken")
+            .expect("pump thread returned its feed");
+        assert_eq!(
+            upstream.stats().reconnects,
+            1,
+            "only the first dial succeeded"
+        );
     }
 
     /// The pre-pairing screen: duplicates (already relayed or repeated

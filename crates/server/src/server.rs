@@ -5,6 +5,7 @@
 //! (§3). It holds **no** user state, stores **no** messages, and refuses to
 //! sign future epochs (the second trust assumption).
 
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use tre_core::{KeyUpdate, ReleaseTag, ServerKeyPair, ServerPublicKey};
@@ -173,6 +174,20 @@ impl<'c, const L: usize> TimeServer<'c, L> {
             self.broadcasts += 1;
         }
         out
+    }
+
+    /// Blocks until the next unpublished epoch is due — the clock reaches
+    /// its start — so the following [`TimeServer::poll`] publishes it.
+    /// Returns `false` without waiting further once `stop` is set and
+    /// the clock's [`SimClock::wake_all`] is called.
+    pub fn wait_next_epoch(&self, stop: &AtomicBool) -> bool {
+        let due = self.next_epoch.saturating_mul(self.granularity.seconds());
+        self.clock.wait_until(due, stop)
+    }
+
+    /// The clock this server publishes against.
+    pub fn clock(&self) -> &SimClock {
+        &self.clock
     }
 
     /// Issues the update for a specific epoch **whose time has come**.

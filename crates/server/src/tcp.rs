@@ -37,7 +37,8 @@ use tre_wire::{
 };
 
 use crate::archive::UpdateArchive;
-use crate::evloop::{Broadcaster, ServeShared};
+use crate::clock::SimClock;
+use crate::evloop::{poll_timeout_ms, sys, Broadcaster, ServeShared, Waker};
 use crate::feed::Feed;
 use crate::net::SubscriberId;
 use crate::server::TimeServer;
@@ -84,10 +85,6 @@ pub struct TredConfig {
     /// Outbound frames buffered per subscriber before it is evicted as
     /// too slow.
     pub queue_capacity: usize,
-    /// How often the ticker thread polls the [`TimeServer`] for due
-    /// epochs (real time; the epoch schedule itself follows the
-    /// server's [`crate::SimClock`]).
-    pub poll_interval: Duration,
     /// Cap on the kernel send buffer per subscriber socket, in bytes
     /// (`SO_SNDBUF`; Linux only, ignored elsewhere). Without a cap the
     /// kernel autotunes the buffer into the megabytes, so a stalled
@@ -109,7 +106,6 @@ impl Default for TredConfig {
     fn default() -> Self {
         Self {
             queue_capacity: 64,
-            poll_interval: Duration::from_millis(5),
             send_buffer: None,
             shards: 4,
             catch_up: CatchUpConfig::default(),
@@ -158,6 +154,11 @@ pub struct TredStats {
     pub catch_up_shed: AtomicU64,
     /// Malformed or version-mismatched frames received.
     pub wire_errors: AtomicU64,
+    /// Shard `poll(2)` returns that found no ready fd and no command:
+    /// wakeups that did no work. Shards block without a timeout and are
+    /// woken by their wake fd, so this stays 0 unless something
+    /// reintroduces sleep-polling.
+    pub idle_wakeups: AtomicU64,
 }
 
 impl TredStats {
@@ -216,6 +217,7 @@ impl TredStats {
             ),
             ("catch_up_shed", self.catch_up_shed.load(Ordering::Relaxed)),
             ("wire_errors", self.wire_errors.load(Ordering::Relaxed)),
+            ("idle_wakeups", self.idle_wakeups.load(Ordering::Relaxed)),
         ];
         for (name, value) in pairs {
             registry.counter_set(&format!("{prefix}_{name}"), value);
@@ -233,6 +235,8 @@ pub struct Tred<const L: usize> {
     public_key: ServerPublicKey<L>,
     shared: Arc<ServeShared<L>>,
     broadcaster: Option<Broadcaster<L>>,
+    /// The server's clock, kept to wake the ticker on shutdown.
+    clock: SimClock,
     ticker_handle: Option<JoinHandle<()>>,
 }
 
@@ -334,23 +338,26 @@ impl<const L: usize> Tred<L> {
         let broadcaster = Broadcaster::bind(addr, Arc::clone(&shared), config.shards)?;
         let local = broadcaster.local_addr();
         let handle = broadcaster.handle();
+        let clock = server.clock().clone();
 
+        // The ticker publishes whatever is due, then sleeps on the clock
+        // until the next epoch boundary passes (or shutdown wakes it).
         let ticker_handle = {
             let shared = Arc::clone(&shared);
             let mut server = server;
             std::thread::Builder::new()
                 .name("tred-ticker".into())
-                .spawn(move || {
-                    while !shared.shutdown.load(Ordering::Relaxed) {
-                        for update in server.poll() {
-                            handle.broadcast(&update, 0);
-                            if let Some(sink) = &shared.trace {
-                                if let Some(epoch) = shared.granularity.epoch_of_tag(update.tag()) {
-                                    sink.record_now(epoch, Stage::Broadcast);
-                                }
+                .spawn(move || loop {
+                    for update in server.poll() {
+                        handle.broadcast(&update, 0);
+                        if let Some(sink) = &shared.trace {
+                            if let Some(epoch) = shared.granularity.epoch_of_tag(update.tag()) {
+                                sink.record_now(epoch, Stage::Broadcast);
                             }
                         }
-                        std::thread::sleep(config.poll_interval);
+                    }
+                    if !server.wait_next_epoch(&shared.shutdown) {
+                        break;
                     }
                 })
                 .expect("spawn ticker thread")
@@ -361,6 +368,7 @@ impl<const L: usize> Tred<L> {
             public_key,
             shared,
             broadcaster: Some(broadcaster),
+            clock,
             ticker_handle: Some(ticker_handle),
         })
     }
@@ -424,7 +432,8 @@ impl<const L: usize> Tred<L> {
     /// Stops the ticker, the accept loop, and every shard; closes every
     /// subscriber socket and joins the daemon threads.
     pub fn shutdown(mut self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.clock.wake_all();
         if let Some(broadcaster) = self.broadcaster.take() {
             broadcaster.shutdown();
         }
@@ -679,6 +688,44 @@ impl<const L: usize> TcpFeed<L> {
         self.conns[id.index()].retry_after_ms.take()
     }
 
+    /// Blocks until the subscriber's connection has bytes to read (or
+    /// has hung up), or until `timeout` passes; `None` waits without a
+    /// time limit. Returns whether the connection became readable. A
+    /// disconnected subscriber has nothing to wait on and returns
+    /// `false` at once. Follow a `true` with [`Feed::poll`].
+    pub fn wait_readable(&self, id: SubscriberId, timeout: Option<Duration>) -> bool {
+        self.conns[id.index()].stream.is_some() && self.wait_with(id, timeout, None)
+    }
+
+    /// [`TcpFeed::wait_readable`] that also returns when `waker` is
+    /// woken, and sleeps out `timeout` while disconnected (a supervisor
+    /// waiting for its reconnect backoff).
+    pub(crate) fn wait_with(
+        &self,
+        id: SubscriberId,
+        timeout: Option<Duration>,
+        waker: Option<&Waker>,
+    ) -> bool {
+        let mut fds = Vec::with_capacity(2);
+        if let Some(stream) = &self.conns[id.index()].stream {
+            fds.push(sys::PollFd {
+                fd: sys::fd_of(stream),
+                events: sys::POLLIN,
+                revents: 0,
+            });
+        }
+        let stream_fds = fds.len();
+        if let Some(waker) = waker {
+            fds.push(sys::PollFd {
+                fd: waker.fd(),
+                events: sys::POLLIN,
+                revents: 0,
+            });
+        }
+        sys::poll_wait(&mut fds, poll_timeout_ms(timeout)) > 0
+            && fds[..stream_fds].iter().any(|fd| fd.revents != 0)
+    }
+
     /// Registers a subscriber slot *without* dialing: the connection
     /// starts disconnected and is established by the first
     /// [`TcpFeed::reconnect`] (e.g. driven by a `SupervisedFeed`'s
@@ -844,8 +891,35 @@ impl<const L: usize> Feed<L> for TcpFeed<L> {
 mod tests {
     use super::*;
     use crate::clock::{Granularity, SimClock};
+    use std::time::Instant;
     use tre_core::ServerKeyPair;
     use tre_pairing::toy64;
+
+    /// Polls `sub` until `done` holds for everything received so far,
+    /// blocking on the connection's readiness between polls. Gives up
+    /// after 10 s (or when the connection drops) and returns what
+    /// arrived, so the caller's assertion reports the shortfall.
+    fn recv_until(
+        feed: &mut TcpFeed<8>,
+        sub: SubscriberId,
+        mut done: impl FnMut(&[KeyUpdate<8>]) -> bool,
+    ) -> Vec<KeyUpdate<8>> {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut got = Vec::new();
+        loop {
+            got.extend(feed.poll(sub).into_iter().map(|(_, u)| u));
+            let left = deadline.saturating_duration_since(Instant::now());
+            if done(&got) || left.is_zero() || !feed.is_connected(sub) {
+                return got;
+            }
+            feed.wait_readable(sub, Some(left));
+        }
+    }
+
+    fn epochs_of(got: &[KeyUpdate<8>]) -> Vec<u64> {
+        let g = Granularity::Seconds;
+        got.iter().filter_map(|u| g.epoch_of_tag(u.tag())).collect()
+    }
 
     /// Full loopback round trip: daemon broadcasts two epochs, a TcpFeed
     /// subscriber receives and verifies them.
@@ -856,41 +930,29 @@ mod tests {
         let clock = SimClock::new();
         let keys = ServerKeyPair::generate(curve, &mut rng);
         let spk = *keys.public();
-        let server = TimeServer::new(curve, keys, clock.clone(), Granularity::Seconds);
+        let mut server = TimeServer::new(curve, keys, clock.clone(), Granularity::Seconds);
+        assert_eq!(server.poll().len(), 1, "epoch 0 archived before bind");
         let tred = Tred::bind("127.0.0.1:0", curve, server, TredConfig::default()).unwrap();
 
         let mut feed: TcpFeed<8> = TcpFeed::new(curve, tred.local_addr()).with_clock(clock.clone());
         let sub = feed.subscribe();
-        // Epoch 0 is due at bind time, so it can be broadcast before the
-        // daemon registers this subscriber; wait for registration before
-        // advancing, then recover a raced epoch 0 through catch-up.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while tred.subscriber_count() < 1 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        clock.advance(2); // epochs 1..=2 become due, delivered live
+        // The shard reads a request only from a registered connection, so
+        // once the replayed epoch 0 arrives, live broadcasts reach us too.
+        feed.request_catch_up(sub, 0, 0).unwrap();
+        let mut got = recv_until(&mut feed, sub, |got| !got.is_empty());
+        assert_eq!(epochs_of(&got), vec![0], "epoch 0 replayed");
 
-        let g = Granularity::Seconds;
-        let mut got: Vec<KeyUpdate<8>> = Vec::new();
-        let mut asked_catch_up = false;
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while got.len() < 3 && std::time::Instant::now() < deadline {
-            got.extend(feed.poll(sub).into_iter().map(|(_, u)| u));
-            let epochs: Vec<u64> = got.iter().filter_map(|u| g.epoch_of_tag(u.tag())).collect();
-            if !asked_catch_up && epochs.contains(&2) && !epochs.contains(&0) {
-                // Epoch 0 raced the subscription: replay it from the archive.
-                feed.request_catch_up(sub, 0, 0).unwrap();
-                asked_catch_up = true;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let mut epochs: Vec<u64> = got.iter().filter_map(|u| g.epoch_of_tag(u.tag())).collect();
-        epochs.sort_unstable();
-        assert_eq!(epochs, vec![0, 1, 2], "epochs 0..=2 delivered over TCP");
+        clock.advance(2); // epochs 1..=2 become due, delivered live
+        got.extend(recv_until(&mut feed, sub, |got| got.len() >= 2));
+        assert_eq!(
+            epochs_of(&got),
+            vec![0, 1, 2],
+            "epochs 0..=2 delivered over TCP"
+        );
         for u in &got {
             assert!(u.verify(curve, &spk));
         }
-        assert!(feed.stats().updates_decoded >= 3);
+        assert_eq!(feed.stats().updates_decoded, 3);
         assert!(feed.stats().bytes_received > 0);
         tred.shutdown();
     }
@@ -903,32 +965,16 @@ mod tests {
         let mut rng = rand::thread_rng();
         let clock = SimClock::new();
         let keys = ServerKeyPair::generate(curve, &mut rng);
-        let server = TimeServer::new(curve, keys, clock.clone(), Granularity::Seconds);
-        clock.advance(4); // epochs 0..=4 due before anyone connects
+        let mut server = TimeServer::new(curve, keys, clock.clone(), Granularity::Seconds);
+        clock.advance(4);
+        assert_eq!(server.poll().len(), 5, "epochs 0..=4 archived before bind");
         let tred = Tred::bind("127.0.0.1:0", curve, server, TredConfig::default()).unwrap();
-
-        // Give the ticker time to publish (and archive) the backlog.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while tred.stats().broadcasts.load(Ordering::Relaxed) < 5
-            && std::time::Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(5));
-        }
 
         let mut feed: TcpFeed<8> = TcpFeed::new(curve, tred.local_addr());
         let sub = feed.subscribe();
         feed.request_catch_up(sub, 1, 3).unwrap();
-
-        let mut got = Vec::new();
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while got.len() < 3 && std::time::Instant::now() < deadline {
-            got.extend(feed.poll(sub).into_iter().map(|(_, u)| u));
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(got.len(), 3, "epochs 1..=3 replayed");
-        let g = Granularity::Seconds;
-        let epochs: Vec<u64> = got.iter().filter_map(|u| g.epoch_of_tag(u.tag())).collect();
-        assert_eq!(epochs, vec![1, 2, 3]);
+        let got = recv_until(&mut feed, sub, |got| got.len() >= 3);
+        assert_eq!(epochs_of(&got), vec![1, 2, 3], "epochs 1..=3 replayed");
         assert_eq!(tred.stats().catch_up_requests.load(Ordering::Relaxed), 1);
         assert_eq!(tred.stats().catch_up_replies.load(Ordering::Relaxed), 3);
         tred.shutdown();
@@ -945,13 +991,54 @@ mod tests {
 
         let mut stream = TcpStream::connect(tred.local_addr()).unwrap();
         stream.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while tred.stats().wire_errors.load(Ordering::Relaxed) == 0
-            && std::time::Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(5));
+        // The daemon counts the wire error, then closes the connection:
+        // block until that close (EOF) reaches us.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut buf = [0u8; 64];
+        loop {
+            match stream.read(&mut buf) {
+                Ok(0) => break,
+                Ok(_) => continue,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => {
+                    assert_ne!(e.kind(), std::io::ErrorKind::WouldBlock, "no close in 10 s");
+                    break; // reset: closed all the same
+                }
+            }
         }
         assert_eq!(tred.stats().wire_errors.load(Ordering::Relaxed), 1);
         tred.shutdown();
+    }
+
+    /// The ticker sleeps on the clock until the next epoch boundary;
+    /// shutdown must wake it even though the clock never advances.
+    #[test]
+    fn shutdown_returns_while_the_clock_stands_still() {
+        let curve = toy64();
+        let keys = ServerKeyPair::generate(curve, &mut rand::thread_rng());
+        let clock = SimClock::new();
+        let mut server = TimeServer::new(curve, keys, clock.clone(), Granularity::Seconds);
+        server.poll(); // epoch 0 published: the ticker goes straight to its wait
+        let tred = Tred::bind("127.0.0.1:0", curve, server, TredConfig::default()).unwrap();
+        // A catch-up round trip gives the ticker ample time to block on
+        // the clock, so shutdown has to wake it rather than race it.
+        let mut feed: TcpFeed<8> = TcpFeed::new(curve, tred.local_addr());
+        let sub = feed.subscribe();
+        feed.request_catch_up(sub, 0, 0).unwrap();
+        assert_eq!(
+            epochs_of(&recv_until(&mut feed, sub, |got| !got.is_empty())),
+            [0]
+        );
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            tred.shutdown();
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("Tred::shutdown hung: the ticker was never woken");
+        assert_eq!(clock.now(), 0);
     }
 }

@@ -129,6 +129,7 @@ fn client_survives_relay_death_with_no_missed_epochs() {
     // Kill relay A mid-run. Epochs 3–4 are published while the client
     // is dangling on a dead socket; supervision must rotate the dial to
     // relay B and catch up whatever was missed.
+    let serve_a = relay_a.serve_stats();
     relay_a.shutdown();
     clock.advance(2);
     assert!(
@@ -165,6 +166,25 @@ fn client_survives_relay_death_with_no_missed_epochs() {
     assert!(b.epochs_relayed.load(Ordering::Relaxed) >= 5);
     assert_eq!(b.updates_rejected.load(Ordering::Relaxed), 0);
 
+    let serve_b = relay_b.serve_stats();
+    let root = tred.stats();
     relay_b.shutdown();
     tred.shutdown();
+
+    // Every shard slept until a command or a ready socket woke it: no
+    // poll(2) return on the root or either relay found nothing to do.
+    // And with every queue resolved at shutdown, each daemon's delivery
+    // conservation identity balances.
+    for (name, stats) in [
+        ("root", &root),
+        ("relay A", &serve_a),
+        ("relay B", &serve_b),
+    ] {
+        assert_eq!(
+            stats.idle_wakeups.load(Ordering::Relaxed),
+            0,
+            "{name}: shard woke with no work"
+        );
+        assert_eq!(stats.in_flight(), 0, "{name}: every offer resolved");
+    }
 }
