@@ -16,9 +16,8 @@ use tre_core::{KeyUpdate, Receiver, ReleaseTag, Sender, ServerKeyPair, UserKeyPa
 use tre_pairing::{mid96, toy64, Curve};
 use tre_server::{
     BroadcastNet, CatchUpConfig, ChaosProxy, ChaosSim, Fault, FaultPlan, Feed, FsyncPolicy,
-    Granularity, JournalConfig, NetConfig, ReceiverClient, SegmentStore, SegmentStoreConfig,
-    SimClock, Stage, SupervisedFeed, SupervisorConfig, TcpFeed, TimeServer, TraceSink, Tred,
-    TredConfig, UpdateArchive,
+    Granularity, JournalConfig, NetConfig, ReceiverClient, SimClock, Stage, SupervisedFeed,
+    SupervisorConfig, TcpFeed, TimeServer, TraceSink, Tred, TredConfig, UpdateArchive,
 };
 
 /// Canonical body-encoding size of one key update (what the size tables
@@ -2448,7 +2447,7 @@ fn e20() {
 /// retry hints, and still deliver every epoch to every client — the
 /// supervised clients honor the hints and resume partial ranges instead
 /// of replaying them. A final point-lookup pass over the reopened
-/// segment store asserts the sparse index answers in O(log n) probes
+/// archive asserts the journal's epoch index answers in O(log n) probes
 /// against the linear-scan baseline of records/2.
 /// One raw-socket client of the E21 storm tier: real connection-scale
 /// catch-up pressure with no client-side curve arithmetic — epochs are
@@ -2494,7 +2493,7 @@ fn e21() {
     use std::time::{Duration, Instant};
     use tre_wire::{peek_frame, CatchUpRequest, Hello, Wire, TAG_BUSY, TAG_KEY_UPDATE};
 
-    println!("## E21 — reconnect storm: overload-safe deep catch-up from the segment archive\n");
+    println!("## E21 — reconnect storm: overload-safe deep catch-up from the journal archive\n");
     let quick = std::env::var("TRE_BENCH_QUICK").is_ok_and(|v| v != "0");
     let epochs: u64 = 384;
     let want_clients: usize = std::env::var("TRE_BENCH_E21_CLIENTS")
@@ -2510,20 +2509,16 @@ fn e21() {
     let dir = std::env::temp_dir().join(format!("tre-e21-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Tiny segments: the whole history lands in many sealed, indexed
-    // segment files, so the storm is served from disk, not the map.
+    // Tiny segments: the whole history lands in many sealed segment
+    // files, so the storm is served from disk through the epoch index.
     let keys = ServerKeyPair::generate(curve, &mut r);
     let spk = *keys.public();
     let clock = SimClock::new();
-    let (archive, _) = UpdateArchive::open_durable(
-        &dir,
-        curve,
-        JournalConfig {
-            fsync: FsyncPolicy::OnClose,
-            max_segment_bytes: 2048,
-        },
-    )
-    .expect("durable archive");
+    let jconfig = JournalConfig {
+        fsync: FsyncPolicy::OnClose,
+        max_segment_bytes: 2048,
+    };
+    let (archive, _) = UpdateArchive::open_durable(&dir, curve, jconfig).expect("durable archive");
     let archive = std::sync::Arc::new(archive);
     let server = {
         let mut server = TimeServer::recover(
@@ -2542,10 +2537,10 @@ fn e21() {
         );
         server
     };
-    let sealed_segments = archive.segment_stats().expect("durable").segments_sealed;
+    let sealed_segments = archive.journal_stats().expect("durable").rotations;
     assert!(
         sealed_segments >= 8,
-        "tiny segments force many seals, saw {sealed_segments}"
+        "tiny segments force many rotations, saw {sealed_segments}"
     );
 
     // Both socket ends live here, as in the E20 rig.
@@ -2879,33 +2874,31 @@ fn e21() {
         );
     }
 
-    // O(log n) probe evidence: reopen the sealed store and point-look-up
-    // a spread of epochs; compare probes/lookup against the linear-scan
+    // O(log n) probe evidence: reopen the archive and point-look-up a
+    // spread of epochs; compare probes/lookup against the linear-scan
     // baseline of records/2.
-    let mut store =
-        SegmentStore::open(&dir, SegmentStoreConfig::default()).expect("reopen segment store");
-    let records = store.total_records();
-    let max_sealed = store.sealed_max_epoch().expect("sealed epochs");
+    drop(archive);
+    let (archive, _) =
+        UpdateArchive::open_durable(&dir, curve, jconfig).expect("reopen durable archive");
+    let records = archive.len() as u64;
+    let max_epoch = archive.latest_epoch().expect("archived epochs");
     let lookups: u64 = 128;
     for k in 0..lookups {
-        let e = k * max_sealed / lookups.max(1);
-        assert!(
-            store.lookup(e).expect("lookup").is_some(),
-            "sealed epoch {e} resolves"
-        );
+        let e = k * max_epoch / lookups.max(1);
+        assert!(archive.get(e).is_some(), "archived epoch {e} resolves");
     }
-    let pstats = store.stats();
+    let pstats = archive.read_stats().expect("durable");
     let avg_probes = pstats.lookup_probes as f64 / pstats.lookups as f64;
     let linear = records as f64 / 2.0;
     assert!(
         avg_probes * 4.0 <= linear,
-        "sparse-index lookups are sub-linear: {avg_probes:.1} probes vs {linear:.1} baseline"
+        "indexed lookups are sub-linear: {avg_probes:.1} probes vs {linear:.1} baseline"
     );
     println!(
-        "\n({records} sealed records in {} segments; {lookups} point lookups averaged \
+        "\n({records} archived records in {} segments; {lookups} point lookups averaged \
          {avg_probes:.1} probes\n vs a {linear:.1}-record linear-scan baseline — \
          {:.1}x fewer, O(log n) asserted at 4x margin.)\n",
-        store.segment_count(),
+        sealed_segments + 1,
         linear / avg_probes
     );
 

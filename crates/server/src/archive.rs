@@ -13,123 +13,179 @@ use parking_lot::{Mutex, RwLock};
 use tre_core::KeyUpdate;
 use tre_pairing::Curve;
 
-use crate::journal::{Journal, JournalConfig, JournalStats, ReplayReport};
-use crate::segments::{SegmentStore, SegmentStoreConfig, SegmentStoreStats};
+use crate::journal::{holes, Journal, JournalConfig, JournalReader, JournalStats, ReplayReport};
 
-/// The on-disk backing of a durable archive: the append-only journal
-/// (write path, source of truth), the epoch-indexed segment store (read
-/// path for deep ranges), and the curve needed to encode / decode
-/// record bodies.
+/// Read-path counters of a durable archive (all since open).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ArchiveReadStats {
+    /// Point lookups served.
+    pub lookups: u64,
+    /// Index binary-search probes across lookups — the O(log n)
+    /// evidence; compare against `len / 2` per lookup for a linear scan.
+    pub lookup_probes: u64,
+    /// Chunked range reads served.
+    pub range_reads: u64,
+    /// Records returned by range reads.
+    pub range_records: u64,
+    /// Segment reads that failed; each ended its chunk early.
+    pub read_failures: u64,
+    /// Stored bodies that did not decode as a [`KeyUpdate`] and were
+    /// skipped.
+    pub decode_failures: u64,
+}
+
+impl ArchiveReadStats {
+    /// Publishes the counters into a shared registry under
+    /// `<prefix>_<stat>` names. Absolute values, so re-export overwrites.
+    pub fn export_into(&self, registry: &mut tre_obs::Registry, prefix: &str) {
+        let pairs = [
+            ("lookups", self.lookups),
+            ("lookup_probes", self.lookup_probes),
+            ("range_reads", self.range_reads),
+            ("range_records", self.range_records),
+            ("read_failures", self.read_failures),
+            ("decode_failures", self.decode_failures),
+        ];
+        for (name, value) in pairs {
+            registry.counter_set(&format!("{prefix}_{name}"), value);
+        }
+    }
+}
+
+/// The on-disk backing of a durable archive: the journal (write path),
+/// its reader (the epoch index over the segment files), and the curve
+/// that encodes / decodes record bodies.
 struct Durable<const L: usize> {
     curve: &'static Curve<L>,
     journal: Mutex<Journal>,
-    segments: Mutex<SegmentStore>,
+    reader: JournalReader,
+    stats: Mutex<ArchiveReadStats>,
 }
 
-impl<const L: usize> std::fmt::Debug for Durable<L> {
+impl<const L: usize> Durable<L> {
+    /// Up to `max` stored bodies in `[from, to]`, and whether the read
+    /// completed (a failed read ends the chunk at the failed epoch).
+    fn read(&self, from: u64, to: u64, max: usize) -> (Vec<(u64, Vec<u8>)>, bool) {
+        let mut out = Vec::new();
+        let ok = self.reader.read_range(from, to, max, &mut out).is_ok();
+        let mut stats = self.stats.lock();
+        stats.range_reads += 1;
+        stats.range_records += out.len() as u64;
+        stats.read_failures += u64::from(!ok);
+        (out, ok)
+    }
+
+    fn decode(&self, body: &[u8]) -> Option<KeyUpdate<L>> {
+        let update = KeyUpdate::read_body(self.curve, body).ok();
+        if update.is_none() {
+            self.stats.lock().decode_failures += 1;
+        }
+        update
+    }
+}
+
+enum Backing<const L: usize> {
+    /// Relay and simulation archives: every update decoded, in memory.
+    Memory(RwLock<BTreeMap<u64, KeyUpdate<L>>>),
+    /// Journal-backed: no decoded history, reads go to the segments.
+    Durable(Durable<L>),
+}
+
+impl<const L: usize> std::fmt::Debug for Backing<L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Durable").finish_non_exhaustive()
+        match self {
+            Backing::Memory(map) => f.debug_tuple("Memory").field(&map.read().len()).finish(),
+            Backing::Durable(d) => f.debug_tuple("Durable").field(&d.reader.len()).finish(),
+        }
     }
 }
 
 /// Thread-safe archive of published updates, indexed by epoch.
 ///
 /// By default the archive is purely in-memory; [`UpdateArchive::open_durable`]
-/// backs it with an append-only [`Journal`] so every publish hits stable
-/// storage *before* it is visible to readers, and a restarted server
+/// backs it with an append-only [`Journal`] whose segment files are the
+/// archive: every publish hits stable storage *before* it is visible to
+/// readers, reads are served from the segments, and a restarted server
 /// recovers its complete archive from disk.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct UpdateArchive<const L: usize> {
-    entries: RwLock<BTreeMap<u64, KeyUpdate<L>>>,
-    durable: Option<Durable<L>>,
+    backing: Backing<L>,
+}
+
+impl<const L: usize> Default for UpdateArchive<L> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl<const L: usize> UpdateArchive<L> {
     /// An empty, in-memory archive.
     pub fn new() -> Self {
         Self {
-            entries: RwLock::new(BTreeMap::new()),
-            durable: None,
+            backing: Backing::Memory(RwLock::new(BTreeMap::new())),
         }
     }
 
-    /// Opens a journal-backed archive at `dir`, replaying any existing
-    /// records: the returned archive already contains every update that
-    /// survived on disk (torn tails truncated, corrupt records
-    /// quarantined — see [`Journal::open`]), and all subsequent
+    /// Opens a journal-backed archive at `dir`. The journal's opening
+    /// scan indexes every record that survived on disk (torn tails
+    /// truncated, corrupt records quarantined — see [`Journal::open`]);
+    /// nothing is decoded but the newest record, which proves the
+    /// journal was written for `curve`. All subsequent
     /// [`publish`](Self::publish) calls append to the journal before
     /// acknowledging.
     ///
-    /// Records whose body no longer decodes as a [`KeyUpdate`] (curve
-    /// mismatch, partial corruption that slipped framing) are dropped and
-    /// counted in the report's `quarantined_records`.
-    ///
     /// # Errors
-    /// Propagates journal / filesystem errors.
+    /// Propagates journal / filesystem errors, and refuses with
+    /// [`io::ErrorKind::InvalidData`] a journal whose newest record does
+    /// not decode on `curve`.
     pub fn open_durable(
         dir: impl AsRef<Path>,
         curve: &'static Curve<L>,
         config: JournalConfig,
     ) -> io::Result<(Self, ReplayReport)> {
-        let (journal, records, mut report) = Journal::open(&dir, config)?;
-        let mut segments = SegmentStore::open(&dir, SegmentStoreConfig::default())?;
-        // Adopt whatever the previous life sealed but never archived —
-        // this is also where a kill -9 mid-rotation heals.
-        let _ = segments.adopt_sealed(journal.active_segment());
-        let mut map = BTreeMap::new();
-        for (epoch, body) in records {
-            match KeyUpdate::read_body(curve, &body) {
-                Ok(update) => {
-                    map.insert(epoch, update);
-                }
-                Err(_) => {
-                    report.records -= 1;
-                    report.quarantined_records += 1;
-                }
+        let (journal, report) = Journal::open(&dir, config)?;
+        let reader = journal.reader();
+        if let Some(latest) = report.latest_epoch {
+            let mut newest = Vec::with_capacity(1);
+            reader.read_range(latest, latest, 1, &mut newest)?;
+            if KeyUpdate::read_body(curve, &newest[0].1).is_err() {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("journal record for epoch {latest} does not decode on this curve"),
+                ));
             }
         }
-        report.latest_epoch = map.keys().next_back().copied();
         let archive = Self {
-            entries: RwLock::new(map),
-            durable: Some(Durable {
+            backing: Backing::Durable(Durable {
                 curve,
                 journal: Mutex::new(journal),
-                segments: Mutex::new(segments),
+                reader,
+                stats: Mutex::new(ArchiveReadStats::default()),
             }),
         };
         Ok((archive, report))
     }
 
+    fn durable(&self) -> Option<&Durable<L>> {
+        match &self.backing {
+            Backing::Durable(d) => Some(d),
+            Backing::Memory(_) => None,
+        }
+    }
+
     /// Whether publishes are journaled to disk.
     pub fn is_durable(&self) -> bool {
-        self.durable.is_some()
+        self.durable().is_some()
     }
 
     /// Journal counters, when durable.
     pub fn journal_stats(&self) -> Option<JournalStats> {
-        self.durable.as_ref().map(|d| d.journal.lock().stats())
+        self.durable().map(|d| d.journal.lock().stats())
     }
 
-    /// Segment-store counters, when durable.
-    pub fn segment_stats(&self) -> Option<SegmentStoreStats> {
-        self.durable.as_ref().map(|d| d.segments.lock().stats())
-    }
-
-    /// Records held by sealed archive segments (0 when in-memory) —
-    /// the linear-scan baseline for the probe-count experiments.
-    pub fn sealed_records(&self) -> u64 {
-        self.durable
-            .as_ref()
-            .map_or(0, |d| d.segments.lock().total_records())
-    }
-
-    /// Arms segment-scoped I/O faults from `plan` on the underlying
-    /// [`SegmentStore`] (no-op for an in-memory archive). See
-    /// [`SegmentStore::set_fault_plan`].
-    pub fn set_segment_fault_plan(&self, plan: &crate::faults::FaultPlan) {
-        if let Some(d) = &self.durable {
-            d.segments.lock().set_fault_plan(plan);
-        }
+    /// Read-path counters, when durable.
+    pub fn read_stats(&self) -> Option<ArchiveReadStats> {
+        self.durable().map(|d| *d.stats.lock())
     }
 
     /// Forces any buffered journal appends to stable storage (no-op for
@@ -138,7 +194,7 @@ impl<const L: usize> UpdateArchive<L> {
     /// # Errors
     /// Propagates the underlying fsync error.
     pub fn sync(&self) -> io::Result<()> {
-        match &self.durable {
+        match self.durable() {
             Some(d) => d.journal.lock().sync(),
             None => Ok(()),
         }
@@ -150,36 +206,22 @@ impl<const L: usize> UpdateArchive<L> {
     /// Propagates filesystem errors; errors on an in-memory archive never
     /// occur (no-op).
     pub fn rotate_journal(&self) -> io::Result<()> {
-        match &self.durable {
-            Some(d) => {
-                let active = {
-                    let mut j = d.journal.lock();
-                    j.rotate()?;
-                    j.active_segment()
-                };
-                // The just-sealed segment becomes an indexed archive
-                // segment; a failure here is retried on the next seal.
-                let _ = d.segments.lock().adopt_sealed(active);
-                Ok(())
-            }
+        match self.durable() {
+            Some(d) => d.journal.lock().rotate(),
             None => Ok(()),
         }
     }
 
-    /// Drops journal records older than `horizon` from sealed segments
-    /// (the in-memory map keeps serving them until restart; the paper's
-    /// archive is conceptually unbounded, so retention is an operator
-    /// decision). Returns records dropped; 0 for an in-memory archive.
+    /// Drops journal records older than `horizon` from sealed segments;
+    /// they leave the archive at once (the paper's archive is
+    /// conceptually unbounded, so retention is an operator decision).
+    /// Returns records dropped; 0 for an in-memory archive.
     ///
     /// # Errors
     /// Propagates filesystem errors.
     pub fn compact_journal(&self, horizon: u64) -> io::Result<u64> {
-        match &self.durable {
-            Some(d) => {
-                let dropped = d.journal.lock().compact(horizon)?;
-                d.segments.lock().compact(horizon)?;
-                Ok(dropped)
-            }
+        match self.durable() {
+            Some(d) => d.journal.lock().compact(horizon),
             None => Ok(0),
         }
     }
@@ -197,24 +239,19 @@ impl<const L: usize> UpdateArchive<L> {
     /// would silently break the recovery guarantee, so the server crashes
     /// instead.
     pub fn publish(&self, epoch: u64, update: KeyUpdate<L>) {
-        if let Some(d) = &self.durable {
-            let mut body = Vec::new();
-            update.write_body(d.curve, &mut body);
-            let (rotated, active) = {
-                let mut j = d.journal.lock();
-                let before = j.active_segment();
-                j.append(epoch, &body)
+        match &self.backing {
+            Backing::Memory(map) => {
+                map.write().insert(epoch, update);
+            }
+            Backing::Durable(d) => {
+                let mut body = Vec::new();
+                update.write_body(d.curve, &mut body);
+                d.journal
+                    .lock()
+                    .append(epoch, &body)
                     .expect("journal append failed: refusing to ack a non-durable update");
-                (j.active_segment() != before, j.active_segment())
-            };
-            if rotated {
-                // The append sealed a segment; index it. Seal failures
-                // are counted and retried — the journal still has the
-                // records, so the publish is not at risk.
-                let _ = d.segments.lock().adopt_sealed(active);
             }
         }
-        self.entries.write().insert(epoch, update);
     }
 
     /// Fetches the stored update for `epoch`, if any.
@@ -226,7 +263,22 @@ impl<const L: usize> UpdateArchive<L> {
     /// from untrusted sources must enforce their own clock check — this
     /// is a `get_unchecked` in that sense.
     pub fn get(&self, epoch: u64) -> Option<KeyUpdate<L>> {
-        let found = self.entries.read().get(&epoch).cloned();
+        let found = match &self.backing {
+            Backing::Memory(map) => map.read().get(&epoch).cloned(),
+            Backing::Durable(d) => {
+                let mut out = Vec::with_capacity(1);
+                let result = d.reader.read_range(epoch, epoch, 1, &mut out);
+                {
+                    let mut stats = d.stats.lock();
+                    stats.lookups += 1;
+                    match result {
+                        Ok(probes) => stats.lookup_probes += probes,
+                        Err(_) => stats.read_failures += 1,
+                    }
+                }
+                out.pop().and_then(|(_, body)| d.decode(&body))
+            }
+        };
         if tre_obs::is_enabled() {
             let outcome = if found.is_some() { "hit" } else { "miss" };
             tre_obs::event("archive.fetch", &format!("epoch={epoch} {outcome}"));
@@ -236,93 +288,63 @@ impl<const L: usize> UpdateArchive<L> {
 
     /// The most recent archived epoch.
     pub fn latest_epoch(&self) -> Option<u64> {
-        self.entries.read().keys().next_back().copied()
+        match &self.backing {
+            Backing::Memory(map) => map.read().keys().next_back().copied(),
+            Backing::Durable(d) => d.reader.latest_epoch(),
+        }
+    }
+
+    /// Epochs absent between the oldest and the newest archived epoch —
+    /// holes a quarantined record or an out-of-order writer left.
+    pub fn missing_epochs(&self) -> Vec<u64> {
+        match &self.backing {
+            Backing::Memory(map) => holes(map.read().keys().copied()),
+            Backing::Durable(d) => d.reader.missing_epochs(),
+        }
     }
 
     /// Number of archived updates.
     pub fn len(&self) -> usize {
-        self.entries.read().len()
+        match &self.backing {
+            Backing::Memory(map) => map.read().len(),
+            Backing::Durable(d) => d.reader.len(),
+        }
     }
 
     /// Whether the archive is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.read().is_empty()
+        self.len() == 0
     }
 
     /// All updates in the inclusive epoch range (for catch-up after an
     /// outage). Materialises the whole span — the serving path should
     /// prefer [`read_range_chunk`](Self::read_range_chunk).
     pub fn range(&self, from: u64, to: u64) -> Vec<(u64, KeyUpdate<L>)> {
-        self.entries
-            .read()
-            .range(from..=to)
-            .map(|(e, u)| (*e, u.clone()))
-            .collect()
+        self.read_range_chunk(from, to, usize::MAX).0
     }
 
     /// Bounded chunk of the inclusive epoch range `[from, to]`: at most
     /// `max` updates in ascending epoch order, plus the epoch to resume
     /// from when the range has more (`None` when this chunk finishes
-    /// it). Sealed epochs stream straight off the segment files — no
-    /// full-span materialisation; epochs past the sealed horizon (and
-    /// in-memory archives, and segment read failures) are served from
-    /// the live map.
+    /// it). A durable archive reads the chunk off the segment files and
+    /// decodes it; a body that fails to decode is skipped and counted.
     pub fn read_range_chunk(
         &self,
         from: u64,
         to: u64,
         max: usize,
     ) -> (Vec<(u64, KeyUpdate<L>)>, Option<u64>) {
-        if max == 0 || from > to {
-            return (Vec::new(), None);
-        }
-        let mut out: Vec<(u64, KeyUpdate<L>)> = Vec::new();
-        if let Some(d) = &self.durable {
-            let mut store = d.segments.lock();
-            if let Some(sealed_max) = store.sealed_max_epoch() {
-                if from <= sealed_max {
-                    match store.read_range(from, to.min(sealed_max), max) {
-                        Ok(records) => {
-                            for (e, body) in records {
-                                if let Ok(u) = KeyUpdate::read_body(d.curve, &body) {
-                                    out.push((e, u));
-                                }
-                            }
-                        }
-                        Err(_) => {
-                            // Injected or real read failure: degrade to
-                            // the in-memory map below (counted in the
-                            // store's read_failures).
-                        }
-                    }
-                }
-            }
-        }
-        if out.len() < max {
-            let resume = out.last().map_or(from, |(e, _)| e + 1);
-            if resume <= to {
-                let entries = self.entries.read();
-                for (e, u) in entries.range(resume..=to) {
-                    out.push((*e, u.clone()));
-                    if out.len() >= max {
-                        break;
-                    }
-                }
-            }
-        }
-        let next = match out.last() {
-            Some((last, _)) if out.len() >= max && *last < to => Some(last + 1),
-            _ => None,
-        };
-        (out, next)
+        self.chunk(from, to, max, KeyUpdate::clone, |d, body| d.decode(&body))
     }
 
     /// [`read_range_chunk`](Self::read_range_chunk) without the decode:
     /// at most `max` *canonical body byte strings* in ascending epoch
-    /// order, plus the resume epoch. Sealed records are returned exactly
-    /// as stored (their CRC already vouched for them on read); epochs
-    /// past the sealed horizon are re-encoded from the live map — pure
-    /// serialization, no curve arithmetic either way.
+    /// order, plus the resume epoch. A durable archive returns the
+    /// stored bytes verbatim (their CRC was checked on open or write); an
+    /// in-memory one re-encodes — pure serialization, no curve
+    /// arithmetic either way. A failed segment read ends the chunk at
+    /// the failed epoch with no resume epoch; the client re-requests
+    /// the gap.
     ///
     /// This is the serving path for deep catch-up replays: decoding a
     /// stored body costs two compressed-point decompressions (a field
@@ -338,41 +360,53 @@ impl<const L: usize> UpdateArchive<L> {
         to: u64,
         max: usize,
     ) -> (Vec<(u64, Vec<u8>)>, Option<u64>) {
+        let encode = |u: &KeyUpdate<L>| {
+            let mut body = Vec::new();
+            u.write_body(curve, &mut body);
+            body
+        };
+        self.chunk(from, to, max, encode, |_, body| Some(body))
+    }
+
+    /// The one chunked-read implementation behind both public flavours:
+    /// `from_memory` converts an in-memory update, `from_disk` a stored
+    /// body (`None` skips it).
+    fn chunk<T>(
+        &self,
+        from: u64,
+        to: u64,
+        max: usize,
+        from_memory: impl Fn(&KeyUpdate<L>) -> T,
+        from_disk: impl Fn(&Durable<L>, Vec<u8>) -> Option<T>,
+    ) -> (Vec<(u64, T)>, Option<u64>) {
         if max == 0 || from > to {
             return (Vec::new(), None);
         }
-        let mut out: Vec<(u64, Vec<u8>)> = Vec::new();
-        if let Some(d) = &self.durable {
-            let mut store = d.segments.lock();
-            if let Some(sealed_max) = store.sealed_max_epoch() {
-                if from <= sealed_max {
-                    match store.read_range(from, to.min(sealed_max), max) {
-                        Ok(records) => out = records,
-                        Err(_) => {
-                            // Injected or real read failure: degrade to
-                            // the in-memory map below (counted in the
-                            // store's read_failures).
-                        }
-                    }
-                }
+        let (out, last, full) = match &self.backing {
+            Backing::Memory(map) => {
+                let out: Vec<(u64, T)> = map
+                    .read()
+                    .range(from..=to)
+                    .take(max)
+                    .map(|(e, u)| (*e, from_memory(u)))
+                    .collect();
+                let last = out.last().map(|(e, _)| *e);
+                let full = out.len() >= max;
+                (out, last, full)
             }
-        }
-        if out.len() < max {
-            let resume = out.last().map_or(from, |(e, _)| e + 1);
-            if resume <= to {
-                let entries = self.entries.read();
-                for (e, u) in entries.range(resume..=to) {
-                    let mut body = Vec::new();
-                    u.write_body(curve, &mut body);
-                    out.push((*e, body));
-                    if out.len() >= max {
-                        break;
-                    }
-                }
+            Backing::Durable(d) => {
+                let (raw, ok) = d.read(from, to, max);
+                let last = raw.last().map(|(e, _)| *e);
+                let full = ok && raw.len() >= max;
+                let out = raw
+                    .into_iter()
+                    .filter_map(|(e, body)| from_disk(d, body).map(|t| (e, t)))
+                    .collect();
+                (out, last, full)
             }
-        }
-        let next = match out.last() {
-            Some((last, _)) if out.len() >= max && *last < to => Some(last + 1),
+        };
+        let next = match last {
+            Some(last) if full && last < to => Some(last + 1),
             _ => None,
         };
         (out, next)
@@ -517,5 +551,82 @@ mod tests {
         archive.sync().unwrap();
         archive.rotate_journal().unwrap();
         assert_eq!(archive.compact_journal(100).unwrap(), 0);
+    }
+
+    #[test]
+    fn durable_reads_count_failures_and_refuse_foreign_journals() {
+        let curve = toy64();
+        let dir = tmp_dir("foreign");
+        {
+            let (mut j, _) = Journal::open(&dir, JournalConfig::default()).unwrap();
+            j.append(0, b"not a key update").unwrap();
+        }
+        let err = UpdateArchive::<8>::open_durable(&dir, curve, JournalConfig::default())
+            .expect_err("a journal whose newest record does not decode is refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+
+        // An undecodable record below a valid newest one is served as
+        // absent and counted, not fatal.
+        let mut rng = rand::thread_rng();
+        let server = ServerKeyPair::generate(curve, &mut rng);
+        let mut body = Vec::new();
+        update(&server, 1).write_body(curve, &mut body);
+        {
+            let (mut j, _) = Journal::open(&dir, JournalConfig::default()).unwrap();
+            j.append(1, &body).unwrap();
+        }
+        let (archive, _) =
+            UpdateArchive::open_durable(&dir, curve, JournalConfig::default()).unwrap();
+        assert_eq!(archive.len(), 2);
+        assert!(archive.get(0).is_none());
+        assert_eq!(archive.range(0, 1).len(), 1);
+        assert_eq!(
+            archive.read_range_chunk_raw(curve, 0, 1, 8).0.len(),
+            2,
+            "raw path ships bytes as stored"
+        );
+        assert_eq!(archive.read_stats().unwrap().decode_failures, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn truncated_sealed_segment_ends_the_chunk_and_counts_the_failure() {
+        let curve = toy64();
+        let mut rng = rand::thread_rng();
+        let server = ServerKeyPair::generate(curve, &mut rng);
+        let dir = tmp_dir("truncated");
+        let (archive, _) =
+            UpdateArchive::open_durable(&dir, curve, JournalConfig::default()).unwrap();
+        for e in 0..4 {
+            archive.publish(e, update(&server, e));
+        }
+        archive.rotate_journal().unwrap();
+        for e in 4..6 {
+            archive.publish(e, update(&server, e));
+        }
+        // Chop the sealed segment's last record under the live archive.
+        let sealed = dir.join("seg-0000000001.trej");
+        let len = std::fs::metadata(&sealed).unwrap().len();
+        let f = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&sealed)
+            .unwrap();
+        f.set_len(len - 10).unwrap();
+        drop(f);
+
+        let (got, next) = archive.read_range_chunk_raw(curve, 0, 5, 64);
+        let epochs: Vec<u64> = got.iter().map(|(e, _)| *e).collect();
+        assert!(
+            epochs.len() < 4,
+            "the chunk ends at the unreadable epoch: {epochs:?}"
+        );
+        assert_eq!(next, None, "no resume past a failed read");
+        assert!(archive.get(3).is_none());
+        let stats = archive.read_stats().unwrap();
+        assert_eq!(stats.read_failures, 2);
+        // Epochs in the untouched active segment still serve.
+        assert_eq!(archive.read_range_chunk_raw(curve, 4, 5, 64).0.len(), 2);
+        assert!(archive.get(5).is_some());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

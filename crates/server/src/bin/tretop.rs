@@ -13,7 +13,7 @@
 //! * the delivery-conservation balance
 //!   (`offered == written + abandoned + evicted + dropped + in-flight`);
 //! * catch-up pressure: daemon-side requests/clipped/replies/shed and
-//!   segment-archive health next to client-side busy/retry/resume
+//!   journal-archive health next to client-side busy/retry/resume
 //!   counters, so an operator sees overload shedding as it happens;
 //! * the per-stage epoch-delivery latency table (p50/p99/max) from the
 //!   trace-sink histograms;
@@ -196,15 +196,16 @@ fn render(sources: &[Source]) -> String {
     let served_requests = c("_catch_up_requests").saturating_sub(feed_requests);
     if served_requests + feed_requests + c("_catch_up_shed") > 0 {
         out.push_str(&format!(
-            "catch-up: requests {} (clipped {})  replies {}  shed {}   archive: sealed {} segs / {} recs  resealed {}  torn-tail {}B  probes/lookup {}\n",
+            "catch-up: requests {} (clipped {})  replies {}  shed {}   archive: sealed {} segs / {} recs  quarantined {}  torn-tail {}B  probes/lookup {}\n",
             served_requests,
             c("_catch_up_clipped"),
             c("_catch_up_replies"),
             c("_catch_up_shed"),
-            c("_segments_sealed"),
-            c("_records_sealed"),
-            c("_resealed_segments"),
-            c("_corrupt_tail_bytes"),
+            c("_journal_rotations"),
+            (c("_journal_replayed_records") + c("_journal_appends"))
+                .saturating_sub(c("_journal_compacted_records")),
+            c("_journal_quarantined_records"),
+            c("_journal_torn_tail_bytes"),
             match c("_lookups") {
                 0 => "-".to_string(),
                 n => format!("{:.1}", c("_lookup_probes") as f64 / n as f64),
@@ -305,8 +306,10 @@ mod tests {
         registry.counter_set("tre_tred_catch_up_clipped", 2);
         registry.counter_set("tre_tred_catch_up_replies", 300);
         registry.counter_set("tre_tred_catch_up_shed", 1);
-        registry.counter_set("tre_tred_segments_segments_sealed", 4);
-        registry.counter_set("tre_tred_segments_records_sealed", 80);
+        registry.counter_set("tre_tred_journal_rotations", 4);
+        registry.counter_set("tre_tred_journal_replayed_records", 30);
+        registry.counter_set("tre_tred_journal_appends", 60);
+        registry.counter_set("tre_tred_journal_compacted_records", 10);
         registry.counter_set("tre_tred_segments_lookups", 8);
         registry.counter_set("tre_tred_segments_lookup_probes", 24);
         // Client side: the feed's own request counter must not inflate

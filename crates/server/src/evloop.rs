@@ -693,6 +693,21 @@ fn shard_loop<const L: usize>(
             return;
         }
 
+        // Drop closed connections before polling: a broadcast above may
+        // just have evicted one, and with no timeout a dead socket that
+        // never turns ready again would otherwise stay counted live.
+        conns.retain_mut(|conn| {
+            if conn.wq.closed {
+                finish_catch_up(shared, &mut conn.catch_up);
+                abandon_queue(&mut conn.wq, &shared.stats);
+                live.fetch_sub(1, Ordering::Relaxed);
+                let _ = conn.stream.shutdown(Shutdown::Both);
+                false
+            } else {
+                true
+            }
+        });
+
         // Advance admitted catch-up replays while their write queues
         // have room — the archive is read in bounded chunks, so one
         // deep range costs many small rounds instead of one big burst.
@@ -741,18 +756,6 @@ fn shard_loop<const L: usize>(
                 }
             }
         }
-
-        conns.retain_mut(|conn| {
-            if conn.wq.closed {
-                finish_catch_up(shared, &mut conn.catch_up);
-                abandon_queue(&mut conn.wq, &shared.stats);
-                live.fetch_sub(1, Ordering::Relaxed);
-                let _ = conn.stream.shutdown(Shutdown::Both);
-                false
-            } else {
-                true
-            }
-        });
     }
 }
 

@@ -146,24 +146,6 @@ pub enum Fault {
         /// The 1-based roster index of the equivocating member.
         member: u32,
     },
-    /// (Segment store) A seal write persists only half the archive
-    /// segment before failing — the torn-write case temp+rename must
-    /// mask. `at` is the store's I/O operation index, not a tick.
-    /// Consumed by [`crate::SegmentStore`]; ignored by [`ChaosSim`] and
-    /// [`crate::ChaosProxy`].
-    SegmentShortWrite,
-    /// (Segment store) A seal write fails outright (ENOSPC-style);
-    /// the journal segment stays adoptable and the seal is retried.
-    /// `at` is the store's I/O operation index. Consumed by
-    /// [`crate::SegmentStore`]; ignored by [`ChaosSim`] and
-    /// [`crate::ChaosProxy`].
-    SegmentDiskFull,
-    /// (Segment store) A positioned segment read fails mid-range; the
-    /// archive layer falls back to its in-memory view. `at` is the
-    /// store's I/O operation index. Consumed by
-    /// [`crate::SegmentStore`]; ignored by [`ChaosSim`] and
-    /// [`crate::ChaosProxy`].
-    SegmentReadError,
 }
 
 /// A fault scheduled at an absolute clock tick.
@@ -302,10 +284,7 @@ impl FaultInjector {
                 | Fault::CorruptByte { .. }
                 | Fault::ConnReset
                 | Fault::ByzantineShare { .. }
-                | Fault::EquivocatingShare { .. }
-                | Fault::SegmentShortWrite
-                | Fault::SegmentDiskFull
-                | Fault::SegmentReadError => {
+                | Fault::EquivocatingShare { .. } => {
                     // Live-transport and committee-harness faults:
                     // interpreted by the ChaosProxy / committee chaos
                     // harness against real sockets, not by the sim.
@@ -361,9 +340,6 @@ pub(crate) fn fault_name(fault: &Fault) -> &'static str {
         Fault::ConnReset => "conn_reset",
         Fault::ByzantineShare { .. } => "byzantine_share",
         Fault::EquivocatingShare { .. } => "equivocating_share",
-        Fault::SegmentShortWrite => "segment_short_write",
-        Fault::SegmentDiskFull => "segment_disk_full",
-        Fault::SegmentReadError => "segment_read_error",
     }
 }
 

@@ -46,10 +46,26 @@
 //! at most N-1 acknowledged updates — which the restarted server
 //! re-issues anyway, since updates are deterministic), `OnClose` is for
 //! bulk imports and benches.
+//!
+//! ## Reading in place
+//!
+//! The segment files are also the archive's only on-disk copy. The
+//! opening scan fills one in-memory index, epoch → (segment, offset,
+//! length); [`Journal::append`] extends it (the last write of an epoch
+//! wins) and [`Journal::compact`] rewrites the entries of the segments
+//! it touches. Quarantined records are simply absent. A
+//! [`JournalReader`] serves point and range reads off that index with
+//! positioned reads (`pread`) on a shared handle per segment: it copies
+//! locations under a short read lock and reads with no lock held, so a
+//! reader never waits on an append's fsync.
 
+use std::collections::{BTreeMap, HashMap};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+use parking_lot::RwLock;
 
 /// The four magic bytes opening every journal record.
 pub const RECORD_MAGIC: [u8; 4] = *b"TREJ";
@@ -190,8 +206,41 @@ pub struct ReplayReport {
     pub latest_epoch: Option<u64>,
 }
 
-/// One recovered record: the epoch and the raw body bytes.
-pub type ReplayedRecord = (u64, Vec<u8>);
+/// Where one indexed record lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Loc {
+    /// Segment sequence number.
+    seq: u64,
+    /// Byte offset of the record header within the segment.
+    offset: u64,
+    /// Body length.
+    len: u32,
+}
+
+impl Loc {
+    fn record_len(&self) -> u64 {
+        (RECORD_HEADER_LEN + self.len as usize + RECORD_TRAILER_LEN) as u64
+    }
+}
+
+/// The epoch index the writer maintains and every reader shares.
+#[derive(Debug, Default)]
+struct Index {
+    /// `(epoch, location)` sorted by epoch, one entry per epoch.
+    epochs: Vec<(u64, Loc)>,
+    /// A read handle per live segment.
+    files: BTreeMap<u64, Arc<File>>,
+}
+
+impl Index {
+    /// Indexes `epoch` at `loc`; a later write of the same epoch wins.
+    fn insert(&mut self, epoch: u64, loc: Loc) {
+        match self.epochs.binary_search_by_key(&epoch, |(e, _)| *e) {
+            Ok(i) => self.epochs[i].1 = loc,
+            Err(i) => self.epochs.insert(i, (epoch, loc)),
+        }
+    }
+}
 
 /// A durable append-only record log in a directory of CRC-framed
 /// segment files. The journal stores opaque `(epoch, body)` records; the
@@ -204,6 +253,7 @@ pub struct Journal {
     unsynced: u32,
     config: JournalConfig,
     stats: JournalStats,
+    reader: JournalReader,
 }
 
 impl std::fmt::Debug for Journal {
@@ -217,18 +267,18 @@ impl std::fmt::Debug for Journal {
     }
 }
 
-pub(crate) fn segment_name(seq: u64) -> String {
+fn segment_name(seq: u64) -> String {
     format!("seg-{seq:010}.trej")
 }
 
-pub(crate) fn segment_seq(path: &Path) -> Option<u64> {
+fn segment_seq(path: &Path) -> Option<u64> {
     let name = path.file_name()?.to_str()?;
     let digits = name.strip_prefix("seg-")?.strip_suffix(".trej")?;
     digits.parse().ok()
 }
 
 /// All segment files in `dir`, sorted by sequence number.
-pub(crate) fn segment_paths(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
+fn segment_paths(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     let mut segments = Vec::new();
     for entry in fs::read_dir(dir)? {
         let path = entry?.path();
@@ -241,21 +291,23 @@ pub(crate) fn segment_paths(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
 }
 
 /// Outcome of scanning one segment's bytes.
-pub(crate) struct SegmentScan {
-    pub(crate) records: Vec<ReplayedRecord>,
+struct SegmentScan {
+    /// Every intact record in file order, located in segment `seq`.
+    records: Vec<(u64, Loc)>,
     /// Byte ranges that failed CRC / framing, for the quarantine file.
-    pub(crate) quarantined: Vec<(usize, usize)>,
-    pub(crate) quarantined_records: u64,
+    quarantined: Vec<(usize, usize)>,
+    quarantined_records: u64,
     /// Length of the intact prefix — everything before a *trailing*
     /// partial record. Equals the full length when the tail is clean.
-    pub(crate) intact_len: usize,
+    intact_len: usize,
 }
 
-/// Scans one segment, recovering every intact record. Corruption is
-/// skipped with byte-level resynchronisation on the record magic; a
-/// partial record at the very end is reported as a torn tail via
-/// `intact_len` (not quarantined — the caller truncates it away).
-pub(crate) fn scan_segment(bytes: &[u8]) -> SegmentScan {
+/// Scans the bytes of segment `seq`, locating every intact record.
+/// Corruption is skipped with byte-level resynchronisation on the
+/// record magic; a partial record at the very end is reported as a torn
+/// tail via `intact_len` (not quarantined — the caller truncates it
+/// away).
+fn scan_segment(seq: u64, bytes: &[u8]) -> SegmentScan {
     let mut scan = SegmentScan {
         records: Vec::new(),
         quarantined: Vec::new(),
@@ -328,7 +380,11 @@ pub(crate) fn scan_segment(bytes: &[u8]) -> SegmentScan {
         }
         scan.records.push((
             epoch,
-            rest[RECORD_HEADER_LEN..RECORD_HEADER_LEN + body_len].to_vec(),
+            Loc {
+                seq,
+                offset: off as u64,
+                len: body_len as u32,
+            },
         ));
         off += total;
         scan.intact_len = off;
@@ -343,7 +399,7 @@ fn find_magic(haystack: &[u8]) -> Option<usize> {
 }
 
 /// Encodes one record (header + body + CRC) into a fresh buffer.
-pub(crate) fn encode_record(epoch: u64, body: &[u8]) -> Vec<u8> {
+fn encode_record(epoch: u64, body: &[u8]) -> Vec<u8> {
     assert!(body.len() <= MAX_RECORD_BODY, "journal body exceeds bound");
     let mut rec = Vec::with_capacity(RECORD_HEADER_LEN + body.len() + RECORD_TRAILER_LEN);
     rec.extend_from_slice(&RECORD_MAGIC);
@@ -355,40 +411,178 @@ pub(crate) fn encode_record(epoch: u64, body: &[u8]) -> Vec<u8> {
     rec
 }
 
+/// Positioned read of exactly `buf.len()` bytes at `offset`: no shared
+/// file cursor, so concurrent readers never serialise on a handle.
+#[cfg(unix)]
+fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+}
+
+#[cfg(windows)]
+fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
+    use std::os::windows::fs::FileExt;
+    let mut done = 0;
+    while done < buf.len() {
+        match file.seek_read(&mut buf[done..], offset + done as u64)? {
+            0 => return Err(io::ErrorKind::UnexpectedEof.into()),
+            n => done += n,
+        }
+    }
+    Ok(())
+}
+
+/// The read side of a [`Journal`]: a cheap, cloneable handle that serves
+/// indexed records straight from the segment files while the journal
+/// keeps appending. An epoch becomes visible once its append returns.
+#[derive(Debug, Clone)]
+pub struct JournalReader {
+    index: Arc<RwLock<Index>>,
+}
+
+impl JournalReader {
+    /// Number of indexed epochs.
+    pub fn len(&self) -> usize {
+        self.index.read().epochs.len()
+    }
+
+    /// Whether no epoch is indexed.
+    pub fn is_empty(&self) -> bool {
+        self.index.read().epochs.is_empty()
+    }
+
+    /// The newest indexed epoch.
+    pub fn latest_epoch(&self) -> Option<u64> {
+        self.index.read().epochs.last().map(|(e, _)| *e)
+    }
+
+    /// Epochs absent between the oldest and the newest indexed epoch.
+    pub fn missing_epochs(&self) -> Vec<u64> {
+        holes(self.index.read().epochs.iter().map(|(e, _)| *e))
+    }
+
+    /// Appends to `out` the stored bodies of at most `max` indexed
+    /// epochs in `[from, to]`, in ascending epoch order, and returns the
+    /// index binary-search probes spent locating `from`.
+    ///
+    /// Locations and segment handles are copied under the index lock;
+    /// the `pread`s run with no lock held, one per run of records that
+    /// sit back to back in a segment. Each record's magic, epoch and
+    /// length are checked against the index (its CRC was checked when
+    /// the record was scanned or written).
+    ///
+    /// # Errors
+    /// A failed read or check ends the range at the failed epoch: `out`
+    /// keeps every record before it.
+    pub fn read_range(
+        &self,
+        from: u64,
+        to: u64,
+        max: usize,
+        out: &mut Vec<(u64, Vec<u8>)>,
+    ) -> io::Result<u64> {
+        if from > to || max == 0 {
+            return Ok(0);
+        }
+        let mut probes = 0u64;
+        let mut spans: Vec<(u64, Loc)> = Vec::new();
+        // Each run's segment handle and its first index into `spans`.
+        let mut runs: Vec<(Arc<File>, usize)> = Vec::new();
+        {
+            let index = self.index.read();
+            let start = index.epochs.partition_point(|(e, _)| {
+                probes += 1;
+                *e < from
+            });
+            for &(epoch, loc) in index.epochs[start..]
+                .iter()
+                .take_while(|(e, _)| *e <= to)
+                .take(max)
+            {
+                let follows = spans.last().is_some_and(|(_, prev)| {
+                    prev.seq == loc.seq && prev.offset + prev.record_len() == loc.offset
+                });
+                if !follows {
+                    runs.push((Arc::clone(&index.files[&loc.seq]), spans.len()));
+                }
+                spans.push((epoch, loc));
+            }
+        }
+        for (k, (file, begin)) in runs.iter().enumerate() {
+            let end = runs.get(k + 1).map_or(spans.len(), |(_, next)| *next);
+            let run = &spans[*begin..end];
+            let base = run[0].1.offset;
+            let last = run[run.len() - 1].1;
+            let mut window = vec![0u8; (last.offset + last.record_len() - base) as usize];
+            read_exact_at(file, &mut window, base)?;
+            for &(epoch, loc) in run {
+                let at = (loc.offset - base) as usize;
+                let head = &window[at..at + RECORD_HEADER_LEN];
+                if head[..4] != RECORD_MAGIC
+                    || head[4..12] != epoch.to_be_bytes()
+                    || head[12..16] != loc.len.to_be_bytes()
+                {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!(
+                            "segment {} offset {}: record for epoch {epoch} fails its checks",
+                            loc.seq, loc.offset
+                        ),
+                    ));
+                }
+                let body = at + RECORD_HEADER_LEN;
+                out.push((epoch, window[body..body + loc.len as usize].to_vec()));
+            }
+        }
+        Ok(probes)
+    }
+}
+
+/// Epochs absent between the first and last of an ascending sequence.
+pub(crate) fn holes(epochs: impl Iterator<Item = u64>) -> Vec<u64> {
+    let mut missing = Vec::new();
+    let mut prev: Option<u64> = None;
+    for e in epochs {
+        if let Some(p) = prev {
+            missing.extend(p + 1..e);
+        }
+        prev = Some(e);
+    }
+    missing
+}
+
 impl Journal {
-    /// Opens (or creates) the journal directory, replaying every segment:
-    /// intact records are returned in append order, the active segment's
-    /// torn tail (if any) is truncated away, and corrupt records are
-    /// quarantined to `quarantine.bin`.
+    /// Opens (or creates) the journal directory and indexes every
+    /// segment: intact records land in the epoch index, the active
+    /// segment's torn tail (if any) is truncated away, and corrupt
+    /// records are quarantined to `quarantine.bin`.
     ///
     /// # Errors
     /// Propagates filesystem errors; corruption is *not* an error — it is
     /// skipped and reported.
-    pub fn open(
-        dir: impl AsRef<Path>,
-        config: JournalConfig,
-    ) -> io::Result<(Self, Vec<ReplayedRecord>, ReplayReport)> {
+    pub fn open(dir: impl AsRef<Path>, config: JournalConfig) -> io::Result<(Self, ReplayReport)> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
         let segments = segment_paths(&dir)?;
-        let mut records = Vec::new();
+        let mut index = Index::default();
         let mut report = ReplayReport {
             segments: segments.len() as u64,
             ..ReplayReport::default()
         };
         let mut quarantine: Vec<u8> = Vec::new();
         let last_idx = segments.len().checked_sub(1);
-        for (i, (_, path)) in segments.iter().enumerate() {
+        for (i, (seq, path)) in segments.iter().enumerate() {
             let mut bytes = Vec::new();
             File::open(path)?.read_to_end(&mut bytes)?;
-            let scan = scan_segment(&bytes);
+            let scan = scan_segment(*seq, &bytes);
             for (a, b) in &scan.quarantined {
                 quarantine.extend_from_slice(&bytes[*a..*b]);
                 report.quarantined_bytes += (*b - *a) as u64;
             }
             report.quarantined_records += scan.quarantined_records;
             report.records += scan.records.len() as u64;
-            records.extend(scan.records);
+            for (epoch, loc) in scan.records {
+                index.insert(epoch, loc);
+            }
             if scan.intact_len < bytes.len() {
                 let torn = (bytes.len() - scan.intact_len) as u64;
                 if Some(i) == last_idx {
@@ -406,6 +600,7 @@ impl Journal {
                     report.quarantined_records += 1;
                 }
             }
+            index.files.insert(*seq, Arc::new(File::open(path)?));
         }
         if !quarantine.is_empty() {
             let mut q = OpenOptions::new()
@@ -415,7 +610,7 @@ impl Journal {
             q.write_all(&quarantine)?;
             q.sync_data()?;
         }
-        report.latest_epoch = records.iter().map(|(e, _)| *e).max();
+        report.latest_epoch = index.epochs.last().map(|(e, _)| *e);
 
         let active_seq = segments.last().map_or(1, |(seq, _)| *seq);
         let active_path = dir.join(segment_name(active_seq));
@@ -423,6 +618,11 @@ impl Journal {
             .create(true)
             .append(true)
             .open(&active_path)?;
+        if segments.is_empty() {
+            // The active segment was just created.
+            let read = Arc::new(File::open(&active_path)?);
+            index.files.insert(active_seq, read);
+        }
         let active_bytes = active.metadata()?.len();
         let stats = JournalStats {
             replayed_records: report.records,
@@ -448,13 +648,21 @@ impl Journal {
             unsynced: 0,
             config,
             stats,
+            reader: JournalReader {
+                index: Arc::new(RwLock::new(index)),
+            },
         };
-        Ok((journal, records, report))
+        Ok((journal, report))
     }
 
-    /// Appends one record and applies the fsync policy. When this
-    /// returns under [`FsyncPolicy::EveryRecord`], the record is on
-    /// stable storage.
+    /// A read handle on this journal's index and segments.
+    pub fn reader(&self) -> JournalReader {
+        self.reader.clone()
+    }
+
+    /// Appends one record, applies the fsync policy, then indexes it.
+    /// When this returns under [`FsyncPolicy::EveryRecord`], the record
+    /// is on stable storage.
     ///
     /// # Errors
     /// Propagates write / fsync errors — the caller must *not* ack the
@@ -464,6 +672,7 @@ impl Journal {
             self.rotate()?;
         }
         let rec = encode_record(epoch, body);
+        let offset = self.active_bytes;
         self.active.write_all(&rec)?;
         self.active_bytes += rec.len() as u64;
         self.stats.appends += 1;
@@ -478,6 +687,12 @@ impl Journal {
             }
             FsyncPolicy::OnClose => {}
         }
+        let loc = Loc {
+            seq: self.active_seq,
+            offset,
+            len: body.len() as u32,
+        };
+        self.reader.index.write().insert(epoch, loc);
         Ok(())
     }
 
@@ -507,17 +722,20 @@ impl Journal {
         self.active.sync_data()?;
         self.stats.fsyncs += 1;
         self.unsynced = 0;
-        self.active_seq += 1;
-        let path = self.dir.join(segment_name(self.active_seq));
+        let seq = self.active_seq + 1;
+        let path = self.dir.join(segment_name(seq));
         self.active = OpenOptions::new()
             .create_new(true)
             .append(true)
             .open(&path)?;
+        self.active_seq = seq;
         self.active_bytes = 0;
         self.stats.rotations += 1;
         self.sync_dir()?;
+        let read = Arc::new(File::open(&path)?);
+        self.reader.index.write().files.insert(seq, read);
         if tre_obs::is_enabled() {
-            tre_obs::event("journal.rotated", &format!("seq={}", self.active_seq));
+            tre_obs::event("journal.rotated", &format!("seq={seq}"));
         }
         Ok(())
     }
@@ -525,20 +743,25 @@ impl Journal {
     /// Drops every record with `epoch < horizon` from the **sealed**
     /// segments (the active segment is never rewritten). A segment left
     /// empty is deleted; a partially retained one is rewritten to a temp
-    /// file, fsynced, and atomically renamed over the original. Returns
-    /// the number of records dropped.
+    /// file, fsynced, and atomically renamed over the original. The
+    /// index follows: dropped epochs leave it and kept ones move to
+    /// their new offsets. Returns the number of records dropped.
     ///
     /// # Errors
     /// Propagates filesystem errors.
     pub fn compact(&mut self, horizon: u64) -> io::Result<u64> {
         let mut dropped = 0u64;
+        // Each touched segment's new read handle (`None` once deleted),
+        // and where each kept record moved: (seq, old offset) → offset.
+        let mut handles: BTreeMap<u64, Option<Arc<File>>> = BTreeMap::new();
+        let mut moved: HashMap<(u64, u64), u64> = HashMap::new();
         for (seq, path) in segment_paths(&self.dir)? {
             if seq >= self.active_seq {
                 continue;
             }
             let mut bytes = Vec::new();
             File::open(&path)?.read_to_end(&mut bytes)?;
-            let scan = scan_segment(&bytes);
+            let scan = scan_segment(seq, &bytes);
             let (keep, drop): (Vec<_>, Vec<_>) = scan
                 .records
                 .into_iter()
@@ -551,19 +774,49 @@ impl Journal {
             if keep.is_empty() {
                 fs::remove_file(&path)?;
                 self.stats.segments_removed += 1;
-            } else {
-                let tmp = path.with_extension("trej.tmp");
-                {
-                    let mut f = File::create(&tmp)?;
-                    for (epoch, body) in &keep {
-                        f.write_all(&encode_record(*epoch, body))?;
-                    }
-                    f.sync_data()?;
-                }
-                fs::rename(&tmp, &path)?;
+                handles.insert(seq, None);
+                continue;
             }
+            let tmp = path.with_extension("trej.tmp");
+            {
+                let mut f = File::create(&tmp)?;
+                let mut offset = 0u64;
+                for (epoch, loc) in &keep {
+                    let start = loc.offset as usize + RECORD_HEADER_LEN;
+                    let rec = encode_record(*epoch, &bytes[start..start + loc.len as usize]);
+                    f.write_all(&rec)?;
+                    moved.insert((seq, loc.offset), offset);
+                    offset += rec.len() as u64;
+                }
+                f.sync_data()?;
+            }
+            fs::rename(&tmp, &path)?;
+            handles.insert(seq, Some(Arc::new(File::open(&path)?)));
         }
         self.sync_dir()?;
+        if !handles.is_empty() {
+            // One swap under the write lock: a reader sees either the old
+            // file with old offsets or the new file with new ones.
+            let mut index = self.reader.index.write();
+            index.epochs.retain_mut(|(_, loc)| {
+                if !handles.contains_key(&loc.seq) {
+                    return true;
+                }
+                match moved.get(&(loc.seq, loc.offset)) {
+                    Some(&offset) => {
+                        loc.offset = offset;
+                        true
+                    }
+                    None => false,
+                }
+            });
+            for (seq, file) in handles {
+                match file {
+                    Some(file) => index.files.insert(seq, file),
+                    None => index.files.remove(&seq),
+                };
+            }
+        }
         if tre_obs::is_enabled() && dropped > 0 {
             tre_obs::event(
                 "journal.compacted",
@@ -628,6 +881,15 @@ mod tests {
         format!("update-body-{i}").into_bytes()
     }
 
+    /// Every indexed record, read back through the journal's read path.
+    fn records(j: &Journal) -> Vec<(u64, Vec<u8>)> {
+        let mut out = Vec::new();
+        j.reader()
+            .read_range(0, u64::MAX, usize::MAX, &mut out)
+            .unwrap();
+        out
+    }
+
     #[test]
     fn crc32_known_vectors() {
         // Standard IEEE CRC-32 check values.
@@ -639,8 +901,8 @@ mod tests {
     fn append_replay_roundtrip() {
         let dir = tmp_dir("roundtrip");
         {
-            let (mut j, recovered, report) = Journal::open(&dir, JournalConfig::default()).unwrap();
-            assert!(recovered.is_empty());
+            let (mut j, report) = Journal::open(&dir, JournalConfig::default()).unwrap();
+            assert!(records(&j).is_empty());
             assert_eq!(report.records, 0);
             for e in 0..5 {
                 j.append(e, &body(e)).unwrap();
@@ -648,7 +910,8 @@ mod tests {
             assert_eq!(j.stats().appends, 5);
             assert_eq!(j.stats().fsyncs, 5, "EveryRecord fsyncs each append");
         }
-        let (j, recovered, report) = Journal::open(&dir, JournalConfig::default()).unwrap();
+        let (j, report) = Journal::open(&dir, JournalConfig::default()).unwrap();
+        let recovered = records(&j);
         assert_eq!(report.records, 5);
         assert_eq!(report.latest_epoch, Some(4));
         assert_eq!(report.quarantined_records, 0);
@@ -667,7 +930,7 @@ mod tests {
             fsync: FsyncPolicy::EveryN(4),
             ..JournalConfig::default()
         };
-        let (mut j, _, _) = Journal::open(&dir, config).unwrap();
+        let (mut j, _) = Journal::open(&dir, config).unwrap();
         for e in 0..10 {
             j.append(e, &body(e)).unwrap();
         }
@@ -684,7 +947,7 @@ mod tests {
     fn torn_tail_is_truncated_to_last_intact_record() {
         let dir = tmp_dir("torn");
         {
-            let (mut j, _, _) = Journal::open(&dir, JournalConfig::default()).unwrap();
+            let (mut j, _) = Journal::open(&dir, JournalConfig::default()).unwrap();
             for e in 0..4 {
                 j.append(e, &body(e)).unwrap();
             }
@@ -696,7 +959,8 @@ mod tests {
         f.set_len(len - 10).unwrap();
         drop(f);
 
-        let (_j, recovered, report) = Journal::open(&dir, JournalConfig::default()).unwrap();
+        let (j, report) = Journal::open(&dir, JournalConfig::default()).unwrap();
+        let recovered = records(&j);
         assert_eq!(report.records, 3, "epochs 0..=2 survive");
         assert_eq!(report.latest_epoch, Some(2));
         assert!(report.torn_tail_bytes > 0);
@@ -706,13 +970,15 @@ mod tests {
         );
         assert_eq!(recovered.len(), 3);
         // The file was truncated: a second replay is clean.
-        let (mut j2, recovered2, report2) = Journal::open(&dir, JournalConfig::default()).unwrap();
+        let (mut j2, report2) = Journal::open(&dir, JournalConfig::default()).unwrap();
+        let recovered2 = records(&j2);
         assert_eq!(report2.torn_tail_bytes, 0);
         assert_eq!(recovered2.len(), 3);
         // And appends resume exactly where the intact prefix ended.
         j2.append(3, &body(3)).unwrap();
         drop(j2);
-        let (_, recovered3, _) = Journal::open(&dir, JournalConfig::default()).unwrap();
+        let (j3, _) = Journal::open(&dir, JournalConfig::default()).unwrap();
+        let recovered3 = records(&j3);
         assert_eq!(recovered3.len(), 4);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -721,7 +987,7 @@ mod tests {
     fn corrupt_record_is_quarantined_and_later_records_survive() {
         let dir = tmp_dir("corrupt");
         {
-            let (mut j, _, _) = Journal::open(&dir, JournalConfig::default()).unwrap();
+            let (mut j, _) = Journal::open(&dir, JournalConfig::default()).unwrap();
             for e in 0..5 {
                 j.append(e, &body(e)).unwrap();
             }
@@ -733,7 +999,8 @@ mod tests {
         bytes[2 * rec_len + RECORD_HEADER_LEN + 3] ^= 0xFF;
         fs::write(&seg, &bytes).unwrap();
 
-        let (_j, recovered, report) = Journal::open(&dir, JournalConfig::default()).unwrap();
+        let (j, report) = Journal::open(&dir, JournalConfig::default()).unwrap();
+        let recovered = records(&j);
         let epochs: Vec<u64> = recovered.iter().map(|(e, _)| *e).collect();
         assert_eq!(epochs, vec![0, 1, 3, 4], "only the corrupt record is lost");
         assert_eq!(report.quarantined_records, 1);
@@ -746,7 +1013,7 @@ mod tests {
     fn corrupt_length_field_resyncs_on_next_magic() {
         let dir = tmp_dir("badlen");
         {
-            let (mut j, _, _) = Journal::open(&dir, JournalConfig::default()).unwrap();
+            let (mut j, _) = Journal::open(&dir, JournalConfig::default()).unwrap();
             for e in 0..4 {
                 j.append(e, &body(e)).unwrap();
             }
@@ -759,7 +1026,8 @@ mod tests {
         bytes[rec_len + 14] ^= 0x55;
         fs::write(&seg, &bytes).unwrap();
 
-        let (_j, recovered, report) = Journal::open(&dir, JournalConfig::default()).unwrap();
+        let (j, report) = Journal::open(&dir, JournalConfig::default()).unwrap();
+        let recovered = records(&j);
         let epochs: Vec<u64> = recovered.iter().map(|(e, _)| *e).collect();
         assert_eq!(
             epochs,
@@ -777,7 +1045,7 @@ mod tests {
             fsync: FsyncPolicy::OnClose,
             max_segment_bytes: 64, // tiny: force frequent rotation
         };
-        let (mut j, _, _) = Journal::open(&dir, config).unwrap();
+        let (mut j, _) = Journal::open(&dir, config).unwrap();
         for e in 0..12 {
             j.append(e, &body(e)).unwrap();
         }
@@ -789,12 +1057,17 @@ mod tests {
         let dropped = j.compact(8).unwrap();
         assert!(dropped >= 6, "old records dropped (active segment kept)");
         assert!(j.segment_count().unwrap() < segments_before);
+        // The live index followed the rewrite: it serves exactly what a
+        // fresh scan of the compacted files finds.
+        let live = records(&j);
         drop(j);
 
-        let (_j, recovered, _) = Journal::open(&dir, config).unwrap();
+        let (j, _) = Journal::open(&dir, config).unwrap();
+        let recovered = records(&j);
+        assert_eq!(recovered, live);
         let epochs: Vec<u64> = recovered.iter().map(|(e, _)| *e).collect();
         assert!(
-            epochs.iter().all(|&e| e >= 8 || e >= 12 - 4),
+            epochs.iter().all(|&e| e >= 8),
             "compacted journal keeps only the retention window + active segment; got {epochs:?}"
         );
         assert!(epochs.contains(&11), "newest record always survives");
@@ -813,18 +1086,54 @@ mod tests {
             max_segment_bytes: 64,
         };
         {
-            let (mut j, _, _) = Journal::open(&dir, config).unwrap();
+            let (mut j, _) = Journal::open(&dir, config).unwrap();
             for e in 0..6 {
                 j.append(e, &body(e)).unwrap();
             }
         }
-        let (mut j, recovered, _) = Journal::open(&dir, config).unwrap();
+        let (mut j, _) = Journal::open(&dir, config).unwrap();
+        let recovered = records(&j);
         assert_eq!(recovered.len(), 6);
         assert!(j.active_segment() > 1, "resumes on the newest segment");
         j.append(6, &body(6)).unwrap();
         drop(j);
-        let (_, recovered2, _) = Journal::open(&dir, config).unwrap();
+        let (j2, _) = Journal::open(&dir, config).unwrap();
+        let recovered2 = records(&j2);
         assert_eq!(recovered2.len(), 7);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn index_keeps_last_write_and_accepts_backfills() {
+        let dir = tmp_dir("index");
+        let config = JournalConfig {
+            fsync: FsyncPolicy::OnClose,
+            max_segment_bytes: 64,
+        };
+        let (mut j, _) = Journal::open(&dir, config).unwrap();
+        for e in [0, 1, 2, 5] {
+            j.append(e, &body(e)).unwrap();
+        }
+        j.append(1, b"rewritten").unwrap(); // lands in a later segment
+        j.append(3, &body(3)).unwrap(); // out-of-order back-fill
+        let want = vec![
+            (0, body(0)),
+            (1, b"rewritten".to_vec()),
+            (2, body(2)),
+            (3, body(3)),
+            (5, body(5)),
+        ];
+        assert_eq!(records(&j), want);
+        let reader = j.reader();
+        assert_eq!(reader.len(), 5);
+        assert_eq!(reader.latest_epoch(), Some(5));
+        assert_eq!(reader.missing_epochs(), vec![4]);
+        let mut chunk = Vec::new();
+        reader.read_range(1, 3, 2, &mut chunk).unwrap();
+        assert_eq!(chunk, want[1..3].to_vec());
+        drop(j);
+        let (j, _) = Journal::open(&dir, config).unwrap();
+        assert_eq!(records(&j), want, "a reopen indexes the same records");
         let _ = fs::remove_dir_all(&dir);
     }
 }

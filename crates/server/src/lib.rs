@@ -24,8 +24,6 @@
 //!   crash/restart, partitions, duplicate storms, reordering, corruption,
 //!   Byzantine equivocation/forgery, archive outages) with safety and
 //!   liveness invariant checking (experiment E13);
-//! * [`LiveHub`] — a thread-based fan-out hub (crossbeam channels) for
-//!   running real server/receiver threads instead of the simulation;
 //! * [`Feed`] — the unified subscription surface ([`feed`] has the
 //!   builder entry points) that [`BroadcastNet`], [`TcpFeed`],
 //!   [`SupervisedFeed`], [`CommitteeFeed`], and the relay upstream all
@@ -42,15 +40,14 @@
 //!   re-serves downstream through the same event loop with the
 //!   `Telemetry` hop counter incremented per tree level;
 //! * [`Journal`] — the durable append-only update log behind
-//!   [`UpdateArchive::open_durable`]: CRC32-framed records, configurable
-//!   fsync policy, torn-tail truncation and corruption quarantine on
-//!   replay, segment rotation + retention compaction;
-//! * [`SegmentStore`] — the archive's read-optimised durable shape:
-//!   sealed journal segments are adopted into sorted, epoch-indexed,
-//!   CRC-framed `arch-*.tres` files (temp+rename crash consistency)
-//!   with a sparse in-memory offset index for O(log n) epoch lookup
-//!   and chunked range reads straight off disk — the storage side of
-//!   the overload-safe deep catch-up path;
+//!   [`UpdateArchive::open_durable`], and the archive's only on-disk
+//!   copy: CRC32-framed records in `seg-*.trej` segment files,
+//!   configurable fsync policy, torn-tail truncation and corruption
+//!   quarantine on open, segment rotation + retention compaction, and an
+//!   in-memory epoch → (segment, offset, length) index that a
+//!   [`JournalReader`] serves point lookups and chunked range reads
+//!   from with positioned reads — the storage side of the
+//!   overload-safe deep catch-up path;
 //! * [`ChaosProxy`] / [`SupervisedFeed`] — live-socket fault injection
 //!   (partitions, latency spikes, torn frames, byte corruption,
 //!   connection resets) between `tred` and its feeds, plus a reconnect
@@ -96,17 +93,15 @@ mod evloop;
 mod faults;
 pub mod feed;
 mod journal;
-mod live;
 mod metrics;
 mod net;
 mod relay;
-mod segments;
 mod server;
 mod sim;
 mod tcp;
 mod telemetry;
 
-pub use archive::UpdateArchive;
+pub use archive::{ArchiveReadStats, UpdateArchive};
 pub use batch::{BatchVerdict, BatchVerifier};
 pub use chaos_tcp::{ChaosProxy, ProxyStats, SupervisedFeed, SupervisorConfig, SupervisorStats};
 pub use client::{
@@ -118,14 +113,12 @@ pub use committee::{CollectorConfig, CommitteeFeed, CommitteeStats, ShareCollect
 pub use faults::{ChaosSim, Fault, FaultEvent, FaultPlan, InvariantReport};
 pub use feed::Feed;
 pub use journal::{
-    FsyncPolicy, Journal, JournalConfig, JournalStats, ReplayReport, RECORD_HEADER_LEN,
-    RECORD_MAGIC, RECORD_TRAILER_LEN,
+    FsyncPolicy, Journal, JournalConfig, JournalReader, JournalStats, ReplayReport,
+    RECORD_HEADER_LEN, RECORD_MAGIC, RECORD_TRAILER_LEN,
 };
-pub use live::LiveHub;
 pub use metrics::{ClientHealth, LatencyHistogram};
 pub use net::{BroadcastNet, NetConfig, NetStats, SubscriberId};
 pub use relay::{Relay, RelayConfig, RelayStats};
-pub use segments::{SegmentStore, SegmentStoreConfig, SegmentStoreStats};
 pub use server::{FutureEpochError, TimeServer};
 pub use sim::{ClientId, DeliveryReport, FanoutShape, RelayTreeSim, Simulation};
 pub use tcp::{CatchUpConfig, FeedStats, TcpFeed, Tred, TredConfig, TredStats};

@@ -69,12 +69,15 @@ impl<'c, const L: usize> TimeServer<'c, L> {
         }
     }
 
-    /// Reboots a server against an archive that survived a crash. The
-    /// epoch cursor resumes just past the newest archived epoch, so the
-    /// first [`TimeServer::poll`] back-fills every epoch the crashed
-    /// process skipped — the archive (the scheme's only durable state)
-    /// ends up gap-free. With an empty archive this is identical to
-    /// [`TimeServer::new`].
+    /// Reboots a server against an archive that survived a crash. Any
+    /// epoch missing between the oldest and newest archived epochs (a
+    /// record quarantined on open) is re-signed and archived at once —
+    /// updates are deterministic, and every such epoch has already been
+    /// released. The epoch cursor resumes just past the newest archived
+    /// epoch, so the first [`TimeServer::poll`] back-fills every epoch
+    /// the crashed process skipped — the archive (the scheme's only
+    /// durable state) ends up gap-free. With an empty archive this is
+    /// identical to [`TimeServer::new`].
     pub fn recover(
         curve: &'c Curve<L>,
         keys: ServerKeyPair<L>,
@@ -82,6 +85,15 @@ impl<'c, const L: usize> TimeServer<'c, L> {
         granularity: Granularity,
         archive: Arc<UpdateArchive<L>>,
     ) -> Self {
+        for epoch in archive.missing_epochs() {
+            archive.publish(
+                epoch,
+                keys.issue_update(curve, &granularity.tag_for_epoch(epoch)),
+            );
+            if tre_obs::is_enabled() {
+                tre_obs::event("server.reissue", &format!("epoch={epoch}"));
+            }
+        }
         let next_epoch = match archive.latest_epoch() {
             Some(latest) => latest + 1,
             None => granularity.epoch_of(clock.now()),
@@ -302,6 +314,32 @@ mod tests {
             assert!(archive.get(e).is_some(), "epoch {e} present");
         }
         assert_eq!(revived.poll().len(), 0, "no double publication");
+    }
+
+    #[test]
+    fn recover_reissues_epochs_missing_mid_history() {
+        let curve = toy64();
+        let mut rng = rand::thread_rng();
+        let keys = ServerKeyPair::generate(curve, &mut rng);
+        let archive = Arc::new(UpdateArchive::new());
+        for e in [0, 1, 3, 4] {
+            let tag = Granularity::Seconds.tag_for_epoch(e);
+            archive.publish(e, keys.issue_update(curve, &tag));
+        }
+        let clock = SimClock::new();
+        clock.set(4);
+        let mut server = TimeServer::recover(
+            curve,
+            keys,
+            clock,
+            Granularity::Seconds,
+            Arc::clone(&archive),
+        );
+        assert!(archive.missing_epochs().is_empty());
+        assert!(archive
+            .get(2)
+            .is_some_and(|u| u.verify(curve, server.public_key())));
+        assert_eq!(server.poll().len(), 0, "the cursor still resumes past 4");
     }
 
     #[test]

@@ -415,8 +415,8 @@ impl<const L: usize> Tred<L> {
         if let Some(js) = self.shared.archive.journal_stats() {
             js.export_into(registry, &format!("{prefix}_journal"));
         }
-        if let Some(ss) = self.shared.archive.segment_stats() {
-            ss.export_into(registry, &format!("{prefix}_segments"));
+        if let Some(rs) = self.shared.archive.read_stats() {
+            rs.export_into(registry, &format!("{prefix}_segments"));
         }
         if let Some(sink) = &self.shared.trace {
             sink.export_into(registry, &format!("{prefix}_trace"));

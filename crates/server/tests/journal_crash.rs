@@ -2,9 +2,10 @@
 //! SIGKILLed mid-epoch and restarted on the same directory; a
 //! reconnecting client must be served the complete epoch range with the
 //! same server public key — the paper's "publicly accessible list of
-//! old key updates" surviving a crash. A second test replays a journal
-//! with a torn final record in-process and checks recovery to the last
-//! intact epoch.
+//! old key updates" surviving a crash. In-process tests replay a journal
+//! with a torn final record and check recovery to the last intact epoch,
+//! and quarantine a record mid-history and check that recovery re-issues
+//! it.
 
 use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
@@ -121,6 +122,21 @@ fn tmp_dir(name: &str) -> std::path::PathBuf {
     dir
 }
 
+/// The journal's segment files are the archive's only on-disk copy:
+/// besides them the directory holds just the server key and, after
+/// damage, the quarantine file.
+fn assert_only_journal_files(dir: &std::path::Path) {
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let name = entry.unwrap().file_name().into_string().unwrap();
+        assert!(
+            (name.starts_with("seg-") && name.ends_with(".trej"))
+                || name == "quarantine.bin"
+                || name == "key.trek",
+            "unexpected file {name} in the journal directory"
+        );
+    }
+}
+
 #[test]
 fn sigkill_and_restart_serves_complete_epoch_range() {
     let curve = tre_pairing::toy64();
@@ -173,8 +189,7 @@ fn sigkill_during_segment_rotation_recovers_gap_free() {
     let journal = tmp_dir("rotation");
 
     // First life with tiny segments: every couple of epochs rotates the
-    // journal and seals an archive segment, so the SIGKILL lands with
-    // rotation/seal machinery constantly in flight.
+    // journal, so the SIGKILL lands with rotation constantly in flight.
     let daemon = spawn_tred(&journal, &["--segment-bytes", "256"]);
     let spk = decode_pubkey(&daemon.pubkey_hex);
     let first_key = daemon.pubkey_hex.clone();
@@ -188,32 +203,7 @@ fn sigkill_during_segment_rotation_recovers_gap_free() {
     assert!(max_before >= 6, "daemon published across several rotations");
     drop(daemon); // SIGKILL mid-epoch, mid-rotation-cadence
 
-    let arch_count = std::fs::read_dir(&journal)
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .filter(|e| e.path().extension().is_some_and(|x| x == "tres"))
-        .count();
-    assert!(arch_count >= 1, "tiny segments produced sealed archives");
-
-    // Worst-case rotation wreckage on top of whatever the kill left:
-    // a stray temp file from an interrupted seal, plus a torn tail on
-    // the newest sealed segment (its journal source still exists, so
-    // recovery must rebuild it whole, not just truncate).
-    std::fs::write(journal.join("arch-4294967295.tres.tmp"), b"torn mid-seal").unwrap();
-    let newest_arch = std::fs::read_dir(&journal)
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "tres"))
-        .max()
-        .expect("a sealed segment");
-    let len = std::fs::metadata(&newest_arch).unwrap().len();
-    let f = std::fs::OpenOptions::new()
-        .write(true)
-        .open(&newest_arch)
-        .unwrap();
-    f.set_len(len.saturating_sub(5)).unwrap();
-    drop(f);
+    assert_only_journal_files(&journal);
 
     // Second life: same key, and a deep catch-up serves every epoch
     // published before the kill plus new ones — no gap at any rotation
@@ -236,11 +226,8 @@ fn sigkill_during_segment_rotation_recovers_gap_free() {
             "epoch {e} missing after rotation crash (saw {seen_after:?})"
         );
     }
-    assert!(
-        !journal.join("arch-4294967295.tres.tmp").exists(),
-        "stray seal temp file was cleaned up on open"
-    );
     drop(daemon);
+    assert_only_journal_files(&journal);
     let _ = std::fs::remove_dir_all(&journal);
 }
 
@@ -310,5 +297,61 @@ fn torn_final_record_replays_to_last_intact_epoch() {
     let republished = server.poll();
     assert_eq!(republished.len(), 1, "epoch 5 re-published");
     assert!(republished[0].verify(curve, &spk));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn record_quarantined_mid_history_is_reissued_on_recover() {
+    let curve = tre_pairing::toy64();
+    let dir = tmp_dir("hole");
+    let config = JournalConfig::default();
+    let mut rng = rand::thread_rng();
+    let keys = tre_core::ServerKeyPair::generate(curve, &mut rng);
+    let spk = *keys.public();
+    {
+        let (archive, _) = UpdateArchive::open_durable(&dir, curve, config).unwrap();
+        let clock = SimClock::new();
+        let mut server = TimeServer::recover(
+            curve,
+            keys.clone(),
+            clock.clone(),
+            Granularity::Seconds,
+            std::sync::Arc::new(archive),
+        );
+        clock.advance(5);
+        assert_eq!(server.poll().len(), 6, "epochs 0..=5 published");
+    }
+    // Flip one byte inside record 2's body: its CRC fails on reopen and
+    // the record is quarantined, leaving a hole mid-history.
+    let seg = dir.join("seg-0000000001.trej");
+    let mut bytes = std::fs::read(&seg).unwrap();
+    let record_len = bytes.len() / 6;
+    bytes[2 * record_len + 20] ^= 0xFF;
+    std::fs::write(&seg, &bytes).unwrap();
+
+    let (archive, report) = UpdateArchive::open_durable(&dir, curve, config).unwrap();
+    assert_eq!(
+        report.quarantined_records, 1,
+        "the damaged record is quarantined"
+    );
+    let archive = std::sync::Arc::new(archive);
+    let clock = SimClock::new();
+    clock.set(7);
+    let mut server = TimeServer::recover(
+        curve,
+        keys,
+        clock.clone(),
+        Granularity::Seconds,
+        std::sync::Arc::clone(&archive),
+    );
+    assert_eq!(server.poll().len(), 2, "epochs 6..=7 published");
+    assert!(
+        archive.get(2).is_some_and(|u| u.verify(curve, &spk)),
+        "the quarantined epoch was re-issued"
+    );
+    let (served, next) = archive.read_range_chunk_raw(curve, 0, 7, 64);
+    let epochs: Vec<u64> = served.iter().map(|(e, _)| *e).collect();
+    assert_eq!(epochs, (0..=7).collect::<Vec<_>>(), "zero missed epochs");
+    assert_eq!(next, None);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -10,6 +10,10 @@
 //! * leave the journal appendable (damage is truncated or quarantined,
 //!   never left in the write path).
 //!
+//! Records are read back through the journal's own read path
+//! ([`tre_server::JournalReader`]), so every property holds for what the
+//! archive actually serves, not just for the opening scan.
+//!
 //! The corpus is six real signed updates built once — signing is slow in
 //! debug builds, but replay itself is pure byte-level parsing.
 
@@ -67,8 +71,8 @@ fn corpus() -> &'static Corpus {
             .collect();
 
         let dir = fresh_dir();
-        let (mut journal, replayed, _) = Journal::open(&dir, config()).expect("fresh journal");
-        assert!(replayed.is_empty());
+        let (mut journal, _) = Journal::open(&dir, config()).expect("fresh journal");
+        assert!(indexed(&journal).is_empty());
         for (epoch, body) in &records {
             journal.append(*epoch, body).expect("append");
         }
@@ -92,6 +96,16 @@ fn corpus() -> &'static Corpus {
     })
 }
 
+/// Every record the journal's index serves, read back off the segments.
+fn indexed(journal: &Journal) -> Vec<(u64, Vec<u8>)> {
+    let mut out = Vec::new();
+    journal
+        .reader()
+        .read_range(0, u64::MAX, usize::MAX, &mut out)
+        .expect("indexed records read back");
+    out
+}
+
 /// Writes `bytes` as the sole segment of a fresh journal dir, replays
 /// it, and (the appendability property) appends one extra record and
 /// reopens to check the journal is still a working write path.
@@ -101,14 +115,16 @@ fn replay(bytes: &[u8]) -> (Vec<(u64, Vec<u8>)>, ReplayReport) {
     std::fs::create_dir_all(&dir).expect("create case dir");
     std::fs::write(dir.join("seg-0000000001.trej"), bytes).expect("write damaged segment");
 
-    let (mut journal, replayed, report) =
+    let (mut journal, report) =
         Journal::open(&dir, config()).expect("replay never errors on damage");
+    let replayed = indexed(&journal);
     let probe_body = &c.records[0].1;
     journal
         .append(1_000_000, probe_body)
         .expect("journal still appendable after damage");
     drop(journal);
-    let (journal, after, _) = Journal::open(&dir, config()).expect("reopen after probe append");
+    let (journal, _) = Journal::open(&dir, config()).expect("reopen after probe append");
+    let after = indexed(&journal);
     drop(journal);
     assert_eq!(
         after.len(),
