@@ -1322,8 +1322,9 @@ fn e15() {
     );
     println!("\n(4-thread vs 1-thread batch_verify speedup: {speedup_4t:.2}x — guarded ≥ 1 up to noise.)\n");
 
-    // Sender-side precomputation: fixed-base tables for G and asG, key
-    // check done once at session open instead of on every encrypt.
+    // Sender-side precomputation: the key check, the G table and the
+    // prepared asG are paid once at session open; a reused session's
+    // repeat-tag encrypt is one table-driven r·G and one G_T power.
     let plain_ms = time_ms(5, || {
         Sender::new(curve, &spk, fx.user.public())
             .unwrap()
@@ -1783,8 +1784,8 @@ fn e18() {
 /// E19: prepared pairings — fixed-argument Miller precomputation plus
 /// the lazy-reduction F_{p²} kernels on the verify/decrypt hot path
 /// (PR 8 tentpole). Counter-guarded: every prepared row must spend
-/// strictly fewer F_p multiplications at an identical pairing count,
-/// the 2-lane verify-shaped multi-pairing must clear 3x wall-clock over
+/// strictly fewer F_p multiplications at an identical pairing count
+/// (the memo-hit seal row at zero pairings instead of one), the 2-lane verify-shaped multi-pairing must clear 3x wall-clock over
 /// naive fixed-argument evaluation, and the prepared batch path must
 /// not regress the E15 numbers.
 #[allow(deprecated)] // measures the generic free-function decrypt as the baseline
@@ -1941,6 +1942,59 @@ fn e19() {
          \"generic_fp_muls\": {}, \"prepared_fp_muls\": {}}}",
         gen3.fp_muls, prep3.fp_muls
     ));
+    // Row 4: one seal on a memo hit. The textbook §5.1 step U = r·G,
+    // K = ê(r·asG, H1(T)) (generic scalar muls, one pairing) against
+    // `Sender::encrypt` to the previous seal's tag: one table-driven
+    // r·G and one power of the memoized ê(H1(T), asG), no pairing.
+    let seal_tag = ReleaseTag::time("e19/seal");
+    let h_t = curve.hash_to_g1(seal_tag.h1_domain(), seal_tag.value());
+    let asg = *fx.user.public().a_s_g();
+    let textbook = |r: &tre_bigint::U256| {
+        (
+            curve.g1_mul(spk.g(), r),
+            curve.pairing(&curve.g1_mul(&asg, r), &h_t),
+        )
+    };
+    let seal_sender = Sender::new(curve, &spk, fx.user.public()).unwrap();
+    let seal = || seal_sender.encrypt(&seal_tag, b"e19 seal", &mut rng());
+    // Warm the memo, and check the memoized seal against the textbook
+    // one: same U for the same r, and the receiver opens it.
+    let sealed = seal();
+    assert_eq!(
+        sealed.u(),
+        &textbook(&curve.random_scalar(&mut rng())).0,
+        "memoized seal must use the same r·G"
+    );
+    let mut seal_receiver = Receiver::new(curve, spk, fx.user.clone());
+    seal_receiver
+        .observe_update(fx.server.issue_update(curve, &seal_tag))
+        .unwrap();
+    assert_eq!(seal_receiver.open(&sealed).unwrap(), b"e19 seal");
+    let seal_r = curve.random_scalar(&mut r);
+    let gen4_ms = time_ms(iters, || textbook(&seal_r));
+    let prep4_ms = time_ms(iters, seal);
+    let gen4 = ops_of(&|| {
+        textbook(&seal_r);
+    });
+    let prep4 = ops_of(&|| {
+        seal();
+    });
+    let speed4 = gen4_ms / prep4_ms.max(1e-9);
+    row(&[
+        "seal (memo hit)".into(),
+        format!("{gen4_ms:.3}"),
+        format!("{prep4_ms:.3}"),
+        format!("{speed4:.2}x"),
+        format!("{} → {}", gen4.fp_muls, prep4.fp_muls),
+        format!("{} → {}", gen4.pairings, prep4.pairings),
+    ]);
+    kernel_rows.push(format!(
+        "{{\"kernel\": \"seal_memo_hit\", \"generic_ms\": {gen4_ms:.4}, \
+         \"prepared_ms\": {prep4_ms:.4}, \"speedup\": {speed4:.2}, \
+         \"generic_fp_muls\": {}, \"prepared_fp_muls\": {}, \
+         \"generic_pairings\": {}, \"prepared_pairings\": {}}}",
+        gen4.fp_muls, prep4.fp_muls, gen4.pairings, prep4.pairings
+    ));
     println!();
 
     // Counter guards: same pairing budget, strictly less F_p work.
@@ -1964,6 +2018,16 @@ fn e19() {
         "prepared 5-lane multi-pairing must spend fewer Fp muls ({} vs {})",
         prep3.fp_muls,
         gen3.fp_muls
+    );
+    // The memoized seal replaces the pairing with a G_T power: zero
+    // pairings and strictly less F_p work than the textbook step.
+    assert_eq!(gen4.pairings, 1, "textbook seal pairs once");
+    assert_eq!(prep4.pairings, 0, "a memo-hit seal must not pair");
+    assert!(
+        prep4.fp_muls < gen4.fp_muls,
+        "memo-hit seal must spend fewer Fp muls ({} vs {})",
+        prep4.fp_muls,
+        gen4.fp_muls
     );
     // Wall-clock guards, calibrated for toy64: the final exponentiation
     // bounds the single-pairing win near 2x and the 2-lane verify shape
@@ -2078,8 +2142,8 @@ fn e19() {
         dec_gen.fp_muls
     );
     println!(
-        "(guards: pairing budgets unchanged, prepared Fp muls strictly lower on every row,\n\
-         verdict-shaped 5-lane speedup {speed3:.2}x ≥ 3x, batch_verify non-regression vs E15.)\n"
+        "(guards: pairing budgets unchanged except the memo-hit seal (1 → 0), prepared Fp muls\n\
+         strictly lower on every row, verdict-shaped 5-lane speedup {speed3:.2}x ≥ 3x, batch_verify non-regression vs E15.)\n"
     );
 
     let json = format!(

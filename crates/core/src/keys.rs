@@ -6,7 +6,7 @@ use std::sync::Mutex;
 use rand::RngCore;
 use tre_bigint::U256;
 use tre_hashes::{Digest, HmacDrbg, Sha256};
-use tre_pairing::{Curve, G1Affine, G1Precomp, MillerPrecomp};
+use tre_pairing::{Curve, G1Affine, G1Precomp, Gt, GtPrecomp, MillerPrecomp};
 
 use crate::error::TreError;
 use crate::tag::ReleaseTag;
@@ -532,25 +532,24 @@ impl<const L: usize> KeyUpdate<L> {
 }
 
 /// Cached sender-side state for one `(server, receiver)` pair: the user
-/// key is validated **once** (2 pairings) and fixed-base windowed tables
-/// are built for the two per-encryption scalar multiplications — `r·G`
-/// (the ephemeral point `U`) and `r·asG` (the pairing input). A sender
-/// encrypting a stream of messages to the same receiver pays the table
-/// setup once and every subsequent [`crate::tre::encrypt_with`] call
-/// skips both the validation pairings and all doubling work.
+/// key is validated **once** (2 pairings), a fixed-base windowed table
+/// is built for the ephemeral point `U = r·G`, and the receiver point
+/// `asG` is prepared for the pairing.
 ///
-/// A single-entry tag memo additionally caches the hash-to-curve point
-/// `H1(T)` of the most recent release tag *prepared* for the pairing
-/// (Type-1 symmetry puts the fixed `H1(T)` on the prepared side), so a
-/// stream of messages locked to one epoch pays the hashing and the
-/// Miller-loop point arithmetic once.
+/// Sealing uses bilinearity: `K = ê(r·asG, H1(T)) = ê(H1(T), asG)^r`,
+/// and the base `g_T = ê(H1(T), asG)` depends only on the tag. A
+/// single-entry tag memo keeps the odd-power table of `g_T` for the
+/// most recent release tag, so a seal to the previous seal's tag costs
+/// one table-driven `r·G` and one `G_T` power with no pairing. A new
+/// tag adds one hash-to-curve and one pairing (Type-1 symmetry puts the
+/// fixed `asG` on the prepared side).
 #[derive(Debug)]
 pub struct SenderPrecomp<const L: usize> {
     server: ServerPublicKey<L>,
     user: UserPublicKey<L>,
     g_table: G1Precomp<L>,
-    a_s_g_table: G1Precomp<L>,
-    tag_memo: Mutex<Option<(ReleaseTag, MillerPrecomp<L>)>>,
+    a_s_g_prep: MillerPrecomp<L>,
+    tag_memo: Mutex<Option<(ReleaseTag, GtPrecomp<L>)>>,
 }
 
 impl<const L: usize> Clone for SenderPrecomp<L> {
@@ -559,15 +558,15 @@ impl<const L: usize> Clone for SenderPrecomp<L> {
             server: self.server,
             user: self.user,
             g_table: self.g_table.clone(),
-            a_s_g_table: self.a_s_g_table.clone(),
+            a_s_g_prep: self.a_s_g_prep.clone(),
             tag_memo: Mutex::new(self.tag_memo.lock().expect("memo poisoned").clone()),
         }
     }
 }
 
 impl<const L: usize> SenderPrecomp<L> {
-    /// Validates `user` against `server` (the §5.1 pairing check, once)
-    /// and builds the fixed-base tables.
+    /// Validates `user` against `server` (the §5.1 pairing check, once),
+    /// builds the `G` table and prepares `asG`.
     ///
     /// # Errors
     /// Returns [`TreError::InvalidUserKey`] if the receiver key fails
@@ -579,13 +578,8 @@ impl<const L: usize> SenderPrecomp<L> {
     ) -> Result<Self, TreError> {
         let _span = tre_obs::span("tre.sender_precomp");
         user.validate(curve, server)?;
-        Ok(Self {
-            server: *server,
-            user: *user,
-            g_table: G1Precomp::new(curve, server.g()),
-            a_s_g_table: G1Precomp::new(curve, user.a_s_g()),
-            tag_memo: Mutex::new(None),
-        })
+        let g_table = G1Precomp::new(curve, server.g());
+        Ok(Self::build(curve, server, user, g_table))
     }
 
     /// [`SenderPrecomp::new`] against a [`PreparedServerKey`]: the
@@ -604,28 +598,43 @@ impl<const L: usize> SenderPrecomp<L> {
     ) -> Result<Self, TreError> {
         let _span = tre_obs::span("tre.sender_precomp");
         user.validate_prepared(curve, server)?;
-        Ok(Self {
-            server: *server.key(),
-            user: *user,
-            g_table: server.g_table().clone(),
-            a_s_g_table: G1Precomp::new(curve, user.a_s_g()),
-            tag_memo: Mutex::new(None),
-        })
+        let g_table = server.g_table().clone();
+        Ok(Self::build(curve, server.key(), user, g_table))
     }
 
-    /// The prepared `H1(tag)` for the sender-side pairing, served from
-    /// the single-entry memo (hash + prepare on first sighting of each
-    /// tag, a cheap clone while the tag repeats).
-    pub(crate) fn tag_prep(&self, curve: &Curve<L>, tag: &ReleaseTag) -> MillerPrecomp<L> {
-        let mut memo = self.tag_memo.lock().expect("memo poisoned");
-        match &*memo {
-            Some((t, prep)) if t == tag => prep.clone(),
-            _ => {
-                let prep = curve.prepare(&curve.hash_to_g1(tag.h1_domain(), tag.value()));
-                *memo = Some((tag.clone(), prep.clone()));
-                prep
-            }
+    fn build(
+        curve: &Curve<L>,
+        server: &ServerPublicKey<L>,
+        user: &UserPublicKey<L>,
+        g_table: G1Precomp<L>,
+    ) -> Self {
+        Self {
+            server: *server,
+            user: *user,
+            g_table,
+            a_s_g_prep: curve.prepare(user.a_s_g()),
+            tag_memo: Mutex::new(None),
         }
+    }
+
+    /// The sealing key `K = ê(r·asG, H1(T))`, computed as `g_T^r` off the
+    /// single-entry tag memo. The lock is held only to read or replace
+    /// the entry; a miss hashes and pairs outside it.
+    pub(crate) fn seal_key(&self, curve: &Curve<L>, tag: &ReleaseTag, r: &U256) -> Gt<L> {
+        let hit = self
+            .tag_memo
+            .lock()
+            .expect("memo poisoned")
+            .as_ref()
+            .filter(|(t, _)| t == tag)
+            .map(|(_, g_t)| g_t.clone());
+        let g_t = hit.unwrap_or_else(|| {
+            let h_t = curve.hash_to_g1(tag.h1_domain(), tag.value());
+            let g_t = GtPrecomp::new(curve, &curve.pairing_prepared(&self.a_s_g_prep, &h_t));
+            *self.tag_memo.lock().expect("memo poisoned") = Some((tag.clone(), g_t.clone()));
+            g_t
+        });
+        g_t.pow(r, curve)
     }
 
     /// The server key the tables are bound to.
@@ -641,11 +650,6 @@ impl<const L: usize> SenderPrecomp<L> {
     /// Fixed-base table for the server generator `G`.
     pub fn g_table(&self) -> &G1Precomp<L> {
         &self.g_table
-    }
-
-    /// Fixed-base table for the receiver point `asG`.
-    pub fn a_s_g_table(&self) -> &G1Precomp<L> {
-        &self.a_s_g_table
     }
 }
 
@@ -973,9 +977,10 @@ mod tests {
             fresh.g_table().mul(curve, &r),
             reused.g_table().mul(curve, &r)
         );
+        let tag = ReleaseTag::time("t");
         assert_eq!(
-            fresh.a_s_g_table().mul(curve, &r),
-            reused.a_s_g_table().mul(curve, &r)
+            fresh.seal_key(curve, &tag, &r),
+            reused.seal_key(curve, &tag, &r)
         );
         // And the prepared validation still refuses malformed keys.
         let bogus = UserPublicKey::from_points(
@@ -1000,9 +1005,14 @@ mod tests {
             pre.g_table().mul(curve, &r),
             curve.g1_mul(server.public().g(), &r)
         );
+        // The memoized G_T power is the §5.1 key ê(r·asG, H1(T)).
+        let tag = ReleaseTag::time("t");
         assert_eq!(
-            pre.a_s_g_table().mul(curve, &r),
-            curve.g1_mul(user.public().a_s_g(), &r)
+            pre.seal_key(curve, &tag, &r),
+            curve.pairing(
+                &curve.g1_mul(user.public().a_s_g(), &r),
+                &curve.hash_to_g1(tag.h1_domain(), tag.value())
+            )
         );
         // A malformed key is refused at table-build time.
         let bogus = UserPublicKey::from_points(

@@ -1,15 +1,16 @@
 //! Sender/receiver session types — the stateful front door to the basic
 //! TRE scheme (§5.1).
 //!
-//! The free functions in [`crate::tre`] force every caller to re-decide
-//! two things per call: whether the receiver key has been validated (the
-//! 2-pairing `ê(aG, sG) = ê(G, asG)` check) and whether the key update
-//! has been verified (the 2-pairing BLS check). [`Sender`] and
+//! Two checks guard the scheme: that the receiver key is well formed (the
+//! 2-pairing `ê(aG, sG) = ê(G, asG)` check) and that the key update is
+//! authentic (the 2-pairing BLS check). The deprecated free decryptors in
+//! [`crate::tre`] leave the second to every call. [`Sender`] and
 //! [`Receiver`] make both decisions *once* and carry them as state:
 //!
 //! * [`Sender`] owns a [`SenderPrecomp`] — the receiver key is validated
-//!   at construction and every [`Sender::encrypt`] runs off fixed-base
-//!   tables (one pairing + two table-driven scalar muls per message);
+//!   at construction and every [`Sender::encrypt`] costs one table-driven
+//!   `r·G` and one `G_T` power, plus a hash-to-curve and one pairing
+//!   whenever the tag differs from the previous message's (memo miss);
 //! * [`Receiver`] owns the user key pair and a verified-update cache, so
 //!   the trusted/untrusted decrypt split of the old
 //!   `decrypt`/`decrypt_trusted` pair becomes internal state: the first
@@ -31,8 +32,8 @@ use crate::tre::{decrypt_trusted_prepared_impl, encrypt_with_impl, Ciphertext};
 /// A sending session bound to one `(server, receiver)` pair.
 ///
 /// Construction validates the receiver key (2 pairings) and builds the
-/// fixed-base tables; each [`Sender::encrypt`] afterwards is infallible
-/// and pays only the marginal per-message cost.
+/// sealing precomputation; each [`Sender::encrypt`] afterwards is
+/// infallible and pays only the marginal per-message cost.
 #[derive(Clone, Debug)]
 pub struct Sender<'c, const L: usize> {
     curve: &'c Curve<L>,
@@ -466,21 +467,22 @@ mod tests {
     #[test]
     fn encrypt_memoizes_tag_hash_and_preparation() {
         let curve = toy64();
-        let mut rng = rand::thread_rng();
         let (server, mut receiver) = world();
         let sender = Sender::new(curve, server.public(), receiver.public_key()).unwrap();
         let tag = ReleaseTag::time("epoch-42");
+        let seal = |tag: &ReleaseTag, msg: &[u8]| {
+            tre_obs::enable();
+            let ct = sender.encrypt(tag, msg, &mut rand::thread_rng());
+            (ct, tre_obs::finish().total_ops())
+        };
 
-        tre_obs::enable();
-        let ct1 = sender.encrypt(&tag, b"first", &mut rng);
-        let first = tre_obs::finish().total_ops();
-
-        tre_obs::enable();
-        let ct2 = sender.encrypt(&tag, b"second", &mut rng);
-        let repeat = tre_obs::finish().total_ops();
+        let (ct1, first) = seal(&tag, b"first");
+        let (ct2, repeat) = seal(&tag, b"second");
 
         assert!(first.h2c_iters >= 1, "first sighting hashes the tag");
+        assert_eq!(first.pairings, 1, "a memo miss pays exactly one pairing");
         assert_eq!(repeat.h2c_iters, 0, "repeat encryptions serve the memo");
+        assert_eq!(repeat.pairings, 0, "a memo hit pays no pairing");
         assert!(
             repeat.fp_muls < first.fp_muls,
             "memoized tag must cut the per-message base-field work \
@@ -489,9 +491,11 @@ mod tests {
             first.fp_muls
         );
 
-        // Switching tags refreshes the single-entry memo; both decrypt.
+        // Switching tags refreshes the single-entry memo; all decrypt.
         let other = ReleaseTag::time("epoch-43");
-        let ct3 = sender.encrypt(&other, b"third", &mut rng);
+        let (ct3, switched) = seal(&other, b"third");
+        assert!(switched.h2c_iters >= 1, "a new tag is hashed");
+        assert_eq!(switched.pairings, 1, "a new tag pays exactly one pairing");
         receiver
             .observe_update(server.issue_update(curve, &tag))
             .unwrap();
@@ -503,6 +507,83 @@ mod tests {
         assert_eq!(receiver.open(&ct3).unwrap(), b"third");
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(8))]
+
+        /// Over tag sequences with repeats and switches, every memoized
+        /// seal equals the textbook `⟨r·G, M ⊕ H2(ê(r·asG, H1(T)))⟩`
+        /// computed with generic scalar muls and pairings from the same `r`.
+        #[test]
+        fn encrypt_matches_generic_reference(
+            tag_ids in proptest::collection::vec(0u8..3, 1..10),
+            seed in proptest::any::<[u8; 16]>(),
+            msg in proptest::collection::vec(proptest::any::<u8>(), 0..48),
+        ) {
+            let curve = toy64();
+            let (server, receiver) = world();
+            let sender = Sender::new(curve, server.public(), receiver.public_key()).unwrap();
+            let mut rng = tre_hashes::HmacDrbg::new(&seed, b"seal");
+            let mut reference_rng = rng.clone();
+            for id in tag_ids {
+                let tag = ReleaseTag::time(format!("epoch-{id}"));
+                let ct = sender.encrypt(&tag, &msg, &mut rng);
+                let r = curve.random_scalar(&mut reference_rng);
+                let k = curve.pairing(
+                    &curve.g1_mul(receiver.public_key().a_s_g(), &r),
+                    &curve.hash_to_g1(tag.h1_domain(), tag.value()),
+                );
+                let mask = curve.gt_kdf(&k, crate::tre::MASK_DOMAIN, msg.len());
+                let reference = Ciphertext {
+                    u: curve.g1_mul(server.public().g(), &r),
+                    v: msg.iter().zip(&mask).map(|(m, k)| m ^ k).collect(),
+                    tag,
+                };
+                proptest::prop_assert_eq!(ct, reference);
+            }
+        }
+    }
+
+    #[test]
+    fn shared_sender_seals_alternating_tags_from_two_threads() {
+        let curve = toy64();
+        let (server, mut receiver) = world();
+        let sender = Sender::new(curve, server.public(), receiver.public_key()).unwrap();
+        let tags = [ReleaseTag::time("even"), ReleaseTag::time("odd")];
+        // The workers seal in lockstep, each round to opposite tags, so
+        // the shared single-entry memo is replaced under contention.
+        let round = std::sync::Barrier::new(2);
+        let sealed: Vec<(Vec<u8>, Ciphertext<8>)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..2u8)
+                .map(|w| {
+                    let (sender, tags, round) = (&sender, &tags, &round);
+                    scope.spawn(move || {
+                        let mut rng = rand::thread_rng();
+                        (0..8u8)
+                            .map(|i| {
+                                let msg = vec![w, i];
+                                let tag = &tags[usize::from((w + i) % 2)];
+                                round.wait();
+                                (msg.clone(), sender.encrypt(tag, &msg, &mut rng))
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        for tag in &tags {
+            receiver
+                .observe_update(server.issue_update(curve, tag))
+                .unwrap();
+        }
+        for (msg, ct) in &sealed {
+            assert_eq!(&receiver.open(ct).unwrap(), msg);
+        }
+    }
+
     #[test]
     #[allow(deprecated)]
     fn session_interoperates_with_free_functions() {
@@ -510,18 +591,17 @@ mod tests {
         let mut rng = rand::thread_rng();
         let (server, mut receiver) = world();
         let tag = ReleaseTag::time("t");
-        // Free-function ciphertexts open through the session…
-        let ct = crate::tre::encrypt(
+        // Ciphertexts from a hub's shared-server precomputation open
+        // through the session…
+        let hub = SenderPrecomp::with_server(
             curve,
-            server.public(),
+            &server.public().prepare(curve),
             receiver.public_key(),
-            &tag,
-            b"legacy",
-            &mut rng,
         )
         .unwrap();
+        let ct = Sender::from_precomp(curve, hub).encrypt(&tag, b"hub", &mut rng);
         let update = server.issue_update(curve, &tag);
-        assert_eq!(receiver.open_with(&update, &ct).unwrap(), b"legacy");
+        assert_eq!(receiver.open_with(&update, &ct).unwrap(), b"hub");
         // …and session ciphertexts open through the free functions.
         let sender = Sender::new(curve, server.public(), receiver.public_key()).unwrap();
         let ct2 = sender.encrypt(&tag, b"session", &mut rng);

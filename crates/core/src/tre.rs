@@ -91,7 +91,9 @@ impl<const L: usize> Ciphertext<L> {
     }
 }
 
-/// Computes the sender-side pairing key `K = ê(r·asG, H1(T))`.
+/// Computes the sender-side pairing key `K = ê(r·asG, H1(T))` as
+/// `ê(asG, H1(T))^r` (bilinearity): one pairing and one windowed `G_T`
+/// power instead of a variable-base `r·asG` before the pairing.
 pub(crate) fn sender_key<const L: usize>(
     curve: &Curve<L>,
     user: &UserPublicKey<L>,
@@ -99,8 +101,7 @@ pub(crate) fn sender_key<const L: usize>(
     r: &U256,
 ) -> Gt<L> {
     let h_t = curve.hash_to_g1(tag.h1_domain(), tag.value());
-    let r_asg = curve.g1_mul(user.a_s_g(), r);
-    curve.pairing(&r_asg, &h_t)
+    curve.pairing(user.a_s_g(), &h_t).pow_window(r, curve)
 }
 
 /// Computes the receiver-side pairing key `K' = ê(U, I_T)^a` (windowed
@@ -144,70 +145,16 @@ pub(crate) fn decrypt_trusted_prepared_impl<const L: usize>(
     ct.v.iter().zip(&mask).map(|(c, k)| c ^ k).collect()
 }
 
-/// Encrypts `msg` to `user` with release tag `tag` (basic §5.1 scheme).
+/// Encrypts `msg` to `tag` off a validated [`SenderPrecomp`] (basic §5.1
+/// scheme); [`crate::Sender::encrypt`] is the public entry point.
 ///
 /// The sender talks only to local data: the server's *public* key and the
 /// receiver's *public* key. No interaction with the time server occurs, and
-/// the tag may name any instant in the (possibly infinite) future.
-///
-/// # Errors
-/// Returns [`TreError::InvalidUserKey`] if the receiver key fails the
-/// `ê(aG, sG) = ê(G, asG)` check.
-#[deprecated(note = "use `tre_core::Sender` — it validates the receiver \
-                     key once and precomputes the fixed-base tables")]
-pub fn encrypt<const L: usize>(
-    curve: &Curve<L>,
-    server: &ServerPublicKey<L>,
-    user: &UserPublicKey<L>,
-    tag: &ReleaseTag,
-    msg: &[u8],
-    rng: &mut (impl RngCore + ?Sized),
-) -> Result<Ciphertext<L>, TreError> {
-    encrypt_impl(curve, server, user, tag, msg, rng)
-}
-
-pub(crate) fn encrypt_impl<const L: usize>(
-    curve: &Curve<L>,
-    server: &ServerPublicKey<L>,
-    user: &UserPublicKey<L>,
-    tag: &ReleaseTag,
-    msg: &[u8],
-    rng: &mut (impl RngCore + ?Sized),
-) -> Result<Ciphertext<L>, TreError> {
-    let _span = tre_obs::span("tre.encrypt");
-    user.validate(curve, server)?;
-    let r = curve.random_scalar(rng);
-    let k = sender_key(curve, user, tag, &r);
-    let mask = curve.gt_kdf(&k, MASK_DOMAIN, msg.len());
-    let v: Vec<u8> = msg.iter().zip(&mask).map(|(m, k)| m ^ k).collect();
-    Ok(Ciphertext {
-        u: curve.g1_mul(server.g(), &r),
-        v,
-        tag: tag.clone(),
-    })
-}
-
-/// Encrypts `msg` using a cached [`SenderPrecomp`] — the bulk-sender
-/// variant of [`encrypt`]. The per-call pairing check on the receiver key
-/// is gone (it ran once at [`SenderPrecomp::new`]) and both scalar
-/// multiplications run off fixed-base tables, so the marginal cost per
-/// message is one table-driven `r·asG`, one `r·G`, one hash-to-curve and
-/// one pairing.
-///
-/// Infallible: every failure mode of [`encrypt`] is caught at
-/// precomputation time.
-#[deprecated(note = "use `tre_core::Sender`, which owns the precomputed \
-                     tables and exposes `Sender::encrypt`")]
-pub fn encrypt_with<const L: usize>(
-    curve: &Curve<L>,
-    pre: &SenderPrecomp<L>,
-    tag: &ReleaseTag,
-    msg: &[u8],
-    rng: &mut (impl RngCore + ?Sized),
-) -> Ciphertext<L> {
-    encrypt_with_impl(curve, pre, tag, msg, rng)
-}
-
+/// the tag may name any instant in the (possibly infinite) future. The
+/// marginal cost per message is one table-driven `r·G` and one `G_T`
+/// power `ê(H1(T), asG)^r`; a message whose tag differs from the previous
+/// one's also pays one hash-to-curve and one pairing (see
+/// [`SenderPrecomp`]).
 pub(crate) fn encrypt_with_impl<const L: usize>(
     curve: &Curve<L>,
     pre: &SenderPrecomp<L>,
@@ -217,11 +164,7 @@ pub(crate) fn encrypt_with_impl<const L: usize>(
 ) -> Ciphertext<L> {
     let _span = tre_obs::span("tre.encrypt");
     let r = curve.random_scalar(rng);
-    // ê(r·asG, H1(T)) = ê(H1(T), r·asG): the fixed (per-tag) point sits
-    // on the prepared side, served from the precomp's tag memo.
-    let prep_ht = pre.tag_prep(curve, tag);
-    let r_asg = pre.a_s_g_table().mul(curve, &r);
-    let k = curve.pairing_prepared(&prep_ht, &r_asg);
+    let k = pre.seal_key(curve, tag, &r);
     let mask = curve.gt_kdf(&k, MASK_DOMAIN, msg.len());
     Ciphertext {
         u: pre.g_table().mul(curve, &r),
@@ -359,19 +302,21 @@ pub(crate) fn decrypt_bulk_impl<const L: usize>(
     }))
 }
 
-// The unit tests deliberately exercise the deprecated free functions so
-// the shims stay covered; the session API has its own tests in
-// `crate::session`.
+// The unit tests seal through `Sender` and deliberately open through the
+// deprecated free decryptors so those shims stay covered; the session
+// API has its own tests in `crate::session`.
 #[cfg(test)]
 #[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::keys::ServerKeyPair;
+    use crate::session::Sender;
     use tre_pairing::toy64;
 
     struct Setup {
         server: ServerKeyPair<8>,
         user: UserKeyPair<8>,
+        sender: Sender<'static, 8>,
     }
 
     fn setup() -> Setup {
@@ -379,7 +324,12 @@ mod tests {
         let mut rng = rand::thread_rng();
         let server = ServerKeyPair::generate(curve, &mut rng);
         let user = UserKeyPair::generate(curve, server.public(), &mut rng);
-        Setup { server, user }
+        let sender = Sender::new(curve, server.public(), user.public()).unwrap();
+        Setup {
+            server,
+            user,
+            sender,
+        }
     }
 
     #[test]
@@ -389,15 +339,7 @@ mod tests {
         let s = setup();
         let tag = ReleaseTag::time("2026-07-04T12:00:00Z");
         let msg = b"the bid is $1,000,000";
-        let ct = encrypt(
-            curve,
-            s.server.public(),
-            s.user.public(),
-            &tag,
-            msg,
-            &mut rng,
-        )
-        .unwrap();
+        let ct = s.sender.encrypt(&tag, msg, &mut rng);
         let update = s.server.issue_update(curve, &tag);
         let pt = decrypt(curve, s.server.public(), &s.user, &update, &ct).unwrap();
         assert_eq!(pt, msg);
@@ -411,15 +353,7 @@ mod tests {
         let tag = ReleaseTag::time("t");
         let update = s.server.issue_update(curve, &tag);
         for msg in [vec![], vec![7u8; 1], vec![42u8; 5000]] {
-            let ct = encrypt(
-                curve,
-                s.server.public(),
-                s.user.public(),
-                &tag,
-                &msg,
-                &mut rng,
-            )
-            .unwrap();
+            let ct = s.sender.encrypt(&tag, &msg, &mut rng);
             let pt = decrypt(curve, s.server.public(), &s.user, &update, &ct).unwrap();
             assert_eq!(pt, msg);
         }
@@ -430,15 +364,7 @@ mod tests {
         let curve = toy64();
         let mut rng = rand::thread_rng();
         let s = setup();
-        let ct = encrypt(
-            curve,
-            s.server.public(),
-            s.user.public(),
-            &ReleaseTag::time("noon"),
-            b"m",
-            &mut rng,
-        )
-        .unwrap();
+        let ct = s.sender.encrypt(&ReleaseTag::time("noon"), b"m", &mut rng);
         let wrong = s.server.issue_update(curve, &ReleaseTag::time("midnight"));
         assert_eq!(
             decrypt(curve, s.server.public(), &s.user, &wrong, &ct),
@@ -454,16 +380,7 @@ mod tests {
         let mut rng = rand::thread_rng();
         let s = setup();
         let tag = ReleaseTag::time("t");
-        let msg = b"secret";
-        let ct = encrypt(
-            curve,
-            s.server.public(),
-            s.user.public(),
-            &tag,
-            msg,
-            &mut rng,
-        )
-        .unwrap();
+        let ct = s.sender.encrypt(&tag, b"secret", &mut rng);
         let forged_sig = curve.g1_mul(
             &curve.hash_to_g1(tag.h1_domain(), tag.value()),
             &curve.random_scalar(&mut rng),
@@ -483,15 +400,7 @@ mod tests {
         let eve = UserKeyPair::generate(curve, s.server.public(), &mut rng);
         let tag = ReleaseTag::time("t");
         let msg = b"for alice only";
-        let ct = encrypt(
-            curve,
-            s.server.public(),
-            s.user.public(),
-            &tag,
-            msg,
-            &mut rng,
-        )
-        .unwrap();
+        let ct = s.sender.encrypt(&tag, msg, &mut rng);
         let update = s.server.issue_update(curve, &tag);
         let pt = decrypt(curve, s.server.public(), &eve, &update, &ct).unwrap();
         assert_ne!(
@@ -509,16 +418,7 @@ mod tests {
         let mut rng = rand::thread_rng();
         let s = setup();
         let tag = ReleaseTag::time("t");
-        let msg = b"secret";
-        let ct = encrypt(
-            curve,
-            s.server.public(),
-            s.user.public(),
-            &tag,
-            msg,
-            &mut rng,
-        )
-        .unwrap();
+        let ct = s.sender.encrypt(&tag, b"secret", &mut rng);
         let other = s.server.issue_update(curve, &ReleaseTag::time("t'"));
         // Same-tag wrapper around the wrong signature point: authentic-looking
         // but cryptographically wrong — fails verify.
@@ -540,17 +440,10 @@ mod tests {
             curve.g1_mul(s.server.public().g(), &a),
             curve.g1_mul(s.server.public().g(), &b),
         );
-        assert_eq!(
-            encrypt(
-                curve,
-                s.server.public(),
-                &bogus,
-                &ReleaseTag::time("t"),
-                b"m",
-                &mut rng
-            ),
+        assert!(matches!(
+            SenderPrecomp::new(curve, s.server.public(), &bogus),
             Err(TreError::InvalidUserKey)
-        );
+        ));
     }
 
     #[test]
@@ -558,16 +451,7 @@ mod tests {
         let curve = toy64();
         let mut rng = rand::thread_rng();
         let s = setup();
-        let tag = ReleaseTag::time("t");
-        let ct = encrypt(
-            curve,
-            s.server.public(),
-            s.user.public(),
-            &tag,
-            b"hello",
-            &mut rng,
-        )
-        .unwrap();
+        let ct = s.sender.encrypt(&ReleaseTag::time("t"), b"hello", &mut rng);
         let mut bytes = Vec::new();
         ct.write_body(curve, &mut bytes);
         assert_eq!(bytes.len(), ct.size(curve));
@@ -579,28 +463,11 @@ mod tests {
 
     #[test]
     fn randomized_encryption() {
-        let curve = toy64();
         let mut rng = rand::thread_rng();
         let s = setup();
         let tag = ReleaseTag::time("t");
-        let c1 = encrypt(
-            curve,
-            s.server.public(),
-            s.user.public(),
-            &tag,
-            b"m",
-            &mut rng,
-        )
-        .unwrap();
-        let c2 = encrypt(
-            curve,
-            s.server.public(),
-            s.user.public(),
-            &tag,
-            b"m",
-            &mut rng,
-        )
-        .unwrap();
+        let c1 = s.sender.encrypt(&tag, b"m", &mut rng);
+        let c2 = s.sender.encrypt(&tag, b"m", &mut rng);
         assert_ne!(c1, c2, "fresh r per encryption");
     }
 
@@ -615,15 +482,7 @@ mod tests {
         let s = setup();
         let tag = ReleaseTag::time("t");
         let msg = b"user-private";
-        let ct = encrypt(
-            curve,
-            s.server.public(),
-            s.user.public(),
-            &tag,
-            msg,
-            &mut rng,
-        )
-        .unwrap();
+        let ct = s.sender.encrypt(&tag, msg, &mut rng);
         let update = s.server.issue_update(curve, &tag);
         let k_server = curve.pairing(&ct.u, update.sig()); // no ^a available
         let mask = curve.gt_kdf(&k_server, MASK_DOMAIN, msg.len());
@@ -632,31 +491,20 @@ mod tests {
     }
 
     #[test]
-    fn encrypt_with_precomp_interoperates() {
+    fn sender_key_matches_memoized_seal_key() {
+        // The FO/REACT/hybrid key and the memoized basic-scheme key are the
+        // same ê(r·asG, H1(T)), and both equal the textbook formula.
         let curve = toy64();
         let mut rng = rand::thread_rng();
         let s = setup();
-        let pre = SenderPrecomp::new(curve, s.server.public(), s.user.public()).unwrap();
         let tag = ReleaseTag::time("t");
-        let update = s.server.issue_update(curve, &tag);
-        let msg = b"precomputed path";
-        let ct = encrypt_with(curve, &pre, &tag, msg, &mut rng);
-        // The plain decryptor opens precomp-encrypted ciphertexts…
-        assert_eq!(
-            decrypt(curve, s.server.public(), &s.user, &update, &ct).unwrap(),
-            msg
+        let r = curve.random_scalar(&mut rng);
+        let textbook = curve.pairing(
+            &curve.g1_mul(s.user.public().a_s_g(), &r),
+            &curve.hash_to_g1(tag.h1_domain(), tag.value()),
         );
-        // …and the trusted decryptor opens plain-encrypted ones.
-        let ct2 = encrypt(
-            curve,
-            s.server.public(),
-            s.user.public(),
-            &tag,
-            msg,
-            &mut rng,
-        )
-        .unwrap();
-        assert_eq!(decrypt_trusted(curve, &s.user, &update, &ct2).unwrap(), msg);
+        assert_eq!(sender_key(curve, s.user.public(), &tag, &r), textbook);
+        assert_eq!(s.sender.precomp().seal_key(curve, &tag, &r), textbook);
     }
 
     #[test]
@@ -666,15 +514,7 @@ mod tests {
         let s = setup();
         let tag = ReleaseTag::time("t");
         let update = s.server.issue_update(curve, &tag);
-        let ct = encrypt(
-            curve,
-            s.server.public(),
-            s.user.public(),
-            &tag,
-            b"m",
-            &mut rng,
-        )
-        .unwrap();
+        let ct = s.sender.encrypt(&tag, b"m", &mut rng);
         tre_obs::enable();
         decrypt_trusted(curve, &s.user, &update, &ct).unwrap();
         decrypt(curve, s.server.public(), &s.user, &update, &ct).unwrap();
@@ -703,7 +543,7 @@ mod tests {
         let msgs: Vec<Vec<u8>> = (0..9u8).map(|i| vec![i; i as usize + 1]).collect();
         let cts: Vec<_> = msgs
             .iter()
-            .map(|m| encrypt(curve, s.server.public(), s.user.public(), &tag, m, &mut rng).unwrap())
+            .map(|m| s.sender.encrypt(&tag, m, &mut rng))
             .collect();
         for threads in [0usize, 1, 3] {
             let out =
@@ -711,15 +551,7 @@ mod tests {
             assert_eq!(out, msgs, "threads={threads}");
         }
         // A mistagged ciphertext in the batch aborts before decrypting.
-        let stray = encrypt(
-            curve,
-            s.server.public(),
-            s.user.public(),
-            &ReleaseTag::time("t'"),
-            b"x",
-            &mut rng,
-        )
-        .unwrap();
+        let stray = s.sender.encrypt(&ReleaseTag::time("t'"), b"x", &mut rng);
         let mut mixed = cts.clone();
         mixed.push(stray);
         assert_eq!(

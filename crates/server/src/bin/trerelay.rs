@@ -125,7 +125,7 @@ fn parse_args() -> Args {
 }
 
 fn parse_hex(s: &str) -> Vec<u8> {
-    if s.len() % 2 != 0 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
+    if !s.len().is_multiple_of(2) || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
         eprintln!("trerelay: --server-key is not a hex string");
         exit(1);
     }

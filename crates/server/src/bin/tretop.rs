@@ -294,6 +294,36 @@ fn render(sources: &[Source]) -> String {
     out
 }
 
+fn main() {
+    let args = parse_args();
+    let mut sources: Vec<Source> = args
+        .endpoints
+        .iter()
+        .map(|addr| Source {
+            addr: addr.clone(),
+            registry: None,
+            ready: None,
+            error: None,
+        })
+        .collect();
+    loop {
+        for s in &mut sources {
+            s.scrape();
+        }
+        let frame = render(&sources);
+        if args.watch {
+            // ANSI clear + home, then the frame — a poor man's top(1).
+            print!("\x1b[2J\x1b[H{frame}");
+            let _ = std::io::stdout().flush();
+            std::thread::sleep(args.interval);
+        } else {
+            print!("{frame}");
+            let any_up = sources.iter().any(|s| s.error.is_none());
+            exit(if any_up { 0 } else { 1 });
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,35 +386,5 @@ mod tests {
             error: None,
         }];
         assert!(!render(&sources).contains("catch-up:"));
-    }
-}
-
-fn main() {
-    let args = parse_args();
-    let mut sources: Vec<Source> = args
-        .endpoints
-        .iter()
-        .map(|addr| Source {
-            addr: addr.clone(),
-            registry: None,
-            ready: None,
-            error: None,
-        })
-        .collect();
-    loop {
-        for s in &mut sources {
-            s.scrape();
-        }
-        let frame = render(&sources);
-        if args.watch {
-            // ANSI clear + home, then the frame — a poor man's top(1).
-            print!("\x1b[2J\x1b[H{frame}");
-            let _ = std::io::stdout().flush();
-            std::thread::sleep(args.interval);
-        } else {
-            print!("{frame}");
-            let any_up = sources.iter().any(|s| s.error.is_none());
-            exit(if any_up { 0 } else { 1 });
-        }
     }
 }

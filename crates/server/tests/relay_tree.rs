@@ -112,6 +112,18 @@ fn client_survives_relay_death_with_no_missed_epochs() {
         }
     }
 
+    // The client's open-ended cold-start catch-up replays everything
+    // relay A holds when it is served. Wait until it has delivered
+    // epoch 0 before publishing more, or epoch 1 could ride in that
+    // replay (hops 2) instead of crossing live.
+    assert!(
+        wait_until(|| {
+            drain(&mut client, sub, &root_pk, &mut seen);
+            seen.contains(&0)
+        }),
+        "cold-start catch-up delivered epoch 0 (got {seen:?})"
+    );
+
     // Epochs 1–2 cross relay A live.
     clock.advance(2);
     assert!(
