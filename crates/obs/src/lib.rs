@@ -7,6 +7,9 @@
 //!   `p50/p90/p99` quantiles, Prometheus-style text exposition
 //!   ([`Registry::render_prometheus`]) and JSON export
 //!   ([`Registry::render_json`]).
+//! * [`metrics!`] — declares a stats struct whose fields are its
+//!   metrics: export code and a `(name, help)` catalog are derived from
+//!   the field list, the kind from each field's type ([`Metric`]).
 //! * [`LatencyHistogram`] — power-of-two-bucketed histogram with
 //!   [`quantile`](LatencyHistogram::quantile) and
 //!   [`merge`](LatencyHistogram::merge), re-homed here from `tre-server`.
@@ -25,10 +28,12 @@
 
 #![warn(missing_docs)]
 
+mod catalog;
 mod hist;
 mod registry;
 mod trace;
 
+pub use catalog::{Catalog, Metric};
 pub use hist::LatencyHistogram;
 pub use registry::Registry;
 pub use trace::{

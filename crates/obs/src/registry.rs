@@ -21,6 +21,8 @@ pub struct Registry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, i64>,
     histograms: BTreeMap<String, LatencyHistogram>,
+    /// Help text per metric name, rendered as its `# HELP` line.
+    help: BTreeMap<String, String>,
 }
 
 impl Registry {
@@ -85,6 +87,17 @@ impl Registry {
         self.histograms.get(name)
     }
 
+    /// Attaches help text to the named metric: one line of prose for
+    /// its `# HELP` line (any newline or backslash is escaped on render).
+    pub fn describe(&mut self, name: &str, help: &str) {
+        self.help.insert(name.to_string(), help.to_string());
+    }
+
+    /// The named metric's help text, if it was described.
+    pub fn help(&self, name: &str) -> Option<&str> {
+        self.help.get(name).map(String::as_str)
+    }
+
     /// Iterates every counter in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(n, v)| (n.as_str(), *v))
@@ -101,7 +114,8 @@ impl Registry {
     }
 
     /// Folds every metric of `other` into `self`: counters and histograms
-    /// add; for gauges the other registry's value wins (last-write).
+    /// add; for gauges and help text the other registry's value wins
+    /// (last-write).
     pub fn merge(&mut self, other: &Registry) {
         for (name, v) in &other.counters {
             *self.counters.entry(name.clone()).or_insert(0) += v;
@@ -112,21 +126,36 @@ impl Registry {
         for (name, h) in &other.histograms {
             self.histograms.entry(name.clone()).or_default().merge(h);
         }
+        for (name, help) in &other.help {
+            self.help.insert(name.clone(), help.clone());
+        }
     }
 
-    /// Renders a Prometheus-style text exposition snapshot: `# TYPE` lines,
-    /// counter/gauge samples, and per-histogram cumulative `_bucket{le=..}`
-    /// series (power-of-two bounds) plus `_sum` and `_count`.
+    /// Writes a family's `# HELP` (when described) and `# TYPE` lines.
+    fn push_head(&self, out: &mut String, name: &str, kind: &str) {
+        if let Some(help) = self.help(name) {
+            let help = help.replace('\\', "\\\\").replace('\n', "\\n");
+            out.push_str(&format!("# HELP {name} {help}\n"));
+        }
+        out.push_str(&format!("# TYPE {name} {kind}\n"));
+    }
+
+    /// Renders a Prometheus-style text exposition snapshot: `# HELP` and
+    /// `# TYPE` lines, counter/gauge samples, and per-histogram cumulative
+    /// `_bucket{le=..}` series (power-of-two bounds) plus `_sum` and
+    /// `_count`.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
         for (name, v) in &self.counters {
-            out.push_str(&format!("# TYPE {name} counter\n{name} {v}\n"));
+            self.push_head(&mut out, name, "counter");
+            out.push_str(&format!("{name} {v}\n"));
         }
         for (name, v) in &self.gauges {
-            out.push_str(&format!("# TYPE {name} gauge\n{name} {v}\n"));
+            self.push_head(&mut out, name, "gauge");
+            out.push_str(&format!("{name} {v}\n"));
         }
         for (name, h) in &self.histograms {
-            out.push_str(&format!("# TYPE {name} histogram\n"));
+            self.push_head(&mut out, name, "histogram");
             let mut cum = 0u64;
             for (i, &c) in h.buckets().iter().enumerate() {
                 cum += c;
@@ -159,8 +188,8 @@ impl Registry {
     /// carries buckets, sum, and the `_max` sample, the merged
     /// quantiles match a single-process recording.
     ///
-    /// Unknown sample names (no preceding `# TYPE` line) are skipped
-    /// for forward compatibility.
+    /// `# HELP` text is unescaped and kept. Unknown sample names (no
+    /// preceding `# TYPE` line) are skipped for forward compatibility.
     ///
     /// # Errors
     /// Returns a description of the first malformed line: a sample
@@ -178,6 +207,11 @@ impl Registry {
         let mut hists: BTreeMap<String, HistAcc> = BTreeMap::new();
         let mut reg = Registry::new();
         for line in text.lines() {
+            if let Some(rest) = line.trim_start().strip_prefix("# HELP ") {
+                let (name, help) = rest.split_once(' ').unwrap_or((rest, ""));
+                reg.describe(name, &unescape_help(help));
+                continue;
+            }
             let line = line.trim();
             if line.is_empty() {
                 continue;
@@ -296,6 +330,13 @@ impl Registry {
     }
 }
 
+/// Reverses the `# HELP` escaping: `\\` is a backslash and `\n` a
+/// newline.
+fn unescape_help(text: &str) -> String {
+    let parts: Vec<String> = text.split("\\\\").map(|p| p.replace("\\n", "\n")).collect();
+    parts.join("\\")
+}
+
 fn q_json(h: &LatencyHistogram, q: f64) -> String {
     match h.quantile(q) {
         Some(v) => v.to_string(),
@@ -395,8 +436,34 @@ mod tests {
         for v in [0u64, 1, 5, 900, 70_000] {
             r.observe("lat", v);
         }
-        let back = Registry::parse_prometheus(&r.render_prometheus()).unwrap();
+        r.describe("requests", "Requests served.");
+        r.describe("depth", "Queue depth,\nin frames (\\n is not a newline). ");
+        r.describe("lat", "Latency in µs; C:\\path\\");
+        let text = r.render_prometheus();
+        assert!(text.contains("# HELP depth Queue depth,\\nin frames (\\\\n is not a newline). \n"));
+        let types = text.lines().filter(|l| l.starts_with("# TYPE ")).count();
+        assert_eq!(types, 3);
+        for (i, line) in text.lines().enumerate() {
+            if let Some(rest) = line.strip_prefix("# TYPE ") {
+                let name = rest.split(' ').next().unwrap();
+                let help = i.checked_sub(1).and_then(|h| text.lines().nth(h));
+                assert!(
+                    help.is_some_and(|h| h.starts_with(&format!("# HELP {name} "))),
+                    "no # HELP line before {line}"
+                );
+            }
+        }
+        let back = Registry::parse_prometheus(&text).unwrap();
         assert_eq!(back, r, "render → parse is the identity");
+        assert_eq!(
+            back.help("depth"),
+            Some("Queue depth,\nin frames (\\n is not a newline). ")
+        );
+        assert_eq!(back.help("lat"), Some("Latency in µs; C:\\path\\"));
+        // Help survives a merge into a scraper's registry.
+        let mut merged = Registry::new();
+        merged.merge(&back);
+        assert_eq!(merged.help("requests"), Some("Requests served."));
         // Exact max survives via the _max sample (70 000 sits in an
         // unbounded bucket, so buckets alone could not recover it).
         assert_eq!(back.histogram("lat").unwrap().max(), 70_000);

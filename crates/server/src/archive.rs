@@ -15,40 +15,24 @@ use tre_pairing::Curve;
 
 use crate::journal::{holes, Journal, JournalConfig, JournalReader, JournalStats, ReplayReport};
 
-/// Read-path counters of a durable archive (all since open).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ArchiveReadStats {
-    /// Point lookups served.
-    pub lookups: u64,
-    /// Index binary-search probes across lookups — the O(log n)
-    /// evidence; compare against `len / 2` per lookup for a linear scan.
-    pub lookup_probes: u64,
-    /// Chunked range reads served.
-    pub range_reads: u64,
-    /// Records returned by range reads.
-    pub range_records: u64,
-    /// Segment reads that failed; each ended its chunk early.
-    pub read_failures: u64,
-    /// Stored bodies that did not decode as a [`KeyUpdate`] and were
-    /// skipped.
-    pub decode_failures: u64,
-}
-
-impl ArchiveReadStats {
-    /// Publishes the counters into a shared registry under
-    /// `<prefix>_<stat>` names. Absolute values, so re-export overwrites.
-    pub fn export_into(&self, registry: &mut tre_obs::Registry, prefix: &str) {
-        let pairs = [
-            ("lookups", self.lookups),
-            ("lookup_probes", self.lookup_probes),
-            ("range_reads", self.range_reads),
-            ("range_records", self.range_records),
-            ("read_failures", self.read_failures),
-            ("decode_failures", self.decode_failures),
-        ];
-        for (name, value) in pairs {
-            registry.counter_set(&format!("{prefix}_{name}"), value);
-        }
+tre_obs::metrics! {
+    /// Read-path counters of a durable archive (all since open).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ArchiveReadStats {
+        /// Point lookups served.
+        pub lookups: u64,
+        /// Index binary-search probes across lookups — the O(log n)
+        /// evidence; compare against `len / 2` per lookup for a linear scan.
+        pub lookup_probes: u64,
+        /// Chunked range reads served.
+        pub range_reads: u64,
+        /// Records returned by range reads.
+        pub range_records: u64,
+        /// Segment reads that failed; each ended its chunk early.
+        pub read_failures: u64,
+        /// Stored bodies that did not decode as a [`KeyUpdate`] and were
+        /// skipped.
+        pub decode_failures: u64,
     }
 }
 

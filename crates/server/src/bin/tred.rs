@@ -66,9 +66,9 @@ use tre_bigint::U256;
 use tre_core::{dealer_setup, CommitteeRoster, ServerKeyPair, ServerPublicKey};
 use tre_pairing::{toy64, Curve};
 use tre_server::{
-    CollectorConfig, CommitteeFeed, Feed, FsyncPolicy, Granularity, HealthSnapshot, JournalConfig,
-    SimClock, SupervisorConfig, TelemetryServer, TelemetrySnapshot, TimeServer, TraceSink, Tred,
-    TredConfig, TredStats, UpdateArchive,
+    CollectorConfig, CommitteeFeed, Feed, FsyncPolicy, Granularity, JournalConfig, SimClock,
+    SupervisorConfig, TelemetryServer, TimeServer, TraceSink, Tred, TredConfig, TredExporter,
+    UpdateArchive,
 };
 use tre_wire::Wire;
 
@@ -410,39 +410,13 @@ fn run_watch(curve: &'static Curve<8>, dir: &Path, args: &Args) -> ! {
     exit(0);
 }
 
-/// Boots the live exposition plane on `addr`: every scrape re-exports
-/// the daemon's counters (including the delivery-conservation set) and
-/// the trace sink's stage histograms into a fresh registry, so
-/// `/metrics` is always a consistent point-in-time view. Readiness
-/// means the journal — when there is one — has fsynced at least once
-/// for what it appended; an ephemeral daemon is ready on listen.
-fn start_telemetry(
-    addr: &str,
-    stats: Arc<TredStats>,
-    sink: TraceSink,
-    archive: Option<Arc<UpdateArchive<8>>>,
-) -> TelemetryServer {
-    let snapshot: TelemetrySnapshot = Arc::new(move || {
-        let mut registry = tre_obs::Registry::new();
-        stats.export_into(&mut registry, "tred");
-        sink.export_into(&mut registry, "tred_trace");
-        let (ready, detail) = match archive.as_ref().and_then(|a| a.journal_stats()) {
-            Some(js) => (
-                js.appends == 0 || js.fsyncs > 0,
-                format!("journal appends={} fsyncs={}", js.appends, js.fsyncs),
-            ),
-            None => (true, "ephemeral archive".to_string()),
-        };
-        (
-            registry,
-            HealthSnapshot {
-                healthy: true,
-                ready,
-                detail,
-            },
-        )
-    });
-    match TelemetryServer::bind(addr, snapshot) {
+/// Boots the live exposition plane on `addr`, serving the daemon's
+/// own export ([`tre_server::TredExporter::snapshot`]): every scrape
+/// re-exports the counters, subscriber gauge, journal and archive-read
+/// counters, and trace histograms into a fresh registry, so `/metrics`
+/// is always a consistent point-in-time view.
+fn start_telemetry(addr: &str, exporter: TredExporter<8>) -> TelemetryServer {
+    match TelemetryServer::bind(addr, exporter.snapshot("tred")) {
         Ok(server) => {
             println!("tred: telemetry on http://{}", server.local_addr());
             server
@@ -486,14 +460,10 @@ fn main() {
                 exit(1);
             }
         };
-        let _telemetry = args.telemetry.as_ref().map(|addr| {
-            start_telemetry(
-                addr,
-                tred.stats(),
-                tred.trace_sink().expect("traced bind installs a sink"),
-                None,
-            )
-        });
+        let _telemetry = args
+            .telemetry
+            .as_ref()
+            .map(|addr| start_telemetry(addr, tred.exporter()));
         println!(
             "tred: committee member {index} listening on {}",
             tred.local_addr()
@@ -592,14 +562,10 @@ fn main() {
             exit(1);
         }
     };
-    let _telemetry = args.telemetry.as_ref().map(|addr| {
-        start_telemetry(
-            addr,
-            tred.stats(),
-            tred.trace_sink().expect("traced bind installs a sink"),
-            Some(Arc::clone(&archive)),
-        )
-    });
+    let _telemetry = args
+        .telemetry
+        .as_ref()
+        .map(|addr| start_telemetry(addr, tred.exporter()));
     println!("tred: listening on {}", tred.local_addr());
     println!(
         "tred: server public key {}",

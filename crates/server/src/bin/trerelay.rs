@@ -34,15 +34,11 @@
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::process::exit;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::Duration;
 
 use tre_core::ServerPublicKey;
 use tre_pairing::toy64;
-use tre_server::{
-    feed, Granularity, HealthSnapshot, Relay, RelayConfig, SupervisorConfig, TelemetryServer,
-    TelemetrySnapshot,
-};
+use tre_server::{feed, Granularity, Relay, RelayConfig, SupervisorConfig, TelemetryServer};
 use tre_wire::Wire;
 
 struct Args {
@@ -179,27 +175,7 @@ fn main() {
     });
 
     let _telemetry = args.telemetry.as_ref().map(|addr| {
-        let export = relay.stats();
-        let serve = relay.serve_stats();
-        let sink = relay.trace_sink();
-        let snapshot: TelemetrySnapshot = Arc::new(move || {
-            let mut registry = tre_obs::Registry::new();
-            export.export_into(&mut registry, "trerelay");
-            serve.export_into(&mut registry, "trerelay_serve");
-            sink.export_into(&mut registry, "trerelay_trace");
-            let relayed = export.epochs_relayed.load(Ordering::Relaxed);
-            (
-                registry,
-                HealthSnapshot {
-                    healthy: true,
-                    // Ready once the verified stream is flowing: at
-                    // least one epoch has crossed the relay.
-                    ready: relayed > 0,
-                    detail: format!("epochs relayed={relayed}"),
-                },
-            )
-        });
-        match TelemetryServer::bind(addr, snapshot) {
+        match TelemetryServer::bind(addr, relay.exporter().snapshot("trerelay")) {
             Ok(server) => {
                 println!("trerelay: telemetry on http://{}", server.local_addr());
                 server

@@ -32,7 +32,8 @@ use std::net::TcpStream;
 use std::process::exit;
 use std::time::Duration;
 
-use tre_obs::Registry;
+use tre_obs::{Catalog, Registry};
+use tre_server::{ArchiveReadStats, FeedStats, JournalStats, SupervisorStats, TredStats};
 
 struct Args {
     endpoints: Vec<String>,
@@ -162,27 +163,40 @@ fn render(sources: &[Source]) -> String {
     }
     out.push('\n');
 
-    // Delivery-conservation balance across every exporting daemon.
-    let c = |name: &str| -> u64 {
+    // Sum of every counter named `…_<layer><name>` across endpoints. The
+    // name must be declared in `catalog`, so renaming a stats field fails
+    // the tests below instead of silently blanking a column.
+    let sum = |layer: &str, catalog: Catalog, name: &str| -> u64 {
+        let declared = catalog.iter().any(|&(n, _)| n == name);
+        assert!(declared, "tretop reads undeclared metric `{name}`");
+        let suffix = format!("_{layer}{name}");
         merged
             .counters()
-            .filter(|(n, _)| n.ends_with(name))
+            .filter(|(n, _)| n.ends_with(&suffix))
             .map(|(_, v)| v)
             .sum()
     };
-    let offered = c("_frames_offered");
-    let resolved =
-        c("_frames_written") + c("_frames_abandoned") + c("_evicted") + c("_frames_dropped");
+    let tred = |name: &str| sum("", TredStats::CATALOG, name);
+    let journal = |name: &str| sum("journal_", JournalStats::CATALOG, name);
+    let supervisor = |name: &str| sum("", SupervisorStats::CATALOG, name);
+    let archive = |name: &str| sum("", ArchiveReadStats::CATALOG, name);
+
+    // Delivery-conservation balance across every exporting daemon.
+    let offered = tred("frames_offered");
+    let resolved = tred("frames_written")
+        + tred("frames_abandoned")
+        + tred("evicted")
+        + tred("frames_dropped");
     let in_flight = offered.saturating_sub(resolved);
     out.push_str(&format!(
         "broadcasts {}   connections {}   frames: offered {} = written {} + abandoned {} + evicted {} + dropped {} + in-flight {}  [{}]\n\n",
-        c("_broadcasts"),
-        c("_connections"),
+        tred("broadcasts"),
+        tred("connections"),
         offered,
-        c("_frames_written"),
-        c("_frames_abandoned"),
-        c("_evicted"),
-        c("_frames_dropped"),
+        tred("frames_written"),
+        tred("frames_abandoned"),
+        tred("evicted"),
+        tred("frames_dropped"),
         in_flight,
         if offered == resolved + in_flight { "balanced" } else { "IMBALANCED" },
     ));
@@ -192,33 +206,33 @@ fn render(sources: &[Source]) -> String {
     // daemon and feed layers both export a `catch_up_requests`
     // counter, so the suffix sum is split by subtracting the
     // feed-prefixed slice back out.
-    let feed_requests = c("_feed_catch_up_requests");
-    let served_requests = c("_catch_up_requests").saturating_sub(feed_requests);
-    if served_requests + feed_requests + c("_catch_up_shed") > 0 {
+    let feed_requests = sum("feed_", FeedStats::CATALOG, "catch_up_requests");
+    let served_requests = tred("catch_up_requests").saturating_sub(feed_requests);
+    if served_requests + feed_requests + tred("catch_up_shed") > 0 {
         out.push_str(&format!(
             "catch-up: requests {} (clipped {})  replies {}  shed {}   archive: sealed {} segs / {} recs  quarantined {}  torn-tail {}B  probes/lookup {}\n",
             served_requests,
-            c("_catch_up_clipped"),
-            c("_catch_up_replies"),
-            c("_catch_up_shed"),
-            c("_journal_rotations"),
-            (c("_journal_replayed_records") + c("_journal_appends"))
-                .saturating_sub(c("_journal_compacted_records")),
-            c("_journal_quarantined_records"),
-            c("_journal_torn_tail_bytes"),
-            match c("_lookups") {
+            tred("catch_up_clipped"),
+            tred("catch_up_replies"),
+            tred("catch_up_shed"),
+            journal("rotations"),
+            (journal("replayed_records") + journal("appends"))
+                .saturating_sub(journal("compacted_records")),
+            journal("quarantined_records"),
+            journal("torn_tail_bytes"),
+            match archive("lookups") {
                 0 => "-".to_string(),
-                n => format!("{:.1}", c("_lookup_probes") as f64 / n as f64),
+                n => format!("{:.1}", archive("lookup_probes") as f64 / n as f64),
             },
         ));
         out.push_str(&format!(
             "clients:  requests {}  busy seen {}  retries {}  resumes {}  reconnects {}  gap repairs {}\n\n",
             feed_requests,
-            c("_busy_seen") + c("_busy_sheds_seen"),
-            c("_catch_up_retries"),
-            c("_catch_up_resumes"),
-            c("_supervisor_reconnects"),
-            c("_gap_repairs"),
+            sum("", FeedStats::CATALOG, "busy_seen") + supervisor("busy_sheds_seen"),
+            supervisor("catch_up_retries"),
+            supervisor("catch_up_resumes"),
+            sum("supervisor_", SupervisorStats::CATALOG, "reconnects"),
+            supervisor("gap_repairs"),
         ));
     }
 
@@ -340,8 +354,8 @@ mod tests {
         registry.counter_set("tre_tred_journal_replayed_records", 30);
         registry.counter_set("tre_tred_journal_appends", 60);
         registry.counter_set("tre_tred_journal_compacted_records", 10);
-        registry.counter_set("tre_tred_segments_lookups", 8);
-        registry.counter_set("tre_tred_segments_lookup_probes", 24);
+        registry.counter_set("tre_tred_archive_lookups", 8);
+        registry.counter_set("tre_tred_archive_lookup_probes", 24);
         // Client side: the feed's own request counter must not inflate
         // the daemon row.
         registry.counter_set("tre_client_feed_catch_up_requests", 7);
@@ -373,6 +387,40 @@ mod tests {
             frame.contains("clients:  requests 7  busy seen 2  retries 3  resumes 2  reconnects 5"),
             "client row wrong in:\n{frame}"
         );
+    }
+
+    /// Renders a registry holding every name `render` can read — each
+    /// catalog's fields under every layer prefix — so every lookup runs:
+    /// a name missing from its catalog (a renamed field) panics here.
+    #[test]
+    fn every_name_render_reads_is_declared() {
+        let catalogs = [
+            TredStats::CATALOG,
+            JournalStats::CATALOG,
+            ArchiveReadStats::CATALOG,
+            FeedStats::CATALOG,
+            SupervisorStats::CATALOG,
+        ];
+        let mut registry = Registry::new();
+        for catalog in catalogs {
+            for layer in ["", "journal_", "archive_", "feed_", "supervisor_"] {
+                for (name, _) in catalog {
+                    registry.counter_set(&format!("tred_{layer}{name}"), 1);
+                }
+            }
+        }
+        let sources = [Source {
+            addr: "test".into(),
+            registry: Some(registry),
+            ready: Some(true),
+            error: None,
+        }];
+        let frame = render(&sources);
+        assert!(
+            frame.contains("catch-up:"),
+            "catch-up rows rendered:\n{frame}"
+        );
+        assert!(frame.contains("clients:"), "client row rendered:\n{frame}");
     }
 
     #[test]

@@ -31,11 +31,11 @@ use tre_core::committee::{CommitteeRoster, MemberVerdict, ShareFault};
 use tre_core::{aggregate_shares, verify_share_batch, KeyUpdate, TreError};
 use tre_pairing::Curve;
 
-use crate::chaos_tcp::{SupervisedFeed, SupervisorConfig};
 use crate::clock::{Granularity, SimClock};
 use crate::feed::Feed;
 use crate::metrics::LatencyHistogram;
 use crate::net::SubscriberId;
+use crate::supervised::{SupervisedFeed, SupervisorConfig};
 use crate::tcp::TcpFeed;
 
 /// Tuning knobs for the collector's quorum tracking.
@@ -58,96 +58,59 @@ impl Default for CollectorConfig {
     }
 }
 
-/// Health counters for committee share collection and aggregation.
-///
-/// Share-frame conservation: every ingested frame resolves into exactly
-/// one of the two terminal counters, so
-/// `shares_received == shares_admitted + shares_dropped`
-/// holds at every instant. (An equivocator's *first* share stays
-/// `admitted` even after conviction evicts it from the candidate pool —
-/// the identity accounts ingest events, not pool membership.)
-#[derive(Debug, Clone, Default)]
-pub struct CommitteeStats {
-    /// Share frames ingested (any provenance, including duplicates).
-    pub shares_received: u64,
-    /// Frames that entered an epoch's candidate pool as a member's
-    /// first structurally-clean share.
-    pub shares_admitted: u64,
-    /// Frames that did not: unparseable tag, off-roster index,
-    /// non-canonical tag bytes, already-convicted member, exact
-    /// duplicate, or an equivocating second share.
-    pub shares_dropped: u64,
-    /// Shares rejected, per member index: structural screening
-    /// (wrong tag, equivocation) plus pairing failures. Each member is
-    /// counted at most once per epoch per fault kind.
-    pub shares_rejected: BTreeMap<u32, u64>,
-    /// Epochs whose quorum closed with an aggregated update.
-    pub epochs_aggregated: u64,
-    /// Pairing lanes spent in verification batches, assuming the clean
-    /// path (a batch of m candidates is one (m+1)-lane multi-pairing;
-    /// a single candidate is one 2-pairing check). Exact whenever no
-    /// Byzantine share forces bisection re-checks — the basis of the
-    /// "≤ k+1 pairings per aggregated epoch" guard in clean runs.
-    pub aggregation_pairings: u64,
-    /// Verification batches run.
-    pub verify_batches: u64,
-    /// Epochs that sat below quorum past the timeout (counted once per
-    /// epoch; the epoch can still close later).
-    pub quorum_timeouts: u64,
-    /// Member connections whose committee greeting announced a
-    /// different index than the roster slot dialed.
-    pub hello_mismatches: u64,
-    /// Shares dropped because they arrived on a connection belonging to
-    /// a *different* member — an impersonation attempt is charged to
-    /// the link, never to the member whose index was claimed.
-    pub misattributed_shares: u64,
-    /// Milliseconds from an epoch's first share to its aggregation.
-    pub quorum_latency: LatencyHistogram,
-    /// Per-member share-arrival offsets: milliseconds from an epoch's
-    /// first share to this member's admitted share. The epoch's opener
-    /// records 0; a straggler's growing tail here (against a flat
-    /// [`CommitteeStats::quorum_latency`]) attributes quorum slowness
-    /// to the member rather than the collector.
-    pub share_arrival: BTreeMap<u32, LatencyHistogram>,
-}
-
-impl CommitteeStats {
-    /// Publishes the counters into a shared registry under
-    /// `<prefix>_<stat>` names (per-member rejection counts as
-    /// `<prefix>_member_<i>_shares_rejected`). Absolute values, so
-    /// re-export overwrites.
-    pub fn export_into(&self, registry: &mut tre_obs::Registry, prefix: &str) {
-        registry.counter_set(&format!("{prefix}_shares_received"), self.shares_received);
-        registry.counter_set(&format!("{prefix}_shares_admitted"), self.shares_admitted);
-        registry.counter_set(&format!("{prefix}_shares_dropped"), self.shares_dropped);
-        for (member, n) in &self.shares_rejected {
-            registry.counter_set(&format!("{prefix}_member_{member}_shares_rejected"), *n);
-        }
-        for (member, hist) in &self.share_arrival {
-            registry.histogram_set(
-                &format!("{prefix}_member_{member}_share_arrival_ms"),
-                hist.clone(),
-            );
-        }
-        registry.counter_set(
-            &format!("{prefix}_epochs_aggregated"),
-            self.epochs_aggregated,
-        );
-        registry.counter_set(
-            &format!("{prefix}_aggregation_pairings"),
-            self.aggregation_pairings,
-        );
-        registry.counter_set(&format!("{prefix}_verify_batches"), self.verify_batches);
-        registry.counter_set(&format!("{prefix}_quorum_timeouts"), self.quorum_timeouts);
-        registry.counter_set(&format!("{prefix}_hello_mismatches"), self.hello_mismatches);
-        registry.counter_set(
-            &format!("{prefix}_misattributed_shares"),
-            self.misattributed_shares,
-        );
-        registry.histogram_set(
-            &format!("{prefix}_quorum_latency"),
-            self.quorum_latency.clone(),
-        );
+tre_obs::metrics! {
+    /// Health counters for committee share collection and aggregation.
+    ///
+    /// Share-frame conservation: every ingested frame resolves into exactly
+    /// one of the two terminal counters, so
+    /// `shares_received == shares_admitted + shares_dropped`
+    /// holds at every instant. (An equivocator's *first* share stays
+    /// `admitted` even after conviction evicts it from the candidate pool —
+    /// the identity accounts ingest events, not pool membership.)
+    #[derive(Debug, Clone, Default)]
+    pub struct CommitteeStats {
+        /// Share frames ingested (any provenance, including duplicates).
+        pub shares_received: u64,
+        /// Frames that entered an epoch's candidate pool as a member's
+        /// first structurally-clean share.
+        pub shares_admitted: u64,
+        /// Frames that did not: unparseable tag, off-roster index,
+        /// non-canonical tag bytes, already-convicted member, exact
+        /// duplicate, or an equivocating second share.
+        pub shares_dropped: u64,
+        /// Shares rejected, per member index: structural screening
+        /// (wrong tag, equivocation) plus pairing failures. Each member is
+        /// counted at most once per epoch per fault kind.
+        pub shares_rejected: BTreeMap<u32, u64>,
+        /// Epochs whose quorum closed with an aggregated update.
+        pub epochs_aggregated: u64,
+        /// Pairing lanes spent in verification batches, assuming the clean
+        /// path (a batch of m candidates is one (m+1)-lane multi-pairing;
+        /// a single candidate is one 2-pairing check). Exact whenever no
+        /// Byzantine share forces bisection re-checks — the basis of the
+        /// "≤ k+1 pairings per aggregated epoch" guard in clean runs.
+        pub aggregation_pairings: u64,
+        /// Verification batches run.
+        pub verify_batches: u64,
+        /// Epochs that sat below quorum past the timeout (counted once per
+        /// epoch; the epoch can still close later).
+        pub quorum_timeouts: u64,
+        /// Member connections whose committee greeting announced a
+        /// different index than the roster slot dialed.
+        pub hello_mismatches: u64,
+        /// Shares dropped because they arrived on a connection belonging to
+        /// a *different* member — an impersonation attempt is charged to
+        /// the link, never to the member whose index was claimed.
+        pub misattributed_shares: u64,
+        /// Milliseconds from an epoch's first share to its aggregation.
+        pub quorum_latency: LatencyHistogram,
+        /// Per-member share-arrival offsets: milliseconds from an epoch's
+        /// first share to this member's admitted share. The epoch's opener
+        /// records 0; a straggler's growing tail here (against a flat
+        /// [`CommitteeStats::quorum_latency`]) attributes quorum slowness
+        /// to the member rather than the collector.
+        #[metric(name = "share_arrival_ms")]
+        pub share_arrival: BTreeMap<u32, LatencyHistogram>,
     }
 }
 
@@ -514,7 +477,7 @@ impl<const L: usize> CommitteeFeed<L> {
 
     /// Per-member-link reconnect supervision counters, as
     /// `(member, stats)` pairs.
-    pub fn member_stats(&self) -> Vec<(u32, crate::chaos_tcp::SupervisorStats)> {
+    pub fn member_stats(&self) -> Vec<(u32, crate::supervised::SupervisorStats)> {
         self.links
             .iter()
             .map(|l| (l.member, l.feed.stats()))

@@ -52,6 +52,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use tre_core::KeyUpdate;
+use tre_obs::{Metric, Registry};
 use tre_pairing::Curve;
 use tre_wire::{
     frame_raw_body, peek_frame, Busy, CatchUpRequest, CommitteeHello, Hello, KeyUpdateShare,
@@ -280,6 +281,31 @@ pub(crate) struct ServeShared<const L: usize> {
     /// Catch-up replays currently in flight across every shard; bounded
     /// by [`CatchUpConfig::max_concurrent`] at admission.
     pub active_catch_ups: AtomicUsize,
+    /// Live subscriber connections across every shard (post-eviction).
+    pub subscribers: AtomicUsize,
+}
+
+impl<const L: usize> ServeShared<L> {
+    /// Exports the daemon counters and their in-flight balance under
+    /// `stats_prefix`; the subscriber gauge, the durable archive's
+    /// journal (`_journal_*`) and read (`_archive_*`) counters, and the
+    /// trace sink (`_trace_*`) under `prefix`.
+    pub fn export_into(&self, registry: &mut Registry, prefix: &str, stats_prefix: &str) {
+        self.stats.export_into(registry, stats_prefix);
+        let help = "Frame offers not yet written, abandoned, evicted or dropped.";
+        (self.stats.in_flight() as i64).export(registry, stats_prefix, "frames_in_flight", help);
+        let live = self.subscribers.load(Ordering::Relaxed) as i64;
+        live.export(registry, prefix, "subscribers", "Connected subscribers.");
+        if let Some(journal) = self.archive.journal_stats() {
+            journal.export_into(registry, &format!("{prefix}_journal"));
+        }
+        if let Some(reads) = self.archive.read_stats() {
+            reads.export_into(registry, &format!("{prefix}_archive"));
+        }
+        if let Some(sink) = &self.trace {
+            sink.export_into(registry, &format!("{prefix}_trace"));
+        }
+    }
 }
 
 /// Encodes one update as this daemon's broadcast frame: a bare
@@ -547,7 +573,6 @@ impl<const L: usize> BroadcastHandle<L> {
 pub(crate) struct Broadcaster<const L: usize> {
     addr: SocketAddr,
     shards: Vec<ShardTx>,
-    live: Arc<AtomicUsize>,
     shared: Arc<ServeShared<L>>,
     shard_handles: Vec<JoinHandle<()>>,
     accept_handle: Option<JoinHandle<()>>,
@@ -564,7 +589,6 @@ impl<const L: usize> Broadcaster<L> {
     ) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let live = Arc::new(AtomicUsize::new(0));
         let shard_count = shard_count.max(1);
         // Every fallible step happens before the first thread starts.
         let wakers = (0..shard_count)
@@ -575,11 +599,10 @@ impl<const L: usize> Broadcaster<L> {
         for (i, waker) in wakers.into_iter().enumerate() {
             let (tx, rx) = channel::<Cmd>();
             let shared = Arc::clone(&shared);
-            let live = Arc::clone(&live);
             let shard_waker = Arc::clone(&waker);
             let handle = std::thread::Builder::new()
                 .name(format!("tred-shard-{i}"))
-                .spawn(move || shard_loop(&shared, &rx, &shard_waker, &live))
+                .spawn(move || shard_loop(&shared, &rx, &shard_waker))
                 .expect("spawn shard thread");
             shards.push(ShardTx { tx, waker });
             shard_handles.push(handle);
@@ -609,7 +632,6 @@ impl<const L: usize> Broadcaster<L> {
         Ok(Self {
             addr: local,
             shards,
-            live,
             shared,
             shard_handles,
             accept_handle: Some(accept_handle),
@@ -618,11 +640,6 @@ impl<const L: usize> Broadcaster<L> {
 
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Live connections across all shards (post-eviction).
-    pub fn subscriber_count(&self) -> usize {
-        self.live.load(Ordering::Relaxed)
     }
 
     pub fn handle(&self) -> BroadcastHandle<L> {
@@ -653,12 +670,7 @@ impl<const L: usize> Broadcaster<L> {
 /// One shard's event loop: drain commands, poll readiness (sockets plus
 /// the wake fd, no timeout), service ready sockets, sweep the dead. Owns
 /// its connections exclusively — no locks on the data path.
-fn shard_loop<const L: usize>(
-    shared: &ServeShared<L>,
-    rx: &Receiver<Cmd>,
-    waker: &Waker,
-    live: &AtomicUsize,
-) {
+fn shard_loop<const L: usize>(shared: &ServeShared<L>, rx: &Receiver<Cmd>, waker: &Waker) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut pollfds: Vec<sys::PollFd> = Vec::new();
     loop {
@@ -668,7 +680,7 @@ fn shard_loop<const L: usize>(
             match rx.try_recv() {
                 Ok(Cmd::Accept(stream)) => {
                     if !shutting_down {
-                        register_conn(shared, live, &mut conns, stream);
+                        register_conn(shared, &mut conns, stream);
                     }
                 }
                 Ok(Cmd::Frame(frame)) => {
@@ -687,7 +699,7 @@ fn shard_loop<const L: usize>(
             for mut conn in conns.drain(..) {
                 finish_catch_up(shared, &mut conn.catch_up);
                 abandon_queue(&mut conn.wq, &shared.stats);
-                live.fetch_sub(1, Ordering::Relaxed);
+                shared.subscribers.fetch_sub(1, Ordering::Relaxed);
                 let _ = conn.stream.shutdown(Shutdown::Both);
             }
             return;
@@ -700,7 +712,7 @@ fn shard_loop<const L: usize>(
             if conn.wq.closed {
                 finish_catch_up(shared, &mut conn.catch_up);
                 abandon_queue(&mut conn.wq, &shared.stats);
-                live.fetch_sub(1, Ordering::Relaxed);
+                shared.subscribers.fetch_sub(1, Ordering::Relaxed);
                 let _ = conn.stream.shutdown(Shutdown::Both);
                 false
             } else {
@@ -764,7 +776,6 @@ fn shard_loop<const L: usize>(
 /// mode — the [`CommitteeHello`] greeting as the first queued frame.
 fn register_conn<const L: usize>(
     shared: &ServeShared<L>,
-    live: &AtomicUsize,
     conns: &mut Vec<Conn>,
     stream: TcpStream,
 ) {
@@ -801,7 +812,7 @@ fn register_conn<const L: usize>(
             &shared.stats,
         );
     }
-    live.fetch_add(1, Ordering::Relaxed);
+    shared.subscribers.fetch_add(1, Ordering::Relaxed);
     conns.push(conn);
 }
 
@@ -1022,6 +1033,7 @@ mod tests {
             forward_origin: false,
             catch_up,
             active_catch_ups: AtomicUsize::new(0),
+            subscribers: AtomicUsize::new(0),
         }
     }
 

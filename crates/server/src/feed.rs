@@ -36,10 +36,10 @@ use std::net::SocketAddr;
 use tre_core::{KeyUpdate, TreError};
 use tre_pairing::Curve;
 
-use crate::chaos_tcp::{SupervisedFeed, SupervisorConfig};
 use crate::clock::{Granularity, SimClock};
 use crate::committee::{CollectorConfig, CommitteeFeed};
 use crate::net::{BroadcastNet, NetConfig, SubscriberId};
+use crate::supervised::{SupervisedFeed, SupervisorConfig};
 use crate::tcp::TcpFeed;
 use crate::telemetry::TraceSink;
 

@@ -142,50 +142,30 @@ impl Default for JournalConfig {
     }
 }
 
-/// Monotone journal counters (all since open).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct JournalStats {
-    /// Records appended.
-    pub appends: u64,
-    /// Bytes written (records only, not tmp files).
-    pub bytes_written: u64,
-    /// `fsync` calls issued.
-    pub fsyncs: u64,
-    /// Segment rotations.
-    pub rotations: u64,
-    /// Records recovered by the opening replay.
-    pub replayed_records: u64,
-    /// Corrupt records quarantined by the opening replay.
-    pub quarantined_records: u64,
-    /// Bytes moved to `quarantine.bin` by the opening replay.
-    pub quarantined_bytes: u64,
-    /// Bytes truncated off a torn active-segment tail.
-    pub torn_tail_bytes: u64,
-    /// Whole segments deleted by compaction.
-    pub segments_removed: u64,
-    /// Records dropped by compaction (retention horizon).
-    pub compacted_records: u64,
-}
-
-impl JournalStats {
-    /// Publishes the counters into a shared registry under
-    /// `<prefix>_<stat>` names. Absolute values, so re-export overwrites.
-    pub fn export_into(&self, registry: &mut tre_obs::Registry, prefix: &str) {
-        let pairs = [
-            ("appends", self.appends),
-            ("bytes_written", self.bytes_written),
-            ("fsyncs", self.fsyncs),
-            ("rotations", self.rotations),
-            ("replayed_records", self.replayed_records),
-            ("quarantined_records", self.quarantined_records),
-            ("quarantined_bytes", self.quarantined_bytes),
-            ("torn_tail_bytes", self.torn_tail_bytes),
-            ("segments_removed", self.segments_removed),
-            ("compacted_records", self.compacted_records),
-        ];
-        for (name, value) in pairs {
-            registry.counter_set(&format!("{prefix}_{name}"), value);
-        }
+tre_obs::metrics! {
+    /// Monotone journal counters (all since open).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct JournalStats {
+        /// Records appended.
+        pub appends: u64,
+        /// Bytes written (records only, not tmp files).
+        pub bytes_written: u64,
+        /// `fsync` calls issued.
+        pub fsyncs: u64,
+        /// Segment rotations.
+        pub rotations: u64,
+        /// Records recovered by the opening replay.
+        pub replayed_records: u64,
+        /// Corrupt records quarantined by the opening replay.
+        pub quarantined_records: u64,
+        /// Bytes moved to `quarantine.bin` by the opening replay.
+        pub quarantined_bytes: u64,
+        /// Bytes truncated off a torn active-segment tail.
+        pub torn_tail_bytes: u64,
+        /// Whole segments deleted by compaction.
+        pub segments_removed: u64,
+        /// Records dropped by compaction (retention horizon).
+        pub compacted_records: u64,
     }
 }
 

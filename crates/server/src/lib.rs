@@ -98,12 +98,13 @@ mod net;
 mod relay;
 mod server;
 mod sim;
+mod supervised;
 mod tcp;
 mod telemetry;
 
 pub use archive::{ArchiveReadStats, UpdateArchive};
 pub use batch::{BatchVerdict, BatchVerifier};
-pub use chaos_tcp::{ChaosProxy, ProxyStats, SupervisedFeed, SupervisorConfig, SupervisorStats};
+pub use chaos_tcp::{ChaosProxy, ProxyStats};
 pub use client::{
     BackoffConfig, BatchReport, OpenedMessage, ReceiverClient, UpdateOutcome,
     DEFAULT_QUARANTINE_THRESHOLD,
@@ -118,10 +119,11 @@ pub use journal::{
 };
 pub use metrics::{ClientHealth, LatencyHistogram};
 pub use net::{BroadcastNet, NetConfig, NetStats, SubscriberId};
-pub use relay::{Relay, RelayConfig, RelayStats};
+pub use relay::{Relay, RelayConfig, RelayExporter, RelayStats};
 pub use server::{FutureEpochError, TimeServer};
 pub use sim::{ClientId, DeliveryReport, FanoutShape, RelayTreeSim, Simulation};
-pub use tcp::{CatchUpConfig, FeedStats, TcpFeed, Tred, TredConfig, TredStats};
+pub use supervised::{SupervisedFeed, SupervisorConfig, SupervisorStats};
+pub use tcp::{CatchUpConfig, FeedStats, TcpFeed, Tred, TredConfig, TredExporter, TredStats};
 pub use telemetry::{
     now_ns, EpochTrace, HealthSnapshot, Stage, TelemetryServer, TelemetrySnapshot, TraceSink,
 };

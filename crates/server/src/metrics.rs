@@ -9,91 +9,62 @@
 //! The histogram type now lives in [`tre_obs`] (shared by the whole
 //! workspace, with quantile estimation and merging); it is re-exported
 //! here under its original path. [`ClientHealth::export_into`] publishes
-//! every counter into a [`Registry`] for exposition alongside the rest of
+//! every counter into a [`tre_obs::Registry`] for exposition alongside the rest of
 //! the stack's metrics.
 
 pub use tre_obs::LatencyHistogram;
 
-use tre_obs::Registry;
-
-/// Health counters for one [`ReceiverClient`](crate::ReceiverClient).
-///
-/// Every anomaly the old client silently swallowed is surfaced here:
-/// duplicate broadcasts, invalid or equivocating updates, decryption
-/// failures, archive misses, and the epochs the client never saw on the
-/// broadcast path.
-#[derive(Debug, Clone, Default)]
-pub struct ClientHealth {
-    /// Updates handed to the client (any provenance, including duplicates).
-    pub updates_received: u64,
-    /// Exact duplicates skipped by the dedup cache *without* re-running
-    /// pairing verification.
-    pub duplicates_skipped: u64,
-    /// Updates rejected because self-authentication failed.
-    pub rejected_updates: u64,
-    /// Conflicting updates observed for an already-verified tag (Byzantine
-    /// equivocation evidence).
-    pub equivocations: u64,
-    /// Updates that verified and were accepted (cached as usable key
-    /// material). Together with the rejection counters this closes the
-    /// conservation identity `updates_received == duplicates_skipped +
-    /// rejected_updates + equivocations + accepted_updates`.
-    pub accepted_updates: u64,
-    /// Ciphertexts whose decryption failed once the update was in hand
-    /// (mauled ciphertext or wrong receiver) — see
-    /// [`ReceiverClient::dead_letters`](crate::ReceiverClient::dead_letters).
-    pub decrypt_failures: u64,
-    /// Epoch gaps on the broadcast path: updates that never arrived live
-    /// (inferred whenever a later epoch arrives first).
-    pub missed_epochs: u64,
-    /// Updates successfully fetched from the public archive.
-    pub recovered_from_archive: u64,
-    /// Archive fetch attempts (successful or not).
-    pub archive_attempts: u64,
-    /// Archive fetches that found no update (outage or not yet published);
-    /// each miss grows the per-tag retry backoff.
-    pub archive_misses: u64,
-    /// Consecutive invalid updates on the broadcast path; reset by any
-    /// valid update. Drives quarantine.
-    pub invalid_streak: u32,
-    /// Ticks a message waited between ciphertext arrival and opening.
-    pub open_latency: LatencyHistogram,
-}
-
-impl ClientHealth {
-    /// Publishes every counter (and the open-latency histogram) into a
-    /// shared [`Registry`] under `<prefix>_<counter>` names, e.g.
-    /// `tre_client_updates_received`. Counters are exported as absolute
-    /// values, so repeated exports of the same client overwrite rather
-    /// than double-count.
-    pub fn export_into(&self, registry: &mut Registry, prefix: &str) {
-        registry.counter_set(&format!("{prefix}_updates_received"), self.updates_received);
-        registry.counter_set(
-            &format!("{prefix}_duplicates_skipped"),
-            self.duplicates_skipped,
-        );
-        registry.counter_set(&format!("{prefix}_rejected_updates"), self.rejected_updates);
-        registry.counter_set(&format!("{prefix}_equivocations"), self.equivocations);
-        registry.counter_set(&format!("{prefix}_accepted_updates"), self.accepted_updates);
-        registry.counter_set(&format!("{prefix}_decrypt_failures"), self.decrypt_failures);
-        registry.counter_set(&format!("{prefix}_missed_epochs"), self.missed_epochs);
-        registry.counter_set(
-            &format!("{prefix}_recovered_from_archive"),
-            self.recovered_from_archive,
-        );
-        registry.counter_set(&format!("{prefix}_archive_attempts"), self.archive_attempts);
-        registry.counter_set(&format!("{prefix}_archive_misses"), self.archive_misses);
-        registry.gauge_set(
-            &format!("{prefix}_invalid_streak"),
-            i64::from(self.invalid_streak),
-        );
-        registry.histogram_set(&format!("{prefix}_open_latency"), self.open_latency.clone());
+tre_obs::metrics! {
+    /// Health counters for one [`ReceiverClient`](crate::ReceiverClient).
+    ///
+    /// Every anomaly the old client silently swallowed is surfaced here:
+    /// duplicate broadcasts, invalid or equivocating updates, decryption
+    /// failures, archive misses, and the epochs the client never saw on the
+    /// broadcast path.
+    #[derive(Debug, Clone, Default)]
+    pub struct ClientHealth {
+        /// Updates handed to the client (any provenance, including duplicates).
+        pub updates_received: u64,
+        /// Exact duplicates skipped by the dedup cache *without* re-running
+        /// pairing verification.
+        pub duplicates_skipped: u64,
+        /// Updates rejected because self-authentication failed.
+        pub rejected_updates: u64,
+        /// Conflicting updates observed for an already-verified tag (Byzantine
+        /// equivocation evidence).
+        pub equivocations: u64,
+        /// Updates that verified and were accepted (cached as usable key
+        /// material). Together with the rejection counters this closes the
+        /// conservation identity `updates_received == duplicates_skipped +
+        /// rejected_updates + equivocations + accepted_updates`.
+        pub accepted_updates: u64,
+        /// Ciphertexts whose decryption failed once the update was in hand
+        /// (mauled ciphertext or wrong receiver) — see
+        /// [`ReceiverClient::dead_letters`](crate::ReceiverClient::dead_letters).
+        pub decrypt_failures: u64,
+        /// Epoch gaps on the broadcast path: updates that never arrived live
+        /// (inferred whenever a later epoch arrives first).
+        pub missed_epochs: u64,
+        /// Updates successfully fetched from the public archive.
+        pub recovered_from_archive: u64,
+        /// Archive fetch attempts (successful or not).
+        pub archive_attempts: u64,
+        /// Archive fetches that found no update (outage or not yet published);
+        /// each miss grows the per-tag retry backoff.
+        pub archive_misses: u64,
+        /// Consecutive invalid updates on the broadcast path; reset by any
+        /// valid update. Drives quarantine.
+        #[metric(gauge)]
+        pub invalid_streak: u32,
+        /// Ticks a message waited between ciphertext arrival and opening.
+        pub open_latency: LatencyHistogram,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tre_obs::Registry;
 
     #[test]
     fn export_publishes_all_counters() {

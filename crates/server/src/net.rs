@@ -50,32 +50,20 @@ impl SubscriberId {
     }
 }
 
-/// Aggregate channel statistics (for the scalability experiment E2).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetStats {
-    /// Number of broadcast operations the server performed.
-    pub broadcasts: u64,
-    /// Payload bytes the server put on the air — one copy per broadcast,
-    /// independent of subscriber count (the paper's scalability claim).
-    pub broadcast_bytes: u64,
-    /// Bytes that would have been sent under per-user unicast (Mont et
-    /// al.-style individual delivery): `payload × subscribers`.
-    pub unicast_equivalent_bytes: u64,
-    /// Deliveries dropped by the loss model.
-    pub lost: u64,
-}
-
-impl NetStats {
-    /// Publishes the channel statistics into a shared registry under
-    /// `<prefix>_<stat>` names. Absolute values, so re-export overwrites.
-    pub fn export_into(&self, registry: &mut tre_obs::Registry, prefix: &str) {
-        registry.counter_set(&format!("{prefix}_broadcasts"), self.broadcasts);
-        registry.counter_set(&format!("{prefix}_broadcast_bytes"), self.broadcast_bytes);
-        registry.counter_set(
-            &format!("{prefix}_unicast_equivalent_bytes"),
-            self.unicast_equivalent_bytes,
-        );
-        registry.counter_set(&format!("{prefix}_lost"), self.lost);
+tre_obs::metrics! {
+    /// Aggregate channel statistics (for the scalability experiment E2).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct NetStats {
+        /// Number of broadcast operations the server performed.
+        pub broadcasts: u64,
+        /// Payload bytes the server put on the air — one copy per broadcast,
+        /// independent of subscriber count (the paper's scalability claim).
+        pub broadcast_bytes: u64,
+        /// Bytes that would have been sent under per-user unicast (Mont et
+        /// al.-style individual delivery): `payload × subscribers`.
+        pub unicast_equivalent_bytes: u64,
+        /// Deliveries dropped by the loss model.
+        pub lost: u64,
     }
 }
 

@@ -51,12 +51,12 @@ use tre_wire::Telemetry;
 
 use crate::archive::UpdateArchive;
 use crate::batch::BatchVerifier;
-use crate::chaos_tcp::SupervisedFeed;
 use crate::clock::Granularity;
 use crate::evloop::{Broadcaster, ServeShared, Waker};
 use crate::feed::Feed;
+use crate::supervised::SupervisedFeed;
 use crate::tcp::{CatchUpConfig, TredStats};
-use crate::telemetry::{Stage, TraceSink};
+use crate::telemetry::{HealthSnapshot, Stage, TelemetrySnapshot, TraceSink};
 
 /// Tuning knobs for a relay daemon.
 #[derive(Debug, Clone, Copy)]
@@ -91,39 +91,53 @@ impl Default for RelayConfig {
     }
 }
 
-/// Relay pump counters (all monotone; readable while the relay runs).
-#[derive(Debug, Default)]
-pub struct RelayStats {
-    /// Epochs verified and re-broadcast downstream.
-    pub epochs_relayed: AtomicU64,
-    /// Updates that failed self-authentication against the root key
-    /// (a Byzantine or buggy upstream) and were *not* relayed.
-    pub updates_rejected: AtomicU64,
-    /// Updates skipped as duplicates of an already-relayed epoch
-    /// (catch-up overlap, upstream failover) — never re-verified.
-    pub duplicates_skipped: AtomicU64,
-    /// Untagged updates (no epoch under the relay's granularity)
-    /// dropped: the relay cannot dedupe or archive what it cannot
-    /// index, so it refuses to forward it.
-    pub untagged_dropped: AtomicU64,
-    /// Batch-verification calls (2 pairings each when clean).
-    pub verify_batches: AtomicU64,
+tre_obs::metrics! {
+    /// Relay pump counters (all monotone; readable while the relay runs).
+    #[derive(Debug, Default)]
+    pub struct RelayStats {
+        /// Epochs verified and re-broadcast downstream.
+        pub epochs_relayed: AtomicU64,
+        /// Updates that failed self-authentication against the root key
+        /// (a Byzantine or buggy upstream) and were *not* relayed.
+        pub updates_rejected: AtomicU64,
+        /// Updates skipped as duplicates of an already-relayed epoch
+        /// (catch-up overlap, upstream failover) — never re-verified.
+        pub duplicates_skipped: AtomicU64,
+        /// Untagged updates (no epoch under the relay's granularity)
+        /// dropped: the relay cannot dedupe or archive what it cannot
+        /// index, so it refuses to forward it.
+        pub untagged_dropped: AtomicU64,
+        /// Batch-verification calls (2 pairings each when clean).
+        pub verify_batches: AtomicU64,
+    }
 }
 
-impl RelayStats {
-    /// Publishes the counters into a shared registry under
-    /// `<prefix>_<stat>` names. Absolute values, so re-export overwrites.
+/// Exports a running [`Relay`]'s metrics: the one export path behind
+/// both [`Relay::export_into`] and the relay's `/metrics` endpoint.
+#[derive(Clone)]
+pub struct RelayExporter<const L: usize> {
+    shared: Arc<ServeShared<L>>,
+    stats: Arc<RelayStats>,
+}
+
+impl<const L: usize> RelayExporter<L> {
+    /// Exports pump counters (`<prefix>_*`), downstream serving
+    /// counters (`<prefix>_serve_*`), the subscriber gauge, and the
+    /// trace histograms into a shared registry.
     pub fn export_into(&self, registry: &mut tre_obs::Registry, prefix: &str) {
-        let pairs = [
-            ("epochs_relayed", &self.epochs_relayed),
-            ("updates_rejected", &self.updates_rejected),
-            ("duplicates_skipped", &self.duplicates_skipped),
-            ("untagged_dropped", &self.untagged_dropped),
-            ("verify_batches", &self.verify_batches),
-        ];
-        for (name, counter) in pairs {
-            registry.counter_set(&format!("{prefix}_{name}"), counter.load(Ordering::Relaxed));
-        }
+        self.stats.export_into(registry, prefix);
+        self.shared
+            .export_into(registry, prefix, &format!("{prefix}_serve"));
+    }
+
+    /// The snapshot a [`crate::TelemetryServer`] serves under `prefix`.
+    /// Ready once at least one verified epoch has crossed the relay.
+    pub fn snapshot(self, prefix: &'static str) -> TelemetrySnapshot {
+        Arc::new(move |registry| {
+            self.export_into(registry, prefix);
+            let relayed = self.stats.epochs_relayed.load(Ordering::Relaxed);
+            HealthSnapshot::serving(relayed > 0, format!("epochs relayed={relayed}"))
+        })
     }
 }
 
@@ -195,6 +209,7 @@ impl<const L: usize> Relay<L> {
             forward_origin: true,
             catch_up: config.catch_up,
             active_catch_ups: std::sync::atomic::AtomicUsize::new(0),
+            subscribers: std::sync::atomic::AtomicUsize::new(0),
         });
         let pump_waker = Arc::new(Waker::new()?);
         let broadcaster = Broadcaster::bind(addr, Arc::clone(&shared), config.shards)?;
@@ -271,10 +286,7 @@ impl<const L: usize> Relay<L> {
 
     /// Current downstream subscriber count (post-eviction).
     pub fn subscriber_count(&self) -> usize {
-        self.broadcaster
-            .as_ref()
-            .map(Broadcaster::subscriber_count)
-            .unwrap_or(0)
+        self.shared.subscribers.load(Ordering::Relaxed)
     }
 
     /// The relay's local archive of verified updates — what its own
@@ -289,19 +301,19 @@ impl<const L: usize> Relay<L> {
         self.sink.clone()
     }
 
-    /// Exports pump counters (`<prefix>_*`), downstream serving
-    /// counters (`<prefix>_serve_*`), the subscriber gauge, and the
-    /// trace histograms into a shared registry.
+    /// Exports the relay's metrics into a shared registry under
+    /// `<prefix>_*` names (see [`RelayExporter::export_into`]).
     pub fn export_into(&self, registry: &mut tre_obs::Registry, prefix: &str) {
-        self.stats.export_into(registry, prefix);
-        self.shared
-            .stats
-            .export_into(registry, &format!("{prefix}_serve"));
-        registry.gauge_set(
-            &format!("{prefix}_subscribers"),
-            self.subscriber_count() as i64,
-        );
-        self.sink.export_into(registry, &format!("{prefix}_trace"));
+        self.exporter().export_into(registry, prefix);
+    }
+
+    /// A cloneable handle that exports this relay's metrics — what a
+    /// `/metrics` snapshot closure captures.
+    pub fn exporter(&self) -> RelayExporter<L> {
+        RelayExporter {
+            shared: Arc::clone(&self.shared),
+            stats: Arc::clone(&self.stats),
+        }
     }
 
     /// Stops the upstream pump, the accept loop, and every shard;
@@ -409,10 +421,10 @@ fn pump_once<const L: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos_tcp::SupervisorConfig;
     use crate::clock::SimClock;
     use crate::feed;
     use crate::server::TimeServer;
+    use crate::supervised::SupervisorConfig;
     use crate::tcp::{TcpFeed, Tred, TredConfig};
     use std::time::{Duration, Instant};
     use tre_core::{KeyUpdate, ServerKeyPair};

@@ -42,7 +42,7 @@ use crate::evloop::{poll_timeout_ms, sys, Broadcaster, ServeShared, Waker};
 use crate::feed::Feed;
 use crate::net::SubscriberId;
 use crate::server::TimeServer;
-use crate::telemetry::{Stage, TraceSink};
+use crate::telemetry::{HealthSnapshot, Stage, TelemetrySnapshot, TraceSink};
 
 /// Admission control for archive catch-up service: the knobs that keep
 /// a reconnect storm of deep-history requests from materialising
@@ -113,52 +113,61 @@ impl Default for TredConfig {
     }
 }
 
-/// Daemon counters (all monotone; readable while the daemon runs).
-#[derive(Debug, Default)]
-pub struct TredStats {
-    /// Connections accepted.
-    pub connections: AtomicU64,
-    /// Key updates broadcast (frames encoded; one per update, not per
-    /// subscriber — the scalability invariant).
-    pub broadcasts: AtomicU64,
-    /// Per-subscriber frame offers: each broadcast frame counts once
-    /// per subscriber slot it is offered to. Every offer resolves into
-    /// exactly one of `frames_enqueued`, `evicted`, or
-    /// `frames_dropped` — the delivery-conservation identity the
-    /// telemetry endpoint is checked against.
-    pub frames_offered: AtomicU64,
-    /// Frames enqueued across all subscriber queues.
-    pub frames_enqueued: AtomicU64,
-    /// Frames actually written to a subscriber socket (deliveries).
-    pub frames_written: AtomicU64,
-    /// Frames that were enqueued but never written: left behind in the
-    /// bounded queue when its subscriber was evicted, disconnected, or
-    /// the daemon shut down.
-    pub frames_abandoned: AtomicU64,
-    /// Offers dropped because the subscriber was already closed or its
-    /// queue receiver was gone.
-    pub frames_dropped: AtomicU64,
-    /// Subscribers evicted for falling behind (outbound queue full).
-    /// Each eviction also drops exactly the frame that overflowed.
-    pub evicted: AtomicU64,
-    /// Catch-up requests served.
-    pub catch_up_requests: AtomicU64,
-    /// Archived updates replayed in catch-up responses.
-    pub catch_up_replies: AtomicU64,
-    /// Catch-up requests whose span exceeded
-    /// [`CatchUpConfig::max_span`] and were clipped.
-    pub catch_up_clipped: AtomicU64,
-    /// Catch-up requests shed with a [`Busy`] frame because
-    /// [`CatchUpConfig::max_concurrent`] replays were already in
-    /// flight.
-    pub catch_up_shed: AtomicU64,
-    /// Malformed or version-mismatched frames received.
-    pub wire_errors: AtomicU64,
-    /// Shard `poll(2)` returns that found no ready fd and no command:
-    /// wakeups that did no work. Shards block without a timeout and are
-    /// woken by their wake fd, so this stays 0 unless something
-    /// reintroduces sleep-polling.
-    pub idle_wakeups: AtomicU64,
+tre_obs::metrics! {
+    /// Daemon counters (all monotone; readable while the daemon runs).
+    ///
+    /// The export reads fields in declaration order, so the resolution
+    /// counters come before `frames_offered`: every resolution is
+    /// preceded by its offer (often on the same shard thread), so a
+    /// scrape racing the broadcast path can only under-count
+    /// resolutions and never over-resolves.
+    #[derive(Debug, Default)]
+    pub struct TredStats {
+        /// Connections accepted.
+        pub connections: AtomicU64,
+        /// Key updates broadcast (frames encoded; one per update, not per
+        /// subscriber — the scalability invariant).
+        pub broadcasts: AtomicU64,
+        /// Frames enqueued across all subscriber queues.
+        pub frames_enqueued: AtomicU64,
+        /// Frames actually written to a subscriber socket (deliveries).
+        pub frames_written: AtomicU64,
+        /// Frames that were enqueued but never written: left behind in the
+        /// bounded queue when its subscriber was evicted, disconnected, or
+        /// the daemon shut down.
+        pub frames_abandoned: AtomicU64,
+        /// Offers dropped because the subscriber was already closed or its
+        /// queue receiver was gone.
+        pub frames_dropped: AtomicU64,
+        /// Subscribers evicted for falling behind (outbound queue full).
+        /// Each eviction also drops exactly the frame that overflowed.
+        pub evicted: AtomicU64,
+        /// Per-subscriber frame offers: each broadcast frame counts once
+        /// per subscriber slot it is offered to. Every offer resolves into
+        /// exactly one of `frames_written`, `frames_abandoned`, `evicted`,
+        /// or `frames_dropped`, or is still in flight — the
+        /// delivery-conservation identity the telemetry endpoint is
+        /// checked against.
+        pub frames_offered: AtomicU64,
+        /// Catch-up requests served.
+        pub catch_up_requests: AtomicU64,
+        /// Archived updates replayed in catch-up responses.
+        pub catch_up_replies: AtomicU64,
+        /// Catch-up requests whose span exceeded
+        /// [`CatchUpConfig::max_span`] and were clipped.
+        pub catch_up_clipped: AtomicU64,
+        /// Catch-up requests shed with a [`Busy`] frame because
+        /// [`CatchUpConfig::max_concurrent`] replays were already in
+        /// flight.
+        pub catch_up_shed: AtomicU64,
+        /// Malformed or version-mismatched frames received.
+        pub wire_errors: AtomicU64,
+        /// Shard `poll(2)` returns that found no ready fd and no command:
+        /// wakeups that did no work. Shards block without a timeout and are
+        /// woken by their wake fd, so this stays 0 unless something
+        /// reintroduces sleep-polling.
+        pub idle_wakeups: AtomicU64,
+    }
 }
 
 impl TredStats {
@@ -166,64 +175,15 @@ impl TredStats {
     /// subscriber queue awaiting its writer thread. The balance of the
     /// conservation identity `frames_offered == frames_written +
     /// frames_abandoned + evicted + frames_dropped + in_flight`;
-    /// saturates at zero across the unsynchronised counter reads.
+    /// resolutions are read before offers (see [`TredStats`]), and the
+    /// result saturates at zero.
     pub fn in_flight(&self) -> u64 {
-        let offered = self.frames_offered.load(Ordering::Relaxed);
         let resolved = self.frames_written.load(Ordering::Relaxed)
             + self.frames_abandoned.load(Ordering::Relaxed)
             + self.evicted.load(Ordering::Relaxed)
             + self.frames_dropped.load(Ordering::Relaxed);
-        offered.saturating_sub(resolved)
-    }
-
-    /// Publishes the counters into a shared registry under
-    /// `<prefix>_<stat>` names. Absolute values, so re-export overwrites.
-    ///
-    /// The resolution counters are read *before* `frames_offered`:
-    /// every resolution is preceded by its offer (often on the same
-    /// thread — see [`offer_frame`]), so a scrape racing the broadcast
-    /// path can only under-count resolutions. The exported snapshot
-    /// therefore never over-resolves, and its in-flight balance is
-    /// computed from the same reads rather than re-loaded.
-    pub fn export_into(&self, registry: &mut tre_obs::Registry, prefix: &str) {
-        let written = self.frames_written.load(Ordering::Relaxed);
-        let abandoned = self.frames_abandoned.load(Ordering::Relaxed);
-        let dropped = self.frames_dropped.load(Ordering::Relaxed);
-        let evicted = self.evicted.load(Ordering::Relaxed);
         let offered = self.frames_offered.load(Ordering::Relaxed);
-        let pairs = [
-            ("connections", self.connections.load(Ordering::Relaxed)),
-            ("broadcasts", self.broadcasts.load(Ordering::Relaxed)),
-            ("frames_offered", offered),
-            (
-                "frames_enqueued",
-                self.frames_enqueued.load(Ordering::Relaxed),
-            ),
-            ("frames_written", written),
-            ("frames_abandoned", abandoned),
-            ("frames_dropped", dropped),
-            ("evicted", evicted),
-            (
-                "catch_up_requests",
-                self.catch_up_requests.load(Ordering::Relaxed),
-            ),
-            (
-                "catch_up_replies",
-                self.catch_up_replies.load(Ordering::Relaxed),
-            ),
-            (
-                "catch_up_clipped",
-                self.catch_up_clipped.load(Ordering::Relaxed),
-            ),
-            ("catch_up_shed", self.catch_up_shed.load(Ordering::Relaxed)),
-            ("wire_errors", self.wire_errors.load(Ordering::Relaxed)),
-            ("idle_wakeups", self.idle_wakeups.load(Ordering::Relaxed)),
-        ];
-        for (name, value) in pairs {
-            registry.counter_set(&format!("{prefix}_{name}"), value);
-        }
-        let in_flight = offered.saturating_sub(written + abandoned + evicted + dropped);
-        registry.gauge_set(&format!("{prefix}_frames_in_flight"), in_flight as i64);
+        offered.saturating_sub(resolved)
     }
 }
 
@@ -334,6 +294,7 @@ impl<const L: usize> Tred<L> {
             forward_origin: false,
             catch_up: config.catch_up,
             active_catch_ups: std::sync::atomic::AtomicUsize::new(0),
+            subscribers: std::sync::atomic::AtomicUsize::new(0),
         });
         let broadcaster = Broadcaster::bind(addr, Arc::clone(&shared), config.shards)?;
         let local = broadcaster.local_addr();
@@ -390,10 +351,7 @@ impl<const L: usize> Tred<L> {
 
     /// Current subscriber count (post-eviction), summed across shards.
     pub fn subscriber_count(&self) -> usize {
-        self.broadcaster
-            .as_ref()
-            .map(Broadcaster::subscriber_count)
-            .unwrap_or(0)
+        self.shared.subscribers.load(Ordering::Relaxed)
     }
 
     /// The archive this daemon serves catch-ups from (durable when the
@@ -402,25 +360,16 @@ impl<const L: usize> Tred<L> {
         Arc::clone(&self.shared.archive)
     }
 
-    /// Exports the daemon's counters, the live subscriber count, and —
-    /// when the archive is journal-backed — the journal counters into a
-    /// shared registry under `<prefix>_*` names, so `tables --exp e14`
-    /// style reports cover the live daemon, not just the sim.
+    /// Exports the daemon's metrics into a shared registry under
+    /// `<prefix>_*` names (see [`TredExporter::export_into`]).
     pub fn export_into(&self, registry: &mut tre_obs::Registry, prefix: &str) {
-        self.shared.stats.export_into(registry, prefix);
-        registry.gauge_set(
-            &format!("{prefix}_subscribers"),
-            self.subscriber_count() as i64,
-        );
-        if let Some(js) = self.shared.archive.journal_stats() {
-            js.export_into(registry, &format!("{prefix}_journal"));
-        }
-        if let Some(rs) = self.shared.archive.read_stats() {
-            rs.export_into(registry, &format!("{prefix}_segments"));
-        }
-        if let Some(sink) = &self.shared.trace {
-            sink.export_into(registry, &format!("{prefix}_trace"));
-        }
+        self.exporter().export_into(registry, prefix);
+    }
+
+    /// A cloneable handle that exports this daemon's metrics — what a
+    /// `/metrics` snapshot closure captures.
+    pub fn exporter(&self) -> TredExporter<L> {
+        TredExporter(Arc::clone(&self.shared))
     }
 
     /// The daemon's trace sink, when bound with tracing
@@ -443,43 +392,57 @@ impl<const L: usize> Tred<L> {
     }
 }
 
-/// Per-feed client counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FeedStats {
-    /// Key-update frames decoded.
-    pub updates_decoded: u64,
-    /// Committee key-update-share frames decoded.
-    pub shares_decoded: u64,
-    /// Raw bytes received.
-    pub bytes_received: u64,
-    /// Frames dropped for wire errors (bad magic/version/body).
-    pub wire_errors: u64,
-    /// Successful reconnects.
-    pub reconnects: u64,
-    /// Catch-up requests sent.
-    pub catch_up_requests: u64,
-    /// [`Telemetry`] trailer frames decoded.
-    pub traces_decoded: u64,
-    /// [`Busy`] shed frames received (the daemon refused a catch-up
-    /// under load and asked us to retry later).
-    pub busy_seen: u64,
+/// Exports a running [`Tred`]'s metrics: the one export path behind
+/// both [`Tred::export_into`] and the daemon's `/metrics` endpoint.
+#[derive(Clone)]
+pub struct TredExporter<const L: usize>(Arc<ServeShared<L>>);
+
+impl<const L: usize> TredExporter<L> {
+    /// Exports the daemon counters, the subscriber gauge and — when
+    /// the archive is journal-backed — the journal (`<prefix>_journal_*`)
+    /// and archive-read (`<prefix>_archive_*`) counters, plus the trace
+    /// sink (`<prefix>_trace_*`) when tracing, into a shared registry.
+    pub fn export_into(&self, registry: &mut tre_obs::Registry, prefix: &str) {
+        self.0.export_into(registry, prefix, prefix);
+    }
+
+    /// The snapshot a [`crate::TelemetryServer`] serves under `prefix`.
+    /// Ready once the journal, if any, has fsynced what it appended.
+    pub fn snapshot(self, prefix: &'static str) -> TelemetrySnapshot {
+        Arc::new(move |registry| {
+            self.export_into(registry, prefix);
+            match self.0.archive.journal_stats() {
+                Some(js) => HealthSnapshot::serving(
+                    js.appends == 0 || js.fsyncs > 0,
+                    format!("journal appends={} fsyncs={}", js.appends, js.fsyncs),
+                ),
+                None => HealthSnapshot::serving(true, "ephemeral archive"),
+            }
+        })
+    }
 }
 
-impl FeedStats {
-    /// Publishes the counters into a shared registry under
-    /// `<prefix>_<stat>` names.
-    pub fn export_into(&self, registry: &mut tre_obs::Registry, prefix: &str) {
-        registry.counter_set(&format!("{prefix}_updates_decoded"), self.updates_decoded);
-        registry.counter_set(&format!("{prefix}_shares_decoded"), self.shares_decoded);
-        registry.counter_set(&format!("{prefix}_bytes_received"), self.bytes_received);
-        registry.counter_set(&format!("{prefix}_wire_errors"), self.wire_errors);
-        registry.counter_set(&format!("{prefix}_reconnects"), self.reconnects);
-        registry.counter_set(
-            &format!("{prefix}_catch_up_requests"),
-            self.catch_up_requests,
-        );
-        registry.counter_set(&format!("{prefix}_traces_decoded"), self.traces_decoded);
-        registry.counter_set(&format!("{prefix}_busy_seen"), self.busy_seen);
+tre_obs::metrics! {
+    /// Per-feed client counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct FeedStats {
+        /// Key-update frames decoded.
+        pub updates_decoded: u64,
+        /// Committee key-update-share frames decoded.
+        pub shares_decoded: u64,
+        /// Raw bytes received.
+        pub bytes_received: u64,
+        /// Frames dropped for wire errors (bad magic/version/body).
+        pub wire_errors: u64,
+        /// Successful reconnects.
+        pub reconnects: u64,
+        /// Catch-up requests sent.
+        pub catch_up_requests: u64,
+        /// [`Telemetry`] trailer frames decoded.
+        pub traces_decoded: u64,
+        /// [`Busy`] shed frames received (the daemon refused a catch-up
+        /// under load and asked us to retry later).
+        pub busy_seen: u64,
     }
 }
 

@@ -42,7 +42,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use tre_obs::{LatencyHistogram, Registry};
+use tre_obs::{LatencyHistogram, Metric, Registry};
 use tre_wire::Telemetry;
 
 /// Nanoseconds elapsed on the process-wide monotonic anchor.
@@ -149,11 +149,21 @@ impl EpochTrace {
     }
 }
 
+tre_obs::metrics! {
+    /// Wire-trailer counters of a [`TraceSink`].
+    #[derive(Default)]
+    struct TraceCounters {
+        /// Telemetry trailers emitted onto the wire.
+        traces_emitted: u64,
+        /// Telemetry trailers decoded from the wire.
+        traces_received: u64,
+    }
+}
+
 #[derive(Default)]
 struct SinkInner {
     epochs: BTreeMap<u64, EpochTrace>,
-    traces_emitted: u64,
-    traces_received: u64,
+    counters: TraceCounters,
 }
 
 /// The shared per-epoch stage recorder (cheaply cloneable handle).
@@ -201,7 +211,7 @@ impl TraceSink {
     /// locally, and counts the trace as received.
     pub fn note_wire_trace(&self, ctx: &Telemetry) {
         let mut inner = self.inner.lock().unwrap();
-        inner.traces_received += 1;
+        inner.counters.traces_received += 1;
         let trace = inner.epochs.entry(ctx.epoch).or_default();
         trace.origin = ctx.origin;
         trace.hops = trace.hops.max(ctx.hops);
@@ -213,7 +223,7 @@ impl TraceSink {
 
     /// Counts one [`Telemetry`] trailer emitted onto the wire.
     pub fn count_emitted(&self) {
-        self.inner.lock().unwrap().traces_emitted += 1;
+        self.inner.lock().unwrap().counters.traces_emitted += 1;
     }
 
     /// The recorded publish stamp for `epoch`, if any — what the
@@ -259,15 +269,17 @@ impl TraceSink {
     /// traced-epoch / wire-trace counters. Idempotent (absolute sets).
     pub fn export_into(&self, registry: &mut Registry, prefix: &str) {
         for (name, hist) in self.stage_histograms() {
-            registry.histogram_set(&format!("{prefix}_stage_{name}_us"), hist);
+            let (from, to) = match name.as_str() {
+                "end_to_end" => ("publish", "decrypted"),
+                stages => stages.split_once("_to_").expect("stage pair name"),
+            };
+            let help = format!("Microseconds from stage {from} to stage {to}, per traced epoch.");
+            hist.export(registry, prefix, &format!("stage_{name}_us"), &help);
         }
         let inner = self.inner.lock().unwrap();
-        registry.counter_set(
-            &format!("{prefix}_epochs_traced"),
-            inner.epochs.len() as u64,
-        );
-        registry.counter_set(&format!("{prefix}_traces_emitted"), inner.traces_emitted);
-        registry.counter_set(&format!("{prefix}_traces_received"), inner.traces_received);
+        let help = "Epochs with a recorded stage stamp.";
+        (inner.epochs.len() as u64).export(registry, prefix, "epochs_traced", help);
+        inner.counters.export_into(registry, prefix);
     }
 }
 
@@ -276,8 +288,8 @@ impl std::fmt::Debug for TraceSink {
         let inner = self.inner.lock().unwrap();
         f.debug_struct("TraceSink")
             .field("epochs", &inner.epochs.len())
-            .field("traces_emitted", &inner.traces_emitted)
-            .field("traces_received", &inner.traces_received)
+            .field("traces_emitted", &inner.counters.traces_emitted)
+            .field("traces_received", &inner.counters.traces_received)
             .finish()
     }
 }
@@ -295,19 +307,21 @@ pub struct HealthSnapshot {
     pub detail: String,
 }
 
-impl Default for HealthSnapshot {
-    fn default() -> Self {
+impl HealthSnapshot {
+    /// A serving process, ready or not, with a one-line detail.
+    pub fn serving(ready: bool, detail: impl Into<String>) -> Self {
         Self {
             healthy: true,
-            ready: true,
-            detail: "ok".to_string(),
+            ready,
+            detail: detail.into(),
         }
     }
 }
 
-/// The snapshot closure a [`TelemetryServer`] renders on each request:
-/// the current unified registry plus the health/readiness state.
-pub type TelemetrySnapshot = Arc<dyn Fn() -> (Registry, HealthSnapshot) + Send + Sync>;
+/// The snapshot closure a [`TelemetryServer`] runs on each request:
+/// exports the current metrics into the (fresh) registry it is handed
+/// and returns the health/readiness state.
+pub type TelemetrySnapshot = Arc<dyn Fn(&mut Registry) -> HealthSnapshot + Send + Sync>;
 
 /// A dependency-free minimal HTTP/1.1 exposition endpoint.
 ///
@@ -406,7 +420,8 @@ fn serve_one(mut stream: std::net::TcpStream, snapshot: &TelemetrySnapshot) -> s
     let (status, content_type, body) = if method != "GET" {
         (405, "text/plain", "method not allowed\n".to_string())
     } else {
-        let (registry, health) = snapshot();
+        let mut registry = Registry::new();
+        let health = snapshot(&mut registry);
         match path {
             "/metrics" => (
                 200,
@@ -551,23 +566,11 @@ mod tests {
         let ready_view = ready.clone();
         let server = TelemetryServer::bind(
             "127.0.0.1:0",
-            Arc::new(move || {
-                let mut reg = Registry::new();
+            Arc::new(move |reg: &mut Registry| {
                 reg.counter_add("tre_test_broadcasts", 5);
                 reg.observe("tre_test_lat", 12);
                 let ready = ready_view.load(Ordering::Relaxed);
-                (
-                    reg,
-                    HealthSnapshot {
-                        healthy: true,
-                        ready,
-                        detail: if ready {
-                            "ok".into()
-                        } else {
-                            "journal unsynced".into()
-                        },
-                    },
-                )
+                HealthSnapshot::serving(ready, if ready { "ok" } else { "journal unsynced" })
             }),
         )
         .unwrap();

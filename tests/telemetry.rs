@@ -10,18 +10,24 @@
 //!   over-resolves mid-run and balances exactly at quiescence;
 //! * on a clean rig, the per-epoch stage deltas telescope to the
 //!   end-to-end latency (attribution conservation), and the decoded
-//!   wire trace carries the right epoch and hop count.
+//!   wire trace carries the right epoch and hop count;
+//! * a journaling daemon's scrape carries its journal, archive-read and
+//!   subscriber series, every family has a `# HELP` line, and the
+//!   exported name set of a traced, journaling `tred` plus a `trerelay`
+//!   matches the committed list in `tests/vectors/metric_names.txt`.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tre::obs::Registry;
 use tre::prelude::*;
 use tre::server::{
-    ChaosProxy, Fault, FaultPlan, HealthSnapshot, SupervisedFeed, SupervisorConfig, TcpFeed,
-    TelemetryServer, TelemetrySnapshot, TraceSink, Tred, TredConfig, TredStats,
+    feed, ChaosProxy, Fault, FaultPlan, JournalConfig, Relay, RelayConfig, SupervisedFeed,
+    SupervisorConfig, TcpFeed, TelemetryServer, TelemetrySnapshot, TraceSink, Tred, TredConfig,
+    UpdateArchive,
 };
 
 const DEADLINE: Duration = Duration::from_secs(30);
@@ -53,16 +59,20 @@ fn http_get(addr: &str, path: &str) -> std::io::Result<(u16, String)> {
     Ok((status, body))
 }
 
-/// The exposition plane a `tred --telemetry` process runs, rebuilt for
-/// the in-process rig: stats + trace sink exported on every request.
-fn serve_telemetry(stats: Arc<TredStats>, sink: TraceSink) -> TelemetryServer {
-    let snapshot: TelemetrySnapshot = Arc::new(move || {
-        let mut registry = Registry::new();
-        stats.export_into(&mut registry, "tred");
-        sink.export_into(&mut registry, "tred_trace");
-        (registry, HealthSnapshot::default())
-    });
-    TelemetryServer::bind("127.0.0.1:0", snapshot).expect("bind exposition endpoint")
+/// The exposition plane a `tred --telemetry` process runs: the daemon's
+/// own export, served under the `tred` prefix.
+fn serve_telemetry(tred: &Tred<8>) -> TelemetryServer {
+    TelemetryServer::bind("127.0.0.1:0", tred.exporter().snapshot("tred"))
+        .expect("bind exposition endpoint")
+}
+
+/// One `/metrics` scrape of `snapshot` served over HTTP.
+fn scrape(snapshot: TelemetrySnapshot) -> String {
+    let server = TelemetryServer::bind("127.0.0.1:0", snapshot).expect("bind exposition endpoint");
+    let (status, body) = http_get(&server.local_addr().to_string(), "/metrics").expect("scrape");
+    assert_eq!(status, 200);
+    server.shutdown();
+    body
 }
 
 /// One consistency probe of a scraped registry against the previous
@@ -110,7 +120,7 @@ fn telemetry_endpoint_stays_consistent_during_chaos() {
     )
     .unwrap();
     let spk = *tred.public_key();
-    let telemetry = serve_telemetry(tred.stats(), sink.clone());
+    let telemetry = serve_telemetry(&tred);
     let http = telemetry.local_addr().to_string();
 
     let plan = FaultPlan::new()
@@ -344,4 +354,168 @@ fn stage_attribution_conserves_on_a_clean_live_rig() {
     }
 
     tred.shutdown();
+}
+
+/// A fresh scratch directory for one test's journal.
+fn journal_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("tre-telemetry-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Polls `done` every millisecond until it holds or the deadline passes.
+fn wait_until(what: &str, done: impl Fn() -> bool) {
+    let start = Instant::now();
+    while !done() {
+        assert!(start.elapsed() < DEADLINE, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A traced daemon over a durable (journal-backed) archive, as
+/// `tred --journal DIR --telemetry ADDR` runs it.
+fn durable_traced_tred(dir: &PathBuf, clock: &SimClock) -> Tred<8> {
+    let curve = tre::pairing::toy64();
+    let (archive, _) =
+        UpdateArchive::open_durable(dir, curve, JournalConfig::default()).expect("open journal");
+    let keys = ServerKeyPair::generate(curve, &mut rand::thread_rng());
+    let server = TimeServer::recover(
+        curve,
+        keys,
+        clock.clone(),
+        Granularity::Seconds,
+        Arc::new(archive),
+    );
+    Tred::bind_traced(
+        "127.0.0.1:0",
+        curve,
+        server,
+        TredConfig::default(),
+        TraceSink::new(),
+    )
+    .expect("bind tred")
+}
+
+/// Every `# TYPE` line of an exposition is preceded by its `# HELP`.
+fn assert_every_family_has_help(text: &str) {
+    let lines: Vec<&str> = text.lines().collect();
+    for (i, line) in lines.iter().enumerate() {
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let name = rest.split(' ').next().unwrap();
+            let help = format!("# HELP {name} ");
+            assert!(
+                i > 0 && lines[i - 1].starts_with(&help) && lines[i - 1].len() > help.len(),
+                "no help text for {name}"
+            );
+        }
+    }
+}
+
+/// The `/metrics` of a journaling daemon carries the journal counters,
+/// the archive-read counters and the subscriber gauge: the scrape goes
+/// through the same export as `Tred::export_into`.
+#[test]
+fn durable_tred_scrape_exports_journal_and_subscribers() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = journal_dir("scrape");
+    let clock = SimClock::new();
+    let tred = durable_traced_tred(&dir, &clock);
+    let telemetry = serve_telemetry(&tred);
+    let http = telemetry.local_addr().to_string();
+    let mut feed: TcpFeed<8> = TcpFeed::new(tre::pairing::toy64(), tred.local_addr());
+    let _sub = feed.subscribe();
+    wait_until("one subscriber", || tred.subscriber_count() == 1);
+    wait_until("epoch 0 journaled", || {
+        tred.archive()
+            .journal_stats()
+            .is_some_and(|js| js.appends > 0)
+    });
+
+    let (status, body) = http_get(&http, "/metrics").expect("scrape");
+    assert_eq!(status, 200);
+    assert_every_family_has_help(&body);
+    let registry = Registry::parse_prometheus(&body).expect("scrape parses");
+    assert!(
+        registry.counter("tred_journal_appends") > 0,
+        "journal counters exported"
+    );
+    assert!(
+        registry
+            .counters()
+            .any(|(n, _)| n == "tred_archive_lookups"),
+        "archive reads exported"
+    );
+    assert!(
+        body.contains("# TYPE tred_subscribers gauge\n"),
+        "subscriber gauge exported"
+    );
+    assert_eq!(registry.gauge("tred_subscribers"), 1);
+    assert!(body.contains("# HELP tred_frames_offered Per-subscriber frame offers"));
+
+    telemetry.shutdown();
+    tred.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Golden name list: the `/metrics` of a traced, journaling `tred` with
+/// one subscriber (a relay) and of that `trerelay`, served as the
+/// binaries serve them, carry exactly the committed metric names. A
+/// renamed or dropped field shows up here as a diff.
+#[test]
+fn exported_metric_names_match_golden_list() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = journal_dir("names");
+    let curve = tre::pairing::toy64();
+    let clock = SimClock::new();
+    let tred = durable_traced_tred(&dir, &clock);
+    let sink = tred.trace_sink().expect("traced");
+    let upstream = feed::tcp::<8>(curve, tred.local_addr())
+        .supervised(Granularity::Seconds, SupervisorConfig::default(), 7)
+        .catch_up_from(0)
+        .build();
+    let relay = Relay::bind(
+        "127.0.0.1:0",
+        curve,
+        *tred.public_key(),
+        upstream,
+        RelayConfig::default(),
+    )
+    .expect("bind relay");
+    // Quiesce on a fixed trace shape: epoch 0 stamped through broadcast
+    // at the root, and relayed (first byte + re-broadcast) by the relay.
+    wait_until("the relay subscribed", || tred.subscriber_count() == 1);
+    wait_until("epoch 0 broadcast", || {
+        sink.epoch_trace(0).is_some_and(|t| t.stamps[2].is_some())
+    });
+    wait_until("epoch 0 relayed", || {
+        relay
+            .stats()
+            .epochs_relayed
+            .load(std::sync::atomic::Ordering::Relaxed)
+            >= 1
+    });
+
+    let tred_text = scrape(tred.exporter().snapshot("tred"));
+    let relay_text = scrape(relay.exporter().snapshot("trerelay"));
+    assert_every_family_has_help(&tred_text);
+    assert_every_family_has_help(&relay_text);
+    let mut registry = Registry::parse_prometheus(&tred_text).expect("tred scrape parses");
+    registry.merge(&Registry::parse_prometheus(&relay_text).expect("relay scrape parses"));
+    let mut names: Vec<&str> = registry
+        .counters()
+        .map(|(n, _)| n)
+        .chain(registry.gauges().map(|(n, _)| n))
+        .chain(registry.histograms().map(|(n, _)| n))
+        .collect();
+    names.sort_unstable();
+    let actual = names.join("\n") + "\n";
+    let golden = include_str!("vectors/metric_names.txt");
+    assert!(
+        actual == golden,
+        "exported names differ from tests/vectors/metric_names.txt; exported:\n{actual}"
+    );
+
+    relay.shutdown();
+    tred.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
