@@ -13,8 +13,8 @@ use std::time::{Duration, Instant};
 use tre_core::ServerKeyPair;
 use tre_pairing::toy64;
 use tre_server::{
-    feed, Feed, Granularity, Relay, RelayConfig, SimClock, SupervisorConfig, TimeServer, TraceSink,
-    Tred, TredConfig,
+    feed, Feed, Granularity, Relay, RelayConfig, SimClock, Stage, SupervisorConfig, TimeServer,
+    TraceSink, Tred, TredConfig,
 };
 
 const DEADLINE: Duration = Duration::from_secs(20);
@@ -199,4 +199,106 @@ fn client_survives_relay_death_with_no_missed_epochs() {
         );
         assert_eq!(stats.in_flight(), 0, "{name}: every offer resolved");
     }
+}
+
+/// Reads `feed` until `epoch` arrives, asking for it by catch-up first:
+/// a replay answers if the daemon already holds the epoch, and the live
+/// broadcast does otherwise (the request is read only after the daemon
+/// registered the subscriber). Blocks on the socket, never on a timer.
+fn await_epoch(feed: &mut tre_server::TcpFeed<8>, sub: tre_server::SubscriberId, epoch: u64) {
+    feed.request_catch_up(sub, epoch, epoch)
+        .expect("catch-up request");
+    loop {
+        let got = Feed::poll(feed, sub);
+        if got
+            .iter()
+            .any(|(_, u)| Granularity::Seconds.epoch_of_tag(u.tag()) == Some(epoch))
+        {
+            return;
+        }
+        assert!(
+            feed.wait_readable(sub, Some(DEADLINE)),
+            "epoch {epoch} never reached the subscriber"
+        );
+    }
+}
+
+/// Stage stamps are monotone across the tree: the root stamps
+/// `Broadcast` before it hands the frame to its shards, so no relay can
+/// read an epoch's first byte before the root's broadcast stamp. The
+/// rig runs in one process (one `now_ns` anchor), steps a `SimClock`,
+/// and waits only on sockets.
+#[test]
+fn root_broadcast_stamp_precedes_relay_first_byte() {
+    const EPOCHS: u64 = 12;
+    let curve = toy64();
+    let clock = SimClock::new();
+    let keys = ServerKeyPair::generate(curve, &mut rand::thread_rng());
+    let root_pk = *keys.public();
+    let server = TimeServer::new(curve, keys, clock.clone(), Granularity::Seconds);
+    let root_sink = TraceSink::new();
+    let tred = Tred::bind_traced(
+        "127.0.0.1:0",
+        curve,
+        server,
+        TredConfig {
+            shards: 1,
+            ..TredConfig::default()
+        },
+        root_sink.clone(),
+    )
+    .unwrap();
+    let upstream = feed::tcp::<8>(curve, tred.local_addr())
+        .supervised(Granularity::Seconds, SupervisorConfig::default(), 31)
+        .catch_up_from(0)
+        .build();
+    let relay = Relay::bind(
+        "127.0.0.1:0",
+        curve,
+        root_pk,
+        upstream,
+        RelayConfig {
+            shards: 1,
+            ..RelayConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = tre_server::TcpFeed::<8>::new(curve, relay.local_addr());
+    let sub = Feed::subscribe(&mut client);
+    // Epoch 0 through the relay means its cold start is over, so every
+    // later epoch crosses both hops live.
+    await_epoch(&mut client, sub, 0);
+    for epoch in 1..=EPOCHS {
+        clock.advance(1);
+        await_epoch(&mut client, sub, epoch);
+    }
+
+    let relay_sink = relay.trace_sink();
+    let stamp = |sink: &TraceSink, epoch: u64, stage: Stage| {
+        let i = Stage::ALL.iter().position(|s| *s == stage).unwrap();
+        sink.epoch_trace(epoch)
+            .and_then(|t| t.stamps[i])
+            .unwrap_or_else(|| panic!("epoch {epoch}: no {} stamp", stage.name()))
+    };
+    for epoch in 1..=EPOCHS {
+        let publish = stamp(&root_sink, epoch, Stage::Publish);
+        let fsync = stamp(&root_sink, epoch, Stage::JournalFsync);
+        let broadcast = stamp(&root_sink, epoch, Stage::Broadcast);
+        let first_byte = stamp(&relay_sink, epoch, Stage::FirstByte);
+        assert!(
+            publish <= fsync && fsync <= broadcast,
+            "epoch {epoch}: root stamps out of order"
+        );
+        assert!(
+            broadcast <= first_byte,
+            "epoch {epoch}: relay read its first byte {} ns before the root's broadcast stamp",
+            broadcast - first_byte
+        );
+        assert!(
+            first_byte <= stamp(&relay_sink, epoch, Stage::Broadcast),
+            "epoch {epoch}: relay broadcast stamped before its first byte"
+        );
+    }
+    relay.shutdown();
+    tred.shutdown();
 }
