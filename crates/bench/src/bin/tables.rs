@@ -1785,7 +1785,9 @@ fn e18() {
 /// the lazy-reduction F_{p²} kernels on the verify/decrypt hot path
 /// (PR 8 tentpole). Counter-guarded: every prepared row must spend
 /// strictly fewer F_p multiplications at an identical pairing count
-/// (the memo-hit seal row at zero pairings instead of one), the 2-lane verify-shaped multi-pairing must clear 3x wall-clock over
+/// (the memo-hit seal row at zero pairings instead of one; the
+/// forecast-hit verify row at one pairing and zero hash-to-curve
+/// iterations), the 2-lane verify-shaped multi-pairing must clear 3x wall-clock over
 /// naive fixed-argument evaluation, and the prepared batch path must
 /// not regress the E15 numbers.
 #[allow(deprecated)] // measures the generic free-function decrypt as the baseline
@@ -1995,6 +1997,44 @@ fn e19() {
          \"generic_pairings\": {}, \"prepared_pairings\": {}}}",
         gen4.fp_muls, prep4.fp_muls, gen4.pairings, prep4.pairings
     ));
+    // Row 5: one verify on a forecast hit. The prepared 2-lane check
+    // (hash, then ê(sG, H1(T))·ê(−G, I_T)) against `verify_forecast`
+    // with `H1(T)` and `ê(sG, H1(T))` computed ahead of time: one
+    // prepared lane and one G_T multiplication, no hash.
+    let fc_tag = ReleaseTag::time("e19/forecast");
+    let fc_update = fx.server.issue_update(curve, &fc_tag);
+    let forecast = prep_key.forecast(curve, &fc_tag);
+    assert!(
+        fc_update.verify_forecast(curve, &prep_key, &forecast),
+        "a forecast hit must accept an honest update"
+    );
+    let gen5_ms = time_ms(iters, || fc_update.verify_prepared(curve, &prep_key));
+    let prep5_ms = time_ms(iters, || {
+        fc_update.verify_forecast(curve, &prep_key, &forecast)
+    });
+    let gen5 = ops_of(&|| {
+        fc_update.verify_prepared(curve, &prep_key);
+    });
+    let prep5 = ops_of(&|| {
+        fc_update.verify_forecast(curve, &prep_key, &forecast);
+    });
+    let speed5 = gen5_ms / prep5_ms.max(1e-9);
+    row(&[
+        "verify (forecast hit)".into(),
+        format!("{gen5_ms:.3}"),
+        format!("{prep5_ms:.3}"),
+        format!("{speed5:.2}x"),
+        format!("{} → {}", gen5.fp_muls, prep5.fp_muls),
+        format!("{} → {}", gen5.pairings, prep5.pairings),
+    ]);
+    kernel_rows.push(format!(
+        "{{\"kernel\": \"verify_forecast_hit\", \"generic_ms\": {gen5_ms:.4}, \
+         \"prepared_ms\": {prep5_ms:.4}, \"speedup\": {speed5:.2}, \
+         \"generic_fp_muls\": {}, \"prepared_fp_muls\": {}, \
+         \"generic_pairings\": {}, \"prepared_pairings\": {}, \
+         \"generic_h2c_iters\": {}, \"prepared_h2c_iters\": {}}}",
+        gen5.fp_muls, prep5.fp_muls, gen5.pairings, prep5.pairings, gen5.h2c_iters, prep5.h2c_iters
+    ));
     println!();
 
     // Counter guards: same pairing budget, strictly less F_p work.
@@ -2028,6 +2068,16 @@ fn e19() {
         "memo-hit seal must spend fewer Fp muls ({} vs {})",
         prep4.fp_muls,
         gen4.fp_muls
+    );
+    // A forecast hit: no hash, one pairing lane, less F_p work than
+    // the prepared verify it replaces.
+    assert_eq!(prep5.h2c_iters, 0, "a forecast-hit verify must not hash");
+    assert_eq!(prep5.pairings, 1, "a forecast-hit verify runs one lane");
+    assert!(
+        prep5.fp_muls < gen5.fp_muls,
+        "forecast-hit verify must spend fewer Fp muls ({} vs {})",
+        prep5.fp_muls,
+        gen5.fp_muls
     );
     // Wall-clock guards, calibrated for toy64: the final exponentiation
     // bounds the single-pairing win near 2x and the 2-lane verify shape
@@ -2278,13 +2328,14 @@ fn e20_live(sockets: usize, epochs: u64) -> (usize, Vec<tre_server::DeliveryRepo
     assert_eq!(tred.subscriber_count(), n, "all rig sockets registered");
 
     // The thread-budget invariant, asserted while every socket is live:
-    // N shards + accept + ticker, independent of subscriber count.
+    // N shards + accept + ticker + the ticker's forecast worker,
+    // independent of subscriber count.
     let thread_delta = match (threads_before, thread_count()) {
         (Some(before), Some(after)) => {
             let delta = after.saturating_sub(before);
             assert!(
-                delta <= SHARDS + 2,
-                "daemon threads are O(shards): {delta} new threads for {n} sockets"
+                delta <= SHARDS + 3,
+                "daemon threads are shards + 3, O(shards): {delta} new threads for {n} sockets"
             );
             delta
         }
@@ -2484,8 +2535,8 @@ fn e20() {
         ));
     }
     println!(
-        "\n({n} live sockets, {thread_delta} daemon threads (≤ shards + accept + ticker —\n\
-         asserted), frame conservation settled to zero in flight.)\n"
+        "\n({n} live sockets, {thread_delta} daemon threads (≤ shards + accept + ticker +\n\
+         forecast worker — asserted), frame conservation settled to zero in flight.)\n"
     );
 
     let json = format!(

@@ -95,10 +95,17 @@ impl<const L: usize> ServerKeyPair<L> {
     /// This is the **only** operation the server performs in steady state,
     /// and its output is independent of who (or how many) the receivers are.
     pub fn issue_update(&self, curve: &Curve<L>, tag: &ReleaseTag) -> KeyUpdate<L> {
-        let h = curve.hash_to_g1(tag.h1_domain(), tag.value());
+        self.issue_forecast(curve, &TagForecast::hash(curve, tag))
+    }
+
+    /// [`ServerKeyPair::issue_update`] with the hash already done: signs
+    /// the forecast's tag as `s·H1(T)` off its precomputed `H1(T)`, one
+    /// scalar multiplication. The forecast holds public values only;
+    /// whether the tag's time has come is the caller's check.
+    pub fn issue_forecast(&self, curve: &Curve<L>, forecast: &TagForecast<L>) -> KeyUpdate<L> {
         KeyUpdate {
-            tag: tag.clone(),
-            sig: curve.g1_mul(&h, &self.secret),
+            tag: forecast.tag.clone(),
+            sig: curve.g1_mul(&forecast.h, &self.secret),
         }
     }
 
@@ -226,6 +233,51 @@ impl<const L: usize> PreparedServerKey<L> {
     /// verdicts, where the 64-bit exponents walk only 16 windows).
     pub fn s_g_table(&self) -> &G1Precomp<L> {
         &self.s_g_table
+    }
+
+    /// Forecasts `tag` against this key: `H1(T)` and the public half of
+    /// the verification equation, `y_T = ê(sG, H1(T))` (one prepared
+    /// pairing lane). Both depend only on public values, so they can be
+    /// computed before `T`; [`KeyUpdate::verify_forecast`] then checks
+    /// the update with the one remaining lane.
+    pub fn forecast(&self, curve: &Curve<L>, tag: &ReleaseTag) -> TagForecast<L> {
+        let mut forecast = TagForecast::hash(curve, tag);
+        let y = curve.pairing_prepared(&self.s_g_prep, &forecast.h);
+        forecast.y = Some((self.key.s_g, y));
+        forecast
+    }
+}
+
+/// The public, predictable part of one release tag's key update,
+/// computed ahead of time: `H1(T)` and, when built against a server key
+/// by [`PreparedServerKey::forecast`], `y_T = ê(sG, H1(T))`.
+///
+/// The tag of a scheduled epoch is public and known in advance (§5.3.1),
+/// so a signer can hash it before the boundary and a verifier can pair
+/// it too. A forecast is never a signature: it holds no secret and no
+/// part of `I_T = s·H1(T)`, which [`ServerKeyPair::issue_forecast`]
+/// still computes at release time.
+#[derive(Clone, Debug)]
+pub struct TagForecast<const L: usize> {
+    tag: ReleaseTag,
+    h: G1Affine<L>,
+    /// `(sG, ê(sG, H1(T)))`: the key half the pairing was taken with.
+    y: Option<(G1Affine<L>, Gt<L>)>,
+}
+
+impl<const L: usize> TagForecast<L> {
+    /// Hashes `tag` to `H1(T)` — the signer's forecast, with no pairing.
+    pub fn hash(curve: &Curve<L>, tag: &ReleaseTag) -> Self {
+        Self {
+            tag: tag.clone(),
+            h: curve.hash_to_g1(tag.h1_domain(), tag.value()),
+            y: None,
+        }
+    }
+
+    /// The tag this forecast is for.
+    pub fn tag(&self) -> &ReleaseTag {
+        &self.tag
     }
 }
 
@@ -396,6 +448,31 @@ impl<const L: usize> KeyUpdate<L> {
         let _span = tre_obs::span("tre.verify");
         let h = curve.hash_to_g1(self.tag.h1_domain(), self.tag.value());
         curve.bls_verify_one_prepared(server.neg_g_prep(), server.s_g_prep(), &h, &self.sig)
+    }
+
+    /// [`KeyUpdate::verify_prepared`] off a [`TagForecast`]: when the
+    /// forecast is for this update's tag and was paired against
+    /// `server`'s `sG`, the check `ê(−G, I_T) · y_T = 1` costs one
+    /// prepared pairing lane, one `G_T` multiplication and no hash.
+    /// Any other forecast (another tag, another key, hash only) falls
+    /// back to the full prepared check, so the verdict never depends on
+    /// which forecast the caller holds.
+    pub fn verify_forecast(
+        &self,
+        curve: &Curve<L>,
+        server: &PreparedServerKey<L>,
+        forecast: &TagForecast<L>,
+    ) -> bool {
+        match &forecast.y {
+            Some((s_g, y)) if forecast.tag == self.tag && s_g == server.key().s_g() => {
+                let _span = tre_obs::span("tre.verify");
+                curve
+                    .pairing_prepared(server.neg_g_prep(), &self.sig)
+                    .mul(y, curve)
+                    .is_one(curve)
+            }
+            _ => self.verify_prepared(curve, server),
+        }
     }
 
     /// Canonical body encoding `tag ‖ sig` (compressed point), appended
@@ -930,6 +1007,94 @@ mod tests {
             prep.fp_muls,
             generic.fp_muls
         );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(8))]
+
+        /// `verify_forecast` returns `verify_prepared`'s verdict for
+        /// valid, forged, relabelled and foreign-key updates, under a
+        /// forecast hit and under every kind of miss (another tag,
+        /// another key's pairing, hash only).
+        #[test]
+        fn forecast_verdict_matches_prepared(
+            seed in proptest::any::<[u8; 16]>(),
+            tag in proptest::collection::vec(proptest::any::<u8>(), 0..24),
+        ) {
+            let curve = toy64();
+            let mut rng = tre_hashes::HmacDrbg::new(&seed, b"forecast");
+            let server = ServerKeyPair::generate(curve, &mut rng);
+            let other = ServerKeyPair::generate(curve, &mut rng);
+            let prepared = server.public().prepare(curve);
+            let tag = ReleaseTag::time(tag);
+            let next = ReleaseTag::time("the next epoch");
+            let valid = server.issue_update(curve, &tag);
+            let forged = KeyUpdate::from_parts(
+                tag.clone(),
+                curve.g1_mul(
+                    &curve.hash_to_g1(tag.h1_domain(), tag.value()),
+                    &curve.random_scalar(&mut rng),
+                ),
+            );
+            let relabelled =
+                KeyUpdate::from_parts(tag.clone(), *server.issue_update(curve, &next).sig());
+            let foreign = other.issue_update(curve, &tag);
+            let forecasts = [
+                prepared.forecast(curve, &tag),
+                prepared.forecast(curve, &next),
+                other.public().prepare(curve).forecast(curve, &tag),
+                TagForecast::hash(curve, &tag),
+            ];
+            for update in [&valid, &forged, &relabelled, &foreign] {
+                for forecast in &forecasts {
+                    proptest::prop_assert_eq!(
+                        update.verify_forecast(curve, &prepared, forecast),
+                        update.verify_prepared(curve, &prepared)
+                    );
+                }
+            }
+            proptest::prop_assert!(valid.verify_forecast(curve, &prepared, &forecasts[0]));
+        }
+    }
+
+    #[test]
+    fn forecast_hit_is_one_lane_and_no_hash() {
+        let curve = toy64();
+        let mut rng = rand::thread_rng();
+        let server = ServerKeyPair::generate(curve, &mut rng);
+        let prepared = server.public().prepare(curve);
+        let tag = ReleaseTag::time("t");
+        let update = server.issue_update(curve, &tag);
+        let hit = prepared.forecast(curve, &tag);
+        let miss = prepared.forecast(curve, &ReleaseTag::time("u"));
+        let ops_of = |f: &dyn Fn() -> bool| {
+            tre_obs::enable();
+            assert!(f());
+            tre_obs::finish().total_ops()
+        };
+
+        let full = ops_of(&|| update.verify_prepared(curve, &prepared));
+        let on_hit = ops_of(&|| update.verify_forecast(curve, &prepared, &hit));
+        let on_miss = ops_of(&|| update.verify_forecast(curve, &prepared, &miss));
+        assert_eq!(on_hit.h2c_iters, 0, "a hit hashes nothing");
+        assert_eq!(on_hit.pairings, 1, "a hit runs one pairing lane");
+        assert!(
+            on_hit.fp_muls < full.fp_muls,
+            "a hit ({}) must spend fewer Fp muls than the full check ({})",
+            on_hit.fp_muls,
+            full.fp_muls
+        );
+        assert_eq!(on_miss, full, "a miss runs the full prepared check");
+
+        // The signer's side: a pre-hashed tag signs with one s·H and
+        // yields the same update.
+        let hashed = TagForecast::hash(curve, &tag);
+        tre_obs::enable();
+        let signed = server.issue_forecast(curve, &hashed);
+        let sign = tre_obs::finish().total_ops();
+        assert_eq!(signed, update);
+        assert_eq!(sign.h2c_iters, 0, "a pre-hashed tag signs without hashing");
+        assert_eq!(sign.scalar_mults, 1, "one s·H");
     }
 
     #[test]

@@ -86,8 +86,8 @@ pub use committee::{
 };
 pub use error::TreError;
 pub use keys::{
-    KeyUpdate, PreparedServerKey, SenderPrecomp, ServerKeyPair, ServerPublicKey, UserKeyPair,
-    UserPublicKey,
+    KeyUpdate, PreparedServerKey, SenderPrecomp, ServerKeyPair, ServerPublicKey, TagForecast,
+    UserKeyPair, UserPublicKey,
 };
 pub use session::{Receiver, Sender};
 pub use tag::{ReleaseTag, TagKind};

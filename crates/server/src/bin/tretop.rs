@@ -12,6 +12,8 @@
 //! * per-endpoint health (`/readyz`) and scrape status;
 //! * the delivery-conservation balance
 //!   (`offered == written + abandoned + evicted + dropped + in-flight`);
+//! * the forecast hit ratio: epochs signed (root) and verified (relays)
+//!   off the idle-priority worker's precomputed tag values;
 //! * catch-up pressure: daemon-side requests/clipped/replies/shed and
 //!   journal-archive health next to client-side busy/retry/resume
 //!   counters, so an operator sees overload shedding as it happens;
@@ -200,6 +202,17 @@ fn render(sources: &[Source]) -> String {
         in_flight,
         if offered == resolved + in_flight { "balanced" } else { "IMBALANCED" },
     ));
+
+    // Forecast hit ratio: epochs the root signed, and the relays
+    // verified, off values the idle-priority worker computed ahead.
+    let hits = tred("forecast_hits");
+    let misses = tred("forecast_misses");
+    if hits + misses > 0 {
+        out.push_str(&format!(
+            "forecast: hits {hits}  misses {misses}  ({:.1}% hit)\n\n",
+            100.0 * hits as f64 / (hits + misses) as f64
+        ));
+    }
 
     // Catch-up pressure: archive serving and shedding on the daemon
     // side, retry/resume churn on the supervised-client side. The
@@ -421,6 +434,29 @@ mod tests {
             "catch-up rows rendered:\n{frame}"
         );
         assert!(frame.contains("clients:"), "client row rendered:\n{frame}");
+    }
+
+    /// The hit ratio folds the root's signing forecasts and every
+    /// relay's verifying forecasts into one row.
+    #[test]
+    fn forecast_row_sums_root_and_relays() {
+        let mut registry = Registry::new();
+        registry.counter_set("tred_forecast_hits", 95);
+        registry.counter_set("tred_forecast_misses", 5);
+        registry.counter_set("trerelay_forecast_hits", 98);
+        registry.counter_set("trerelay_forecast_misses", 2);
+        registry.counter_set("trerelay_serve_forecast_hits", 0);
+        let sources = [Source {
+            addr: "test".into(),
+            registry: Some(registry),
+            ready: Some(true),
+            error: None,
+        }];
+        let frame = render(&sources);
+        assert!(
+            frame.contains("forecast: hits 193  misses 7  (96.5% hit)"),
+            "forecast row wrong in:\n{frame}"
+        );
     }
 
     #[test]

@@ -92,6 +92,7 @@ mod committee;
 mod evloop;
 mod faults;
 pub mod feed;
+mod forecast;
 mod journal;
 mod metrics;
 mod net;
