@@ -34,8 +34,8 @@
 //!   recover `I_T` from any k of n — senders are oblivious.
 //!
 //! * [`session`] — the [`Sender`]/[`Receiver`] session API: key
-//!   validation and update verification happen once and become state,
-//!   replacing the deprecated free functions in [`tre`].
+//!   validation and update verification happen once and become state;
+//!   it is the only way to seal and open the basic scheme of [`tre`].
 //!
 //! ## Quickstart
 //!

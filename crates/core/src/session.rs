@@ -3,19 +3,17 @@
 //!
 //! Two checks guard the scheme: that the receiver key is well formed (the
 //! 2-pairing `ê(aG, sG) = ê(G, asG)` check) and that the key update is
-//! authentic (the 2-pairing BLS check). The deprecated free decryptors in
-//! [`crate::tre`] leave the second to every call. [`Sender`] and
-//! [`Receiver`] make both decisions *once* and carry them as state:
+//! authentic (the 2-pairing BLS check). [`Sender`] and [`Receiver`] make
+//! both decisions *once* and carry them as state:
 //!
 //! * [`Sender`] owns a [`SenderPrecomp`] — the receiver key is validated
 //!   at construction and every [`Sender::encrypt`] costs one table-driven
 //!   `r·G` and one `G_T` power, plus a hash-to-curve and one pairing
 //!   whenever the tag differs from the previous message's (memo miss);
 //! * [`Receiver`] owns the user key pair and a verified-update cache, so
-//!   the trusted/untrusted decrypt split of the old
-//!   `decrypt`/`decrypt_trusted` pair becomes internal state: the first
-//!   sighting of an update pays the 2-pairing verification, every open
-//!   against the cache pays exactly one pairing.
+//!   whether an update is trusted is internal state: the first sighting
+//!   of an update pays the 2-pairing verification, every open against
+//!   the cache pays exactly one pairing.
 
 use std::collections::HashMap;
 
@@ -432,8 +430,20 @@ mod tests {
         );
     }
 
+    /// The textbook §5.1 decryption `V ⊕ H2(ê(U, I_T)^a)` with the
+    /// generic pairing.
+    fn textbook_decrypt(
+        user: &UserKeyPair<8>,
+        update: &KeyUpdate<8>,
+        ct: &Ciphertext<8>,
+    ) -> Vec<u8> {
+        let curve = toy64();
+        let k = crate::tre::receiver_key(curve, &ct.u, update, user.secret_scalar());
+        let mask = curve.gt_kdf(&k, crate::tre::MASK_DOMAIN, ct.v.len());
+        ct.v.iter().zip(&mask).map(|(c, k)| c ^ k).collect()
+    }
+
     #[test]
-    #[allow(deprecated)]
     fn open_runs_prepared_and_beats_generic_decrypt() {
         let curve = toy64();
         let mut rng = rand::thread_rng();
@@ -449,16 +459,15 @@ mod tests {
         let prep_ops = tre_obs::finish().total_ops();
 
         tre_obs::enable();
-        let via_free =
-            crate::tre::decrypt_trusted(curve, receiver.key_pair(), &update, &ct).unwrap();
+        let via_textbook = textbook_decrypt(receiver.key_pair(), &update, &ct);
         let generic_ops = tre_obs::finish().total_ops();
 
-        assert_eq!(via_open, via_free);
+        assert_eq!(via_open, via_textbook);
         assert_eq!(prep_ops.pairings, generic_ops.pairings);
         assert!(
             prep_ops.fp_muls < generic_ops.fp_muls,
             "cached-prepared open ({}) must spend fewer base-field muls than \
-             the generic trusted decrypt ({})",
+             the generic textbook decrypt ({})",
             prep_ops.fp_muls,
             generic_ops.fp_muls
         );
@@ -585,7 +594,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn session_interoperates_with_free_functions() {
         let curve = toy64();
         let mut rng = rand::thread_rng();
@@ -602,12 +610,11 @@ mod tests {
         let ct = Sender::from_precomp(curve, hub).encrypt(&tag, b"hub", &mut rng);
         let update = server.issue_update(curve, &tag);
         assert_eq!(receiver.open_with(&update, &ct).unwrap(), b"hub");
-        // …and session ciphertexts open through the free functions.
+        // …and session ciphertexts open under the textbook formula.
         let sender = Sender::new(curve, server.public(), receiver.public_key()).unwrap();
         let ct2 = sender.encrypt(&tag, b"session", &mut rng);
         assert_eq!(
-            crate::tre::decrypt(curve, server.public(), receiver.key_pair(), &update, &ct2)
-                .unwrap(),
+            textbook_decrypt(receiver.key_pair(), &update, &ct2),
             b"session"
         );
     }

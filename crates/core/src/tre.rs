@@ -15,7 +15,7 @@ use tre_bigint::U256;
 use tre_pairing::{Curve, G1Affine, Gt, MillerPrecomp};
 
 use crate::error::TreError;
-use crate::keys::{KeyUpdate, SenderPrecomp, ServerPublicKey, UserKeyPair, UserPublicKey};
+use crate::keys::{KeyUpdate, SenderPrecomp, UserKeyPair, UserPublicKey};
 use crate::tag::ReleaseTag;
 
 /// Domain string for the `H2` mask oracle of the basic scheme.
@@ -129,10 +129,10 @@ pub(crate) fn receiver_key_prepared<const L: usize>(
     curve.pairing_prepared(prep_sig, u).pow_window(a, curve)
 }
 
-/// [`decrypt_trusted_impl`] off a prepared update signature: same
-/// contract (the update must have been verified out of band, and its
-/// tag matched against the ciphertext by the caller), one prepared
-/// pairing per ciphertext.
+/// Decrypts with an already-verified update, off its prepared signature:
+/// the update must have been verified out of band, and its tag matched
+/// against the ciphertext by the caller ([`crate::Receiver::open`] does
+/// both). One prepared pairing per ciphertext.
 pub(crate) fn decrypt_trusted_prepared_impl<const L: usize>(
     curve: &Curve<L>,
     user: &UserKeyPair<L>,
@@ -173,144 +173,11 @@ pub(crate) fn encrypt_with_impl<const L: usize>(
     }
 }
 
-/// Decrypts a basic-scheme ciphertext with the receiver's key pair and the
-/// matching time-bound key update.
-///
-/// # Errors
-/// * [`TreError::UpdateTagMismatch`] if `update` is for a different tag;
-/// * [`TreError::InvalidUpdate`] if the update fails self-authentication.
-///
-/// The basic scheme provides no ciphertext integrity: any `V` decrypts to
-/// *something*. Use [`crate::fo`] or [`crate::hybrid`] when integrity
-/// matters.
-#[deprecated(note = "use `tre_core::Receiver::open_with`, which verifies \
-                     and caches the update so later opens skip re-verification")]
-pub fn decrypt<const L: usize>(
-    curve: &Curve<L>,
-    server: &ServerPublicKey<L>,
-    user: &UserKeyPair<L>,
-    update: &KeyUpdate<L>,
-    ct: &Ciphertext<L>,
-) -> Result<Vec<u8>, TreError> {
-    decrypt_impl(curve, server, user, update, ct)
-}
-
-pub(crate) fn decrypt_impl<const L: usize>(
-    curve: &Curve<L>,
-    server: &ServerPublicKey<L>,
-    user: &UserKeyPair<L>,
-    update: &KeyUpdate<L>,
-    ct: &Ciphertext<L>,
-) -> Result<Vec<u8>, TreError> {
-    let _span = tre_obs::span("tre.decrypt");
-    if update.tag() != &ct.tag {
-        return Err(TreError::UpdateTagMismatch);
-    }
-    if !update.verify(curve, server) {
-        return Err(TreError::InvalidUpdate);
-    }
-    let k = receiver_key(curve, &ct.u, update, user.secret_scalar());
-    let mask = curve.gt_kdf(&k, MASK_DOMAIN, ct.v.len());
-    Ok(ct.v.iter().zip(&mask).map(|(c, k)| c ^ k).collect())
-}
-
-/// Decrypts with an *already-verified* key update, skipping the
-/// per-ciphertext re-verification (2 pairings) that [`decrypt`] pays.
-///
-/// Correctness contract: `update` must have passed
-/// [`KeyUpdate::verify`](crate::keys::KeyUpdate::verify) or a batch
-/// equivalent against the issuing server. The client runtime in
-/// `tre-server` only caches verified updates, so its decrypt path uses
-/// this entry point — one pairing per ciphertext total.
-///
-/// # Errors
-/// Returns [`TreError::UpdateTagMismatch`] if `update` is for a different
-/// tag than the ciphertext.
-#[deprecated(note = "use `tre_core::Receiver::open` — the verified-update \
-                     cache makes the trusted/untrusted split internal state")]
-pub fn decrypt_trusted<const L: usize>(
-    curve: &Curve<L>,
-    user: &UserKeyPair<L>,
-    update: &KeyUpdate<L>,
-    ct: &Ciphertext<L>,
-) -> Result<Vec<u8>, TreError> {
-    decrypt_trusted_impl(curve, user, update, ct)
-}
-
-pub(crate) fn decrypt_trusted_impl<const L: usize>(
-    curve: &Curve<L>,
-    user: &UserKeyPair<L>,
-    update: &KeyUpdate<L>,
-    ct: &Ciphertext<L>,
-) -> Result<Vec<u8>, TreError> {
-    let _span = tre_obs::span("tre.decrypt_trusted");
-    if update.tag() != &ct.tag {
-        return Err(TreError::UpdateTagMismatch);
-    }
-    let k = receiver_key(curve, &ct.u, update, user.secret_scalar());
-    let mask = curve.gt_kdf(&k, MASK_DOMAIN, ct.v.len());
-    Ok(ct.v.iter().zip(&mask).map(|(c, k)| c ^ k).collect())
-}
-
-/// Decrypts many ciphertexts locked to the **same tag** with one update:
-/// the update is verified once up front, then the per-ciphertext work
-/// (one pairing + one `G_T` exponentiation each) fans out over `threads`
-/// workers (`0` = auto, `1` = inline). Results are in input order for any
-/// thread count.
-///
-/// This is the archive-recovery shape: a receiver coming back online
-/// holds a backlog of ciphertexts for an epoch that has since been
-/// released.
-///
-/// # Errors
-/// * [`TreError::InvalidUpdate`] if the update fails self-authentication;
-/// * [`TreError::UpdateTagMismatch`] if any ciphertext is for a different
-///   tag (checked before any decryption work starts).
-#[deprecated(note = "use `tre_core::Receiver::open_bulk`, which verifies \
-                     the update once through the receiver's cache")]
-pub fn decrypt_bulk<const L: usize>(
-    curve: &Curve<L>,
-    server: &ServerPublicKey<L>,
-    user: &UserKeyPair<L>,
-    update: &KeyUpdate<L>,
-    cts: &[Ciphertext<L>],
-    threads: usize,
-) -> Result<Vec<Vec<u8>>, TreError> {
-    decrypt_bulk_impl(curve, server, user, update, cts, threads)
-}
-
-pub(crate) fn decrypt_bulk_impl<const L: usize>(
-    curve: &Curve<L>,
-    server: &ServerPublicKey<L>,
-    user: &UserKeyPair<L>,
-    update: &KeyUpdate<L>,
-    cts: &[Ciphertext<L>],
-    threads: usize,
-) -> Result<Vec<Vec<u8>>, TreError> {
-    let _span = tre_obs::span("tre.decrypt_bulk");
-    if !update.verify(curve, server) {
-        return Err(TreError::InvalidUpdate);
-    }
-    if cts.iter().any(|ct| update.tag() != &ct.tag) {
-        return Err(TreError::UpdateTagMismatch);
-    }
-    let a = user.secret_scalar();
-    Ok(tre_par::par_map(cts, threads, |ct| {
-        let k = receiver_key(curve, &ct.u, update, a);
-        let mask = curve.gt_kdf(&k, MASK_DOMAIN, ct.v.len());
-        ct.v.iter().zip(&mask).map(|(c, k)| c ^ k).collect()
-    }))
-}
-
-// The unit tests seal through `Sender` and deliberately open through the
-// deprecated free decryptors so those shims stay covered; the session
-// API has its own tests in `crate::session`.
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::keys::ServerKeyPair;
-    use crate::session::Sender;
+    use crate::session::{Receiver, Sender};
     use tre_pairing::toy64;
 
     struct Setup {
@@ -332,6 +199,26 @@ mod tests {
         }
     }
 
+    impl Setup {
+        /// A fresh receiving session for `user` under this setup's server.
+        fn receiver(&self, user: &UserKeyPair<8>) -> Receiver<'static, 8> {
+            Receiver::new(toy64(), *self.server.public(), user.clone())
+        }
+    }
+
+    /// The textbook §5.1 decryption `V ⊕ H2(ê(U, I_T)^a)` with the
+    /// generic pairing: the reference every open is checked against.
+    fn textbook_decrypt(
+        user: &UserKeyPair<8>,
+        update: &KeyUpdate<8>,
+        ct: &Ciphertext<8>,
+    ) -> Vec<u8> {
+        let curve = toy64();
+        let k = receiver_key(curve, &ct.u, update, user.secret_scalar());
+        let mask = curve.gt_kdf(&k, MASK_DOMAIN, ct.v.len());
+        ct.v.iter().zip(&mask).map(|(c, k)| c ^ k).collect()
+    }
+
     #[test]
     fn roundtrip() {
         let curve = toy64();
@@ -341,8 +228,9 @@ mod tests {
         let msg = b"the bid is $1,000,000";
         let ct = s.sender.encrypt(&tag, msg, &mut rng);
         let update = s.server.issue_update(curve, &tag);
-        let pt = decrypt(curve, s.server.public(), &s.user, &update, &ct).unwrap();
+        let pt = s.receiver(&s.user).open_with(&update, &ct).unwrap();
         assert_eq!(pt, msg);
+        assert_eq!(textbook_decrypt(&s.user, &update, &ct), msg);
     }
 
     #[test]
@@ -352,9 +240,10 @@ mod tests {
         let s = setup();
         let tag = ReleaseTag::time("t");
         let update = s.server.issue_update(curve, &tag);
+        let mut receiver = s.receiver(&s.user);
         for msg in [vec![], vec![7u8; 1], vec![42u8; 5000]] {
             let ct = s.sender.encrypt(&tag, &msg, &mut rng);
-            let pt = decrypt(curve, s.server.public(), &s.user, &update, &ct).unwrap();
+            let pt = receiver.open_with(&update, &ct).unwrap();
             assert_eq!(pt, msg);
         }
     }
@@ -366,30 +255,38 @@ mod tests {
         let s = setup();
         let ct = s.sender.encrypt(&ReleaseTag::time("noon"), b"m", &mut rng);
         let wrong = s.server.issue_update(curve, &ReleaseTag::time("midnight"));
+        let mut receiver = s.receiver(&s.user);
         assert_eq!(
-            decrypt(curve, s.server.public(), &s.user, &wrong, &ct),
+            receiver.open_with(&wrong, &ct),
             Err(TreError::UpdateTagMismatch)
         );
+        // Holding an authentic update for another tag opens nothing.
+        receiver.observe_update(wrong).unwrap();
+        assert_eq!(receiver.open(&ct), Err(TreError::MissingUpdate));
     }
 
     #[test]
     fn early_decryption_garbage_without_update() {
-        // Without the real update a cheater who forges one gets noise (and
-        // the forged update is rejected outright).
+        // Before the update exists nothing opens; a cheater who forges one
+        // has it rejected outright, and force-feeding it yields noise.
         let curve = toy64();
         let mut rng = rand::thread_rng();
         let s = setup();
         let tag = ReleaseTag::time("t");
-        let ct = s.sender.encrypt(&tag, b"secret", &mut rng);
+        let msg = b"secret";
+        let ct = s.sender.encrypt(&tag, msg, &mut rng);
+        let mut receiver = s.receiver(&s.user);
+        assert_eq!(receiver.open(&ct), Err(TreError::MissingUpdate));
         let forged_sig = curve.g1_mul(
             &curve.hash_to_g1(tag.h1_domain(), tag.value()),
             &curve.random_scalar(&mut rng),
         );
         let forged = KeyUpdate::from_parts(tag.clone(), forged_sig);
         assert_eq!(
-            decrypt(curve, s.server.public(), &s.user, &forged, &ct),
+            receiver.open_with(&forged, &ct),
             Err(TreError::InvalidUpdate)
         );
+        assert_ne!(textbook_decrypt(&s.user, &forged, &ct), msg);
     }
 
     #[test]
@@ -402,7 +299,7 @@ mod tests {
         let msg = b"for alice only";
         let ct = s.sender.encrypt(&tag, msg, &mut rng);
         let update = s.server.issue_update(curve, &tag);
-        let pt = decrypt(curve, s.server.public(), &eve, &update, &ct).unwrap();
+        let pt = s.receiver(&eve).open_with(&update, &ct).unwrap();
         assert_ne!(
             pt, msg,
             "different private key must not recover the message"
@@ -424,11 +321,11 @@ mod tests {
         // but cryptographically wrong — fails verify.
         let mismatched = KeyUpdate::from_parts(tag.clone(), *other.sig());
         assert_eq!(
-            decrypt(curve, s.server.public(), &s.user, &mismatched, &ct),
+            s.receiver(&s.user).open_with(&mismatched, &ct),
             Err(TreError::InvalidUpdate)
         );
+        assert_ne!(textbook_decrypt(&s.user, &mismatched, &ct), b"secret");
     }
-
     #[test]
     fn invalid_user_key_blocks_encryption() {
         let curve = toy64();
@@ -508,33 +405,40 @@ mod tests {
     }
 
     #[test]
-    fn trusted_decrypt_skips_verification_pairings() {
+    fn cached_open_skips_verification_pairings() {
         let curve = toy64();
         let mut rng = rand::thread_rng();
         let s = setup();
         let tag = ReleaseTag::time("t");
         let update = s.server.issue_update(curve, &tag);
         let ct = s.sender.encrypt(&tag, b"m", &mut rng);
+        let mut receiver = s.receiver(&s.user);
         tre_obs::enable();
-        decrypt_trusted(curve, &s.user, &update, &ct).unwrap();
-        decrypt(curve, s.server.public(), &s.user, &update, &ct).unwrap();
+        receiver.open_with(&update, &ct).unwrap();
+        let first = tre_obs::finish().total_ops().pairings;
+        tre_obs::enable();
+        receiver.open_with(&update, &ct).unwrap();
         let trace = tre_obs::finish();
-        assert_eq!(trace.spans_named("tre.decrypt_trusted")[0].ops.pairings, 1);
         assert_eq!(
-            trace.spans_named("tre.decrypt")[0].ops.pairings,
-            3,
-            "full decrypt re-verifies (2 pairings) then decrypts (1)"
+            first, 3,
+            "first sighting verifies (2 pairings) then opens (1)"
         );
+        assert_eq!(
+            trace.total_ops().pairings,
+            1,
+            "a cached update opens with 1"
+        );
+        assert_eq!(trace.spans_named("tre.decrypt_trusted")[0].ops.pairings, 1);
         // Tag mismatch still enforced.
         let other = s.server.issue_update(curve, &ReleaseTag::time("t'"));
         assert_eq!(
-            decrypt_trusted(curve, &s.user, &other, &ct),
+            receiver.open_with(&other, &ct),
             Err(TreError::UpdateTagMismatch)
         );
     }
 
     #[test]
-    fn bulk_decrypt_matches_sequential_for_any_thread_count() {
+    fn bulk_open_matches_sequential_for_any_thread_count() {
         let curve = toy64();
         let mut rng = rand::thread_rng();
         let s = setup();
@@ -545,9 +449,11 @@ mod tests {
             .iter()
             .map(|m| s.sender.encrypt(&tag, m, &mut rng))
             .collect();
-        for threads in [0usize, 1, 3] {
-            let out =
-                decrypt_bulk(curve, s.server.public(), &s.user, &update, &cts, threads).unwrap();
+        for threads in [0usize, 1, 2, 4] {
+            let out = s
+                .receiver(&s.user)
+                .open_bulk(&update, &cts, threads)
+                .unwrap();
             assert_eq!(out, msgs, "threads={threads}");
         }
         // A mistagged ciphertext in the batch aborts before decrypting.
@@ -555,7 +461,7 @@ mod tests {
         let mut mixed = cts.clone();
         mixed.push(stray);
         assert_eq!(
-            decrypt_bulk(curve, s.server.public(), &s.user, &update, &mixed, 1),
+            s.receiver(&s.user).open_bulk(&update, &mixed, 1),
             Err(TreError::UpdateTagMismatch)
         );
         // A forged update is refused up front.
@@ -564,7 +470,7 @@ mod tests {
             curve.g1_mul(&curve.generator(), &curve.random_scalar(&mut rng)),
         );
         assert_eq!(
-            decrypt_bulk(curve, s.server.public(), &s.user, &forged, &cts, 1),
+            s.receiver(&s.user).open_bulk(&forged, &cts, 1),
             Err(TreError::InvalidUpdate)
         );
     }

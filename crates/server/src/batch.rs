@@ -78,29 +78,7 @@ impl<'c, const L: usize> BatchVerifier<'c, L> {
     /// must have resolved duplicate/equivocating tags already (the
     /// client runtime does this by byte comparison before batching).
     pub fn verify(&self, updates: &[KeyUpdate<L>]) -> BatchVerdict {
-        let _span = tre_obs::span("client.batch_verify");
-        let verdict = match KeyUpdate::batch_verify_isolate_prepared(
-            self.curve,
-            &self.server_pk,
-            updates,
-            self.threads,
-        ) {
-            Ok(()) => BatchVerdict {
-                valid: (0..updates.len()).collect(),
-                invalid: Vec::new(),
-            },
-            Err(bad) => BatchVerdict {
-                valid: (0..updates.len()).filter(|i| !bad.contains(i)).collect(),
-                invalid: bad,
-            },
-        };
-        if tre_obs::is_enabled() {
-            tre_obs::event(
-                "client.batch_verified",
-                &format!("n={} invalid={}", updates.len(), verdict.invalid.len()),
-            );
-        }
-        verdict
+        verify_prepared(self.curve, &self.server_pk, updates, self.threads)
     }
 
     /// [`BatchVerifier::verify`] for a one-update burst whose tag was
@@ -120,6 +98,35 @@ impl<'c, const L: usize> BatchVerifier<'c, L> {
         };
         BatchVerdict { valid, invalid }
     }
+}
+
+/// [`BatchVerifier::verify`] against a key prepared elsewhere: a
+/// [`crate::ReceiverClient`] verifies off its session's prepared key
+/// instead of preparing a second copy per burst.
+pub(crate) fn verify_prepared<const L: usize>(
+    curve: &Curve<L>,
+    key: &PreparedServerKey<L>,
+    updates: &[KeyUpdate<L>],
+    threads: usize,
+) -> BatchVerdict {
+    let _span = tre_obs::span("client.batch_verify");
+    let verdict = match KeyUpdate::batch_verify_isolate_prepared(curve, key, updates, threads) {
+        Ok(()) => BatchVerdict {
+            valid: (0..updates.len()).collect(),
+            invalid: Vec::new(),
+        },
+        Err(bad) => BatchVerdict {
+            valid: (0..updates.len()).filter(|i| !bad.contains(i)).collect(),
+            invalid: bad,
+        },
+    };
+    if tre_obs::is_enabled() {
+        tre_obs::event(
+            "client.batch_verified",
+            &format!("n={} invalid={}", updates.len(), verdict.invalid.len()),
+        );
+    }
+    verdict
 }
 
 #[cfg(test)]

@@ -35,7 +35,9 @@ use std::process::exit;
 use std::time::Duration;
 
 use tre_obs::{Catalog, Registry};
-use tre_server::{ArchiveReadStats, FeedStats, JournalStats, SupervisorStats, TredStats};
+use tre_server::{
+    ArchiveReadStats, FeedStats, JournalStats, SupervisorStats, TickerStats, TredStats,
+};
 
 struct Args {
     endpoints: Vec<String>,
@@ -205,8 +207,9 @@ fn render(sources: &[Source]) -> String {
 
     // Forecast hit ratio: epochs the root signed, and the relays
     // verified, off values the idle-priority worker computed ahead.
-    let hits = tred("forecast_hits");
-    let misses = tred("forecast_misses");
+    let forecast = |name: &str| sum("", TickerStats::CATALOG, name);
+    let hits = forecast("forecast_hits");
+    let misses = forecast("forecast_misses");
     if hits + misses > 0 {
         out.push_str(&format!(
             "forecast: hits {hits}  misses {misses}  ({:.1}% hit)\n\n",
@@ -409,6 +412,7 @@ mod tests {
     fn every_name_render_reads_is_declared() {
         let catalogs = [
             TredStats::CATALOG,
+            TickerStats::CATALOG,
             JournalStats::CATALOG,
             ArchiveReadStats::CATALOG,
             FeedStats::CATALOG,
@@ -445,7 +449,6 @@ mod tests {
         registry.counter_set("tred_forecast_misses", 5);
         registry.counter_set("trerelay_forecast_hits", 98);
         registry.counter_set("trerelay_forecast_misses", 2);
-        registry.counter_set("trerelay_serve_forecast_hits", 0);
         let sources = [Source {
             addr: "test".into(),
             registry: Some(registry),

@@ -28,7 +28,7 @@ use tre_core::{tre, KeyUpdate, Receiver, ReleaseTag, ServerPublicKey, TreError, 
 use tre_pairing::Curve;
 
 use crate::archive::UpdateArchive;
-use crate::batch::BatchVerifier;
+use crate::batch;
 use crate::feed::Feed;
 use crate::metrics::ClientHealth;
 use crate::net::SubscriberId;
@@ -352,9 +352,9 @@ impl<'c, const L: usize> ReceiverClient<'c, L> {
             .collect();
         if !fresh.is_empty() {
             let batch: Vec<KeyUpdate<L>> = fresh.iter().map(|&i| updates[i].clone()).collect();
-            let verdict = BatchVerifier::new(self.curve, *self.session.server())
-                .with_threads(self.threads)
-                .verify(&batch);
+            // Against the key the session prepared once at construction.
+            let key = self.session.prepared_server();
+            let verdict = batch::verify_prepared(self.curve, key, &batch, self.threads);
             for &k in &verdict.invalid {
                 outcomes[fresh[k]] = UpdateOutcome::Invalid;
             }
@@ -710,6 +710,34 @@ mod tests {
         assert_eq!(client.opened()[0].plaintext, b"missed me");
         assert_eq!(client.health().recovered_from_archive, 1);
         assert_eq!(client.health().archive_attempts, 1);
+    }
+
+    /// The session prepared the server key once, at construction; a
+    /// burst and an archive catch-up verify against that copy.
+    #[test]
+    fn bursts_and_catch_up_reuse_the_prepared_key() {
+        let (clock, mut server, mut client) = world();
+        for epoch in [2, 5] {
+            let tag = server.tag_for_epoch(epoch);
+            let ct = seal(server.public_key(), client.public_key(), &tag, b"m");
+            client.receive_ciphertext(ct, 0);
+        }
+        clock.advance(3);
+        let burst = server.poll();
+        clock.advance(3);
+        server.poll();
+        let g = server.granularity();
+
+        tre_obs::enable();
+        let report = client.receive_updates(&burst, clock.now());
+        let opened = client.catch_up(server.archive(), clock.now(), |tag| g.epoch_of_tag(tag));
+        let trace = tre_obs::finish();
+        assert_eq!((report.accepted, report.opened, opened), (4, 1, 1));
+        assert_eq!(trace.spans_named("client.batch_verify").len(), 2);
+        assert!(
+            trace.spans_named("tre.prepare_server_key").is_empty(),
+            "no burst re-prepares the server key"
+        );
     }
 
     #[test]

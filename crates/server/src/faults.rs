@@ -23,11 +23,12 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use tre_core::{KeyUpdate, Sender, ServerKeyPair, UserKeyPair};
 use tre_pairing::Curve;
+use tre_wire::Wire;
 
 use crate::archive::UpdateArchive;
 use crate::client::ReceiverClient;
 use crate::clock::{Granularity, SimClock};
-use crate::net::{BroadcastNet, NetConfig, SubscriberId};
+use crate::net::{BroadcastNet, NetConfig, NetStats, SubscriberId};
 use crate::server::TimeServer;
 
 /// One fault, scoped to a server, a client, or the archive. Client indices
@@ -392,12 +393,15 @@ impl InvariantReport {
     }
 }
 
-/// A fault-injected timed-release world: clock + crash-recoverable server
-/// + broadcast channel + resilient clients, driven by a [`FaultPlan`].
+/// The simulated timed-release world: a clock, a crash-recoverable
+/// server, the broadcast channel and resilient clients, driven by a
+/// [`FaultPlan`]. With an empty plan it is the plain world the
+/// scalability, anonymity and stress scenarios run in;
+/// [`ChaosSim::with_net`] gives the channel latency, jitter and loss.
 ///
 /// All randomness (keys, message encryption, corruption bytes, reorder
-/// delays) derives from the single constructor seed, so a run is exactly
-/// reproducible.
+/// delays, channel jitter and loss) derives from the single constructor
+/// seed, so a run is exactly reproducible.
 pub struct ChaosSim<'c, const L: usize> {
     curve: &'c Curve<L>,
     clock: SimClock,
@@ -418,8 +422,9 @@ pub struct ChaosSim<'c, const L: usize> {
 }
 
 impl<'c, const L: usize> ChaosSim<'c, L> {
-    /// Boots a world that will replay `plan`. Base broadcast latency is
-    /// one tick; all other channel behavior comes from the plan.
+    /// Boots a world that will replay `plan`. The channel delivers every
+    /// broadcast one tick later ([`NetConfig::default`]); all other
+    /// channel behavior comes from the plan and [`ChaosSim::with_net`].
     pub fn new(curve: &'c Curve<L>, granularity: Granularity, plan: FaultPlan, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let clock = SimClock::new();
@@ -446,6 +451,14 @@ impl<'c, const L: usize> ChaosSim<'c, L> {
             deliveries_injected: 0,
             archive_denied: 0,
         }
+    }
+
+    /// Replaces the default channel model with `config` (builder style):
+    /// each client's copy of a broadcast takes `config`'s latency, jitter
+    /// and loss draw before the fault windows apply.
+    pub fn with_net(mut self, config: NetConfig) -> Self {
+        self.net.config = config;
+        self
     }
 
     /// Adds a receiver with a fresh (seed-derived) key pair; returns its
@@ -513,6 +526,10 @@ impl<'c, const L: usize> ChaosSim<'c, L> {
             None => Vec::new(),
         };
         for update in &fresh {
+            // On-air size is the framed wire encoding: what the TCP
+            // transport actually ships.
+            let bytes = update.wire_bytes(self.curve).len();
+            self.net.count_broadcast(bytes);
             self.route(now, update);
         }
 
@@ -527,22 +544,26 @@ impl<'c, const L: usize> ChaosSim<'c, L> {
         opened
     }
 
-    /// Routes one freshly published update to every client through the
-    /// active fault windows.
+    /// Routes one freshly published update to every client: the
+    /// channel's latency/jitter/loss draw first, then the active fault
+    /// windows.
     fn route(&mut self, now: u64, update: &KeyUpdate<L>) {
         for idx in 0..self.clients.len() {
+            let sub = self.clients[idx].1;
+            let Some(on_air) = self.net.draw(sub) else {
+                continue;
+            };
             let w = self.injector.windows(idx, now);
             if w.partitioned {
                 self.deliveries_dropped += 1;
                 continue;
             }
-            let sub = self.clients[idx].1;
             let extra = if w.reorder_max_extra > 0 {
                 self.rng.next_u64() % (w.reorder_max_extra + 1)
             } else {
                 0
             };
-            let deliver_at = now + 1 + extra;
+            let deliver_at = on_air + extra;
             let delivered = if w.corrupting {
                 // In-transit corruption: the signature point is replaced
                 // by a random group element, so self-authentication fails.
@@ -701,6 +722,11 @@ impl<'c, const L: usize> ChaosSim<'c, L> {
     pub fn archive_denied(&self) -> u64 {
         self.archive_denied
     }
+
+    /// Broadcast-channel statistics: one broadcast per published update.
+    pub fn net_stats(&self) -> NetStats {
+        self.net.stats()
+    }
 }
 
 #[cfg(test)]
@@ -721,6 +747,79 @@ mod tests {
         assert_eq!(h.rejected_updates, 0);
         assert_eq!(h.duplicates_skipped, 0);
         assert_eq!(h.equivocations, 0);
+    }
+
+    #[test]
+    fn scripted_world() {
+        let curve = toy64();
+        let mut sim: ChaosSim<'_, 8> =
+            ChaosSim::new(curve, Granularity::Seconds, FaultPlan::new(), 7);
+        let alice = sim.add_client();
+        let bob = sim.add_client();
+        sim.send_for_epoch(alice, 3, b"for alice at 3");
+        sim.send_for_epoch(bob, 5, b"for bob at 5");
+
+        // Nothing opens before the respective epochs (+1 tick latency).
+        let opened_by_4 = sim.run(4);
+        assert_eq!(opened_by_4, 1, "only alice's message by t=4");
+        assert_eq!(sim.client(alice).opened().len(), 1);
+        assert_eq!(sim.client(bob).opened().len(), 0);
+
+        let opened_rest = sim.run(3);
+        assert_eq!(opened_rest, 1);
+        assert_eq!(sim.client(bob).opened()[0].plaintext, b"for bob at 5");
+        assert!(sim.client(bob).opened()[0].opened_at >= 5);
+        sim.check_invariants().assert_ok();
+    }
+
+    /// A lossy, jittery channel: one seed replays the same channel draws
+    /// and open times, every published update is one broadcast whatever
+    /// the population, and `settle` recovers what the channel lost from
+    /// the archive.
+    #[test]
+    fn lossy_jittery_net_replays_and_settles() {
+        let curve = toy64();
+        let lossy = NetConfig {
+            base_latency: 1,
+            jitter: 3,
+            loss_prob: 0.5,
+        };
+        let run = |seed| {
+            let mut sim: ChaosSim<'_, 8> =
+                ChaosSim::new(curve, Granularity::Seconds, FaultPlan::new(), seed).with_net(lossy);
+            let clients: Vec<usize> = (0..10).map(|_| sim.add_client()).collect();
+            for &c in &clients {
+                sim.send_for_epoch(c, 1 + c as u64 % 4, format!("m{c}").as_bytes());
+            }
+            sim.run(3);
+            let stats = sim.net_stats();
+            assert_eq!(stats.broadcasts, 4, "epochs 0..=3, one broadcast each");
+            assert_eq!(stats.unicast_equivalent_bytes, stats.broadcast_bytes * 10);
+            assert!(sim.settle(30), "the archive restores liveness");
+            sim.check_invariants().assert_ok();
+            let opened_at: Vec<Vec<u64>> = clients
+                .iter()
+                .map(|&c| sim.client(c).opened().iter().map(|m| m.opened_at).collect())
+                .collect();
+            (sim.net_stats(), opened_at)
+        };
+        let (stats, opened_at) = run(9);
+        assert!(stats.lost > 0, "the channel dropped copies");
+        assert_eq!((stats, opened_at), run(9), "same seed, same world");
+
+        // A channel that loses everything: only the archive opens.
+        let mut dark: ChaosSim<'_, 8> =
+            ChaosSim::new(curve, Granularity::Seconds, FaultPlan::new(), 9).with_net(NetConfig {
+                loss_prob: 1.0,
+                ..NetConfig::default()
+            });
+        let c = dark.add_client();
+        dark.send_for_epoch(c, 2, b"lost on air");
+        dark.run(5);
+        assert!(dark.client(c).opened().is_empty(), "all broadcasts lost");
+        assert_eq!(dark.catch_up(), 1, "archive saves the day");
+        assert_eq!(dark.client(c).opened()[0].plaintext, b"lost on air");
+        assert_eq!(dark.net_stats().lost, 6, "epochs 0..=5 lost on air");
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //!
 //! The builder functions realize the `Feed::tcp(addr)`-style
 //! construction surface (Rust puts traits and types in one namespace,
-//! so the entry points live here as `feed::tcp(..)`, `feed::sim(..)`,
-//! `feed::committee(..)`):
+//! so the entry points live here as `feed::tcp(..)` and
+//! `feed::committee(..)`; the simulated channel is
+//! [`crate::BroadcastNet::new`]):
 //!
 //! ```no_run
 //! # use tre_server::{feed, Granularity, SupervisorConfig};
@@ -38,7 +39,7 @@ use tre_pairing::Curve;
 
 use crate::clock::{Granularity, SimClock};
 use crate::committee::{CollectorConfig, CommitteeFeed};
-use crate::net::{BroadcastNet, NetConfig, SubscriberId};
+use crate::net::{BroadcastNet, SubscriberId};
 use crate::supervised::{SupervisedFeed, SupervisorConfig};
 use crate::tcp::TcpFeed;
 use crate::telemetry::TraceSink;
@@ -115,12 +116,6 @@ pub fn tcp<const L: usize>(curve: &'static Curve<L>, addr: SocketAddr) -> TcpBui
         clock: None,
         trace: None,
     }
-}
-
-/// A deterministic in-process broadcast net (the `Feed::sim(net)` entry
-/// point): latency/jitter/loss per `config`, reproducible under `seed`.
-pub fn sim<const L: usize>(clock: SimClock, config: NetConfig, seed: u64) -> BroadcastNet<L> {
-    BroadcastNet::new(clock, config, seed)
 }
 
 /// A live t-of-n committee feed (the `Feed::committee(roster, addrs)`
@@ -248,6 +243,7 @@ impl<const L: usize> SupervisedBuilder<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::NetConfig;
     use tre_core::{ReleaseTag, ServerKeyPair};
     use tre_pairing::toy64;
 
@@ -264,7 +260,7 @@ mod tests {
         let curve = toy64();
         let mut rng = rand::thread_rng();
         let clock = SimClock::new();
-        let mut net: BroadcastNet<8> = sim(clock.clone(), NetConfig::default(), 5);
+        let mut net: BroadcastNet<8> = BroadcastNet::new(clock.clone(), NetConfig::default(), 5);
         let id = Feed::subscribe(&mut net);
         let server = ServerKeyPair::generate(curve, &mut rng);
         let u = server.issue_update(curve, &ReleaseTag::time("t"));

@@ -20,12 +20,18 @@
 //!   bursts (2 pairings per clean batch instead of 2 per update, with
 //!   bisection isolation of forgeries) behind the client's burst-drain
 //!   and catch-up paths;
-//! * [`ChaosSim`] / [`FaultPlan`] — deterministic fault injection (server
+//! * [`ChaosSim`] / [`FaultPlan`] — the one simulated world: clock,
+//!   crash-recoverable server, the [`BroadcastNet`] channel model and
+//!   receiver clients, with deterministic fault injection (server
 //!   crash/restart, partitions, duplicate storms, reordering, corruption,
-//!   Byzantine equivocation/forgery, archive outages) with safety and
-//!   liveness invariant checking (experiment E13);
+//!   Byzantine equivocation/forgery, archive outages) and safety and
+//!   liveness invariant checking (experiment E13); an empty plan is the
+//!   plain world;
+//! * [`RelayTreeSim`] — a million-subscriber relay tree (experiment E20)
+//!   whose relays run the `trerelay` admission step and whose wires are
+//!   a seeded latency model;
 //! * [`Feed`] — the unified subscription surface ([`feed`] has the
-//!   builder entry points) that [`BroadcastNet`], [`TcpFeed`],
+//!   TCP and committee builder entry points) that [`BroadcastNet`], [`TcpFeed`],
 //!   [`SupervisedFeed`], [`CommitteeFeed`], and the relay upstream all
 //!   implement, so [`ReceiverClient::pump`] and [`Relay`] are written
 //!   once against it;
@@ -122,9 +128,11 @@ pub use metrics::{ClientHealth, LatencyHistogram};
 pub use net::{BroadcastNet, NetConfig, NetStats, SubscriberId};
 pub use relay::{Relay, RelayConfig, RelayExporter, RelayStats};
 pub use server::{FutureEpochError, TimeServer};
-pub use sim::{ClientId, DeliveryReport, FanoutShape, RelayTreeSim, Simulation};
+pub use sim::{DeliveryReport, FanoutShape, RelayTreeSim};
 pub use supervised::{SupervisedFeed, SupervisorConfig, SupervisorStats};
-pub use tcp::{CatchUpConfig, FeedStats, TcpFeed, Tred, TredConfig, TredExporter, TredStats};
+pub use tcp::{
+    CatchUpConfig, FeedStats, TcpFeed, TickerStats, Tred, TredConfig, TredExporter, TredStats,
+};
 pub use telemetry::{
     now_ns, EpochTrace, HealthSnapshot, Stage, TelemetryServer, TelemetrySnapshot, TraceSink,
 };

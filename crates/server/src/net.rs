@@ -101,7 +101,7 @@ impl<const L: usize> Ord for Envelope<L> {
 
 /// The broadcast network: one sender (the time server), many subscribers.
 pub struct BroadcastNet<const L: usize> {
-    config: NetConfig,
+    pub(crate) config: NetConfig,
     clock: SimClock,
     rng: StdRng,
     mailboxes: Vec<Mailbox<L>>,
@@ -138,31 +138,41 @@ impl<const L: usize> BroadcastNet<L> {
     /// update's wire size (callers have the curve to compute it).
     pub fn broadcast(&mut self, update: &KeyUpdate<L>, payload_bytes: usize) {
         let _span = tre_obs::span("net.broadcast");
-        let now = self.clock.now();
+        self.count_broadcast(payload_bytes);
+        for sub in 0..self.mailboxes.len() {
+            let id = SubscriberId(sub);
+            if let Some(deliver_at) = self.draw(id) {
+                self.deliver_to(id, update.clone(), deliver_at);
+            }
+        }
+    }
+
+    /// Counts one broadcast of `payload_bytes` in the channel statistics:
+    /// one copy on the air, `subscribers` copies under unicast.
+    pub(crate) fn count_broadcast(&mut self, payload_bytes: usize) {
         self.stats.broadcasts += 1;
         self.stats.broadcast_bytes += payload_bytes as u64;
         self.stats.unicast_equivalent_bytes += payload_bytes as u64 * self.mailboxes.len() as u64;
-        for (sub, mbox) in self.mailboxes.iter_mut().enumerate() {
-            if self.config.loss_prob > 0.0 && self.rng.gen::<f64>() < self.config.loss_prob {
-                self.stats.lost += 1;
-                if tre_obs::is_enabled() {
-                    tre_obs::event("net.dropped", &format!("subscriber={sub}"));
-                }
-                continue;
+    }
+
+    /// The channel model's draw for one subscriber's copy of a broadcast
+    /// sent now: its delivery tick, or `None` when the copy is lost
+    /// (counted in [`NetStats::lost`]). The default config (no jitter,
+    /// no loss) draws nothing from the RNG.
+    pub(crate) fn draw(&mut self, id: SubscriberId) -> Option<u64> {
+        if self.config.loss_prob > 0.0 && self.rng.gen::<f64>() < self.config.loss_prob {
+            self.stats.lost += 1;
+            if tre_obs::is_enabled() {
+                tre_obs::event("net.dropped", &format!("subscriber={}", id.0));
             }
-            let jitter = if self.config.jitter > 0 {
-                self.rng.next_u64() % (self.config.jitter + 1)
-            } else {
-                0
-            };
-            let deliver_at = now + self.config.base_latency + jitter;
-            mbox.push(Reverse(Envelope {
-                deliver_at,
-                seq: self.seq,
-                update: update.clone(),
-            }));
-            self.seq += 1;
+            return None;
         }
+        let jitter = if self.config.jitter > 0 {
+            self.rng.next_u64() % (self.config.jitter + 1)
+        } else {
+            0
+        };
+        Some(self.clock.now() + self.config.base_latency + jitter)
     }
 
     /// Enqueues a single delivery directly into one subscriber's mailbox,

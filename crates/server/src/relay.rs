@@ -24,14 +24,16 @@
 //!   layer for free. Between polls the pump blocks on the upstream
 //!   socket, a shutdown wake fd, and the supervisor's nearest deadline
 //!   ([`SupervisedFeed::next_deadline`]), never on a fixed timer;
-//! * **verify once**: every *new* epoch is checked through the
-//!   prepared-pairing [`BatchVerifier`] exactly once per relay — the
+//! * **verify once**: the admission step ([`RelayCore`], sans-IO, also
+//!   what [`crate::RelayTreeSim`] runs per simulated relay) checks every
+//!   *new* epoch through the prepared-pairing [`BatchVerifier`] exactly
+//!   once per relay and archives it — the
 //!   per-burst cost is 2 pairings regardless of burst size, or 1 when
 //!   the burst is the one epoch an idle-priority worker forecast while
 //!   the upstream was quiet (`ê(sG, H1(T))` precomputed, public values
-//!   only) — and duplicates (catch-up overlap, upstream failover
-//!   replays) are deduplicated *before* the pairing, never verified
-//!   twice;
+//!   only) — and duplicates of archived epochs (catch-up overlap,
+//!   upstream failover replays) are dropped *before* the pairing, never
+//!   verified twice;
 //! * **downstream**: the same sharded readiness event loop `tred`
 //!   serves through ([`crate::evloop`]), re-serving verified updates —
 //!   live and via archive catch-up — to `O(100k)` subscribers on
@@ -48,7 +50,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use tre_core::{ServerPublicKey, TagForecast};
+use tre_core::{KeyUpdate, ServerPublicKey, TagForecast};
 use tre_pairing::Curve;
 use tre_wire::Telemetry;
 
@@ -244,22 +246,24 @@ impl<const L: usize> Relay<L> {
                     let mut forecaster = Forecaster::new(move |epoch| {
                         key.forecast(curve, &granularity.tag_for_epoch(epoch))
                     });
+                    let core = RelayCore {
+                        granularity,
+                        archive: Arc::clone(&shared.archive),
+                        stats,
+                    };
                     // Lazy subscribe: if the upstream is down at bind,
                     // the supervision loop dials it with backoff instead
                     // of the pump thread panicking.
                     let sub = upstream.subscribe_lazy();
-                    let mut relayed = std::collections::BTreeSet::new();
                     while !shared.shutdown.load(Ordering::SeqCst) {
                         pump_once(
-                            &shared,
-                            &stats,
+                            &core,
                             &sink,
                             &verifier,
                             &mut forecaster,
                             &mut upstream,
                             sub,
                             &handle,
-                            &mut relayed,
                         );
                         upstream.wait_with(sub, Some(&waker));
                     }
@@ -349,87 +353,111 @@ impl<const L: usize> Relay<L> {
     }
 }
 
-/// Screens one upstream burst down to the epochs worth verifying:
-/// untagged updates are dropped (the relay cannot dedupe or archive
-/// what it cannot index), and epochs already relayed — or repeated
-/// within the burst (catch-up overlap, upstream failover replays) —
-/// are skipped *before* the pairing, so each epoch is verified exactly
-/// once per relay.
-fn select_fresh<const L: usize>(
-    granularity: Granularity,
-    stats: &RelayStats,
-    relayed: &std::collections::BTreeSet<u64>,
-    deliveries: Vec<(u64, tre_core::KeyUpdate<L>)>,
-) -> (Vec<u64>, Vec<tre_core::KeyUpdate<L>>) {
-    let mut epochs = Vec::new();
-    let mut fresh = Vec::new();
-    for (_, update) in deliveries {
-        let Some(epoch) = granularity.epoch_of_tag(update.tag()) else {
-            stats.untagged_dropped.fetch_add(1, Ordering::Relaxed);
-            continue;
-        };
-        if relayed.contains(&epoch) || epochs.contains(&epoch) {
-            stats.duplicates_skipped.fetch_add(1, Ordering::Relaxed);
-            continue;
-        }
-        epochs.push(epoch);
-        fresh.push(update);
-    }
-    (epochs, fresh)
+/// A relay's admission step, with no sockets, threads or clocks: drop
+/// what cannot be indexed or was already admitted, verify each fresh
+/// epoch once, archive the valid ones. The `trerelay` pump runs it on
+/// every upstream burst and [`crate::RelayTreeSim`] on every simulated
+/// relay, so the protocol the simulator measures is the daemon's.
+pub(crate) struct RelayCore<const L: usize> {
+    /// Maps update tags to epochs (dedup and archive index).
+    pub(crate) granularity: Granularity,
+    /// The verified updates admitted so far: the dedup set, and what the
+    /// relay serves downstream catch-ups from.
+    pub(crate) archive: Arc<UpdateArchive<L>>,
+    pub(crate) stats: Arc<RelayStats>,
 }
 
-/// One pump iteration: drain the upstream feed, verify every new epoch
-/// once, archive and re-broadcast the survivors, then ask the forecast
-/// worker for the epoch after the newest one relayed. A one-epoch burst
-/// whose forecast is ready verifies with one pairing lane.
-#[allow(clippy::too_many_arguments)]
+impl<const L: usize> RelayCore<L> {
+    /// Admits one upstream burst and returns the updates it archived, as
+    /// `(epoch, update)` in burst order.
+    ///
+    /// Untagged updates are dropped (the relay cannot dedupe or archive
+    /// what it cannot index). Epochs already archived, or repeated
+    /// within the burst (catch-up overlap, upstream failover replays),
+    /// are skipped *before* the pairing, so each epoch is verified
+    /// exactly once per relay: one [`BatchVerifier::verify`] per burst
+    /// of fresh epochs. A burst of one fresh epoch asks `forecast` for
+    /// that epoch's [`TagForecast`] and, given one, verifies with one
+    /// pairing lane.
+    pub(crate) fn admit(
+        &self,
+        verifier: &BatchVerifier<'_, L>,
+        deliveries: Vec<(u64, KeyUpdate<L>)>,
+        forecast: impl FnOnce(u64) -> Option<TagForecast<L>>,
+    ) -> Vec<(u64, KeyUpdate<L>)> {
+        let stats = &self.stats;
+        let mut epochs = Vec::new();
+        let mut fresh = Vec::new();
+        for (_, update) in deliveries {
+            let Some(epoch) = self.granularity.epoch_of_tag(update.tag()) else {
+                stats.untagged_dropped.fetch_add(1, Ordering::Relaxed);
+                continue;
+            };
+            if self.archive.contains(epoch) || epochs.contains(&epoch) {
+                stats.duplicates_skipped.fetch_add(1, Ordering::Relaxed);
+                continue;
+            }
+            epochs.push(epoch);
+            fresh.push(update);
+        }
+        if fresh.is_empty() {
+            return Vec::new();
+        }
+        let forecast = match epochs[..] {
+            [epoch] => forecast(epoch),
+            _ => None,
+        };
+        stats.verify_batches.fetch_add(1, Ordering::Relaxed);
+        let verdict = match &forecast {
+            Some(forecast) => {
+                stats.forecast_hits.fetch_add(1, Ordering::Relaxed);
+                verifier.verify_forecast(&fresh[0], forecast)
+            }
+            None => {
+                stats
+                    .forecast_misses
+                    .fetch_add(fresh.len() as u64, Ordering::Relaxed);
+                verifier.verify(&fresh)
+            }
+        };
+        stats
+            .updates_rejected
+            .fetch_add(verdict.invalid.len() as u64, Ordering::Relaxed);
+        for &i in &verdict.invalid {
+            tre_obs::event("relay.rejected", &format!("epoch={}", epochs[i]));
+        }
+        verdict
+            .valid
+            .iter()
+            .map(|&i| {
+                self.archive.publish(epochs[i], fresh[i].clone());
+                (epochs[i], fresh[i].clone())
+            })
+            .collect()
+    }
+}
+
+/// One pump iteration: drain the upstream feed, admit the burst through
+/// the [`RelayCore`], re-broadcast what it archived, then ask the
+/// forecast worker for the epoch after the newest one archived. A
+/// one-epoch burst whose forecast is ready verifies with one pairing
+/// lane.
 fn pump_once<const L: usize>(
-    shared: &ServeShared<L>,
-    stats: &RelayStats,
+    core: &RelayCore<L>,
     sink: &TraceSink,
     verifier: &BatchVerifier<'static, L>,
     forecaster: &mut Forecaster<TagForecast<L>>,
     upstream: &mut SupervisedFeed<L>,
     sub: crate::net::SubscriberId,
     handle: &crate::evloop::BroadcastHandle<L>,
-    relayed: &mut std::collections::BTreeSet<u64>,
 ) {
     let deliveries = Feed::poll(upstream, sub);
     if deliveries.is_empty() {
         return;
     }
-    let (epochs, fresh) = select_fresh(shared.granularity, stats, relayed, deliveries);
-    if fresh.is_empty() {
-        return;
-    }
-    let forecast = match epochs[..] {
-        [epoch] => forecaster.take(epoch),
-        _ => None,
-    };
-    stats.verify_batches.fetch_add(1, Ordering::Relaxed);
-    let verdict = match &forecast {
-        Some(forecast) => {
-            stats.forecast_hits.fetch_add(1, Ordering::Relaxed);
-            verifier.verify_forecast(&fresh[0], forecast)
-        }
-        None => {
-            stats
-                .forecast_misses
-                .fetch_add(fresh.len() as u64, Ordering::Relaxed);
-            verifier.verify(&fresh)
-        }
-    };
-    stats
-        .updates_rejected
-        .fetch_add(verdict.invalid.len() as u64, Ordering::Relaxed);
-    for &i in &verdict.invalid {
-        tre_obs::event("relay.rejected", &format!("epoch={}", epochs[i]));
-    }
-    for &i in &verdict.valid {
-        let (epoch, update) = (epochs[i], &fresh[i]);
-        relayed.insert(epoch);
-        shared.archive.publish(epoch, update.clone());
-
+    let admitted = core.admit(verifier, deliveries, |epoch| forecaster.take(epoch));
+    for (epoch, update) in &admitted {
+        let epoch = *epoch;
         // Hop accounting: the upstream trailer (already folded into the
         // sink by the feed) says how many process boundaries the update
         // crossed to reach us; our live broadcast is one more. Noting
@@ -449,13 +477,13 @@ fn pump_once<const L: usize>(
             publish_ns: sink.publish_ns(epoch).unwrap_or(0),
             hops,
         });
-        stats.epochs_relayed.fetch_add(1, Ordering::Relaxed);
+        core.stats.epochs_relayed.fetch_add(1, Ordering::Relaxed);
         if tre_obs::is_enabled() {
             tre_obs::event("relay.relayed", &format!("epoch={epoch} hops={hops}"));
         }
     }
-    if !verdict.valid.is_empty() {
-        if let Some(&newest) = relayed.last() {
+    if !admitted.is_empty() {
+        if let Some(newest) = core.archive.latest_epoch() {
             forecaster.request(newest + 1);
         }
     }
@@ -627,31 +655,52 @@ mod tests {
         );
     }
 
-    /// The pre-pairing screen: duplicates (already relayed or repeated
-    /// within the burst) and untagged updates never reach the verifier,
-    /// so each epoch is verified exactly once per relay.
+    /// The admission step's pre-pairing screen: an epoch redelivered
+    /// within a burst and again in a later burst is verified once (2
+    /// pairings, 1 with a matching forecast) and archived once, and
+    /// untagged updates never reach the verifier.
     #[test]
     fn burst_screen_dedupes_before_verification() {
         let curve = toy64();
         let mut rng = rand::thread_rng();
         let keys = ServerKeyPair::generate(curve, &mut rng);
-        let stats = RelayStats::default();
-        let mut relayed = std::collections::BTreeSet::new();
-        relayed.insert(0u64);
+        let verifier = BatchVerifier::new(curve, *keys.public());
+        let core = RelayCore {
+            granularity: Granularity::Seconds,
+            archive: Arc::new(UpdateArchive::new()),
+            stats: Arc::default(),
+        };
+        let tag = |e: u64| Granularity::Seconds.tag_for_epoch(e);
+        let epoch = |e: u64| keys.issue_update(curve, &tag(e));
+        let untagged = || keys.issue_update(curve, &tre_core::ReleaseTag::time("not/an/epoch"));
+        let admit = |deliveries, forecast: Option<TagForecast<8>>| {
+            tre_obs::enable();
+            let admitted: Vec<(u64, KeyUpdate<8>)> =
+                core.admit(&verifier, deliveries, |_| forecast);
+            let pairings = tre_obs::finish().total_ops().pairings;
+            (
+                admitted.iter().map(|(e, _)| *e).collect::<Vec<_>>(),
+                pairings,
+            )
+        };
 
-        let epoch = |e: u64| keys.issue_update(curve, &Granularity::Seconds.tag_for_epoch(e));
-        let untagged = keys.issue_update(curve, &tre_core::ReleaseTag::time("not/an/epoch"));
-        let deliveries = vec![
-            (1, epoch(0)), // already relayed
-            (1, epoch(1)),
-            (1, epoch(1)), // duplicate within the burst
-            (2, epoch(2)),
-            (2, untagged),
-        ];
-        let (epochs, fresh) = select_fresh::<8>(Granularity::Seconds, &stats, &relayed, deliveries);
-        assert_eq!(epochs, vec![1, 2], "only genuinely new epochs survive");
-        assert_eq!(fresh.len(), 2);
+        let burst = vec![(1, epoch(1)), (1, epoch(1)), (1, untagged())];
+        assert_eq!(admit(burst, None), (vec![1], 2), "one verify, no forecast");
+        let forecast = verifier.key().forecast(curve, &tag(2));
+        let burst = vec![(2, epoch(1)), (2, epoch(2)), (2, untagged())];
+        assert_eq!(
+            admit(burst, Some(forecast)),
+            (vec![2], 1),
+            "the redelivered epoch costs nothing; a forecast hit is one lane"
+        );
+        assert_eq!(admit(vec![(3, untagged())], None), (vec![], 0));
+
+        let stats = &core.stats;
+        assert_eq!(core.archive.len(), 2, "each epoch archived once");
         assert_eq!(stats.duplicates_skipped.load(Ordering::Relaxed), 2);
-        assert_eq!(stats.untagged_dropped.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.untagged_dropped.load(Ordering::Relaxed), 3);
+        assert_eq!(stats.verify_batches.load(Ordering::Relaxed), 2);
+        assert_eq!(stats.forecast_hits.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.forecast_misses.load(Ordering::Relaxed), 1);
     }
 }

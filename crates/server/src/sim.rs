@@ -1,164 +1,17 @@
-//! A one-stop simulation orchestrator: clock + passive server + broadcast
-//! network + receiver clients, advanced tick by tick.
-//!
-//! Wraps the individual pieces so experiments and examples can express
-//! scenarios ("N receivers, this latency model, these messages") without
-//! re-wiring the plumbing every time.
+//! The relay-tree model behind experiment E20: a million-subscriber
+//! fan-out whose relays run the real admission step (`RelayCore`) and
+//! whose wires are a seeded latency model.
+
+use std::sync::Arc;
 
 use rand::RngCore;
-use tre_core::{ReleaseTag, Sender, ServerKeyPair, TreError, UserKeyPair};
+use tre_core::ServerKeyPair;
 use tre_pairing::Curve;
-use tre_wire::Wire;
 
-use crate::client::ReceiverClient;
-use crate::clock::{Granularity, SimClock};
-use crate::net::{BroadcastNet, NetConfig, NetStats, SubscriberId};
-use crate::server::TimeServer;
-
-/// Handle to a receiver inside a [`Simulation`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ClientId(usize);
-
-/// A complete timed-release world under simulated time.
-pub struct Simulation<'c, const L: usize> {
-    curve: &'c Curve<L>,
-    clock: SimClock,
-    server: TimeServer<'c, L>,
-    net: BroadcastNet<L>,
-    clients: Vec<(ReceiverClient<'c, L>, SubscriberId)>,
-}
-
-impl<'c, const L: usize> Simulation<'c, L> {
-    /// Boots a fresh world: one passive server on `granularity`, a
-    /// broadcast channel with `net_config`, deterministic under `seed`.
-    pub fn new(
-        curve: &'c Curve<L>,
-        granularity: Granularity,
-        net_config: NetConfig,
-        seed: u64,
-        rng: &mut (impl RngCore + ?Sized),
-    ) -> Self {
-        let clock = SimClock::new();
-        let keys = ServerKeyPair::generate(curve, rng);
-        let server = TimeServer::new(curve, keys, clock.clone(), granularity);
-        let net = BroadcastNet::new(clock.clone(), net_config, seed);
-        Self {
-            curve,
-            clock,
-            server,
-            net,
-            clients: Vec::new(),
-        }
-    }
-
-    /// The shared clock.
-    pub fn clock(&self) -> &SimClock {
-        &self.clock
-    }
-
-    /// The time server (public key, archive, …).
-    pub fn server(&self) -> &TimeServer<'c, L> {
-        &self.server
-    }
-
-    /// Adds a receiver with a fresh key pair; returns its handle.
-    pub fn add_client(&mut self, rng: &mut (impl RngCore + ?Sized)) -> ClientId {
-        let spk = *self.server.public_key();
-        let keys = UserKeyPair::generate(self.curve, &spk, rng);
-        let client = ReceiverClient::new(self.curve, spk, keys);
-        let sub = self.net.subscribe();
-        self.clients.push((client, sub));
-        ClientId(self.clients.len() - 1)
-    }
-
-    /// Immutable access to a client.
-    pub fn client(&self, id: ClientId) -> &ReceiverClient<'c, L> {
-        &self.clients[id.0].0
-    }
-
-    /// Sends a timed-release message to `to`, delivered to the client's
-    /// queue immediately (message transport is assumed reliable; only key
-    /// updates ride the lossy broadcast channel).
-    ///
-    /// # Errors
-    /// Propagates receiver-key validation failures from
-    /// [`Sender::new`].
-    pub fn send(
-        &mut self,
-        to: ClientId,
-        tag: &ReleaseTag,
-        msg: &[u8],
-        rng: &mut (impl RngCore + ?Sized),
-    ) -> Result<(), TreError> {
-        let spk = *self.server.public_key();
-        let (client, _) = &mut self.clients[to.0];
-        let ct = Sender::new(self.curve, &spk, client.public_key())?.encrypt(tag, msg, rng);
-        let now = self.clock.now();
-        client.receive_ciphertext(ct, now);
-        Ok(())
-    }
-
-    /// Sends a message locked to an epoch number (using the server's
-    /// granularity convention).
-    ///
-    /// # Errors
-    /// Propagates receiver-key validation failures from
-    /// [`Sender::new`].
-    pub fn send_for_epoch(
-        &mut self,
-        to: ClientId,
-        epoch: u64,
-        msg: &[u8],
-        rng: &mut (impl RngCore + ?Sized),
-    ) -> Result<(), TreError> {
-        let tag = self.server.tag_for_epoch(epoch);
-        self.send(to, &tag, msg, rng)
-    }
-
-    /// Advances simulated time by `dt`, runs the server's broadcast duty,
-    /// and drains deliveries into every client. Returns how many messages
-    /// opened this tick.
-    pub fn tick(&mut self, dt: u64) -> usize {
-        self.clock.advance(dt);
-        for update in self.server.poll() {
-            // On-air size is the framed wire encoding — what the TCP
-            // transport actually ships.
-            let bytes = update.wire_bytes(self.curve).len();
-            self.net.broadcast(&update, bytes);
-        }
-        let mut opened = 0;
-        for (client, sub) in &mut self.clients {
-            // Burst-drain via the shared transport pump: same-tick groups
-            // are verified as one batch (2 pairings per group) without
-            // perturbing per-message latency accounting.
-            opened += client.pump(&mut self.net, *sub);
-        }
-        opened
-    }
-
-    /// Runs `ticks` unit ticks, returning the total messages opened.
-    pub fn run(&mut self, ticks: u64) -> usize {
-        (0..ticks).map(|_| self.tick(1)).sum()
-    }
-
-    /// Lets every client with pending messages recover missed updates from
-    /// the server's public archive. Returns messages opened.
-    pub fn catch_up_all(&mut self) -> usize {
-        let now = self.clock.now();
-        let g = self.server.granularity();
-        let archive = self.server.archive();
-        let mut opened = 0;
-        for (client, _) in &mut self.clients {
-            opened += client.catch_up(archive, now, |tag| g.epoch_of_tag(tag));
-        }
-        opened
-    }
-
-    /// Broadcast-channel statistics.
-    pub fn net_stats(&self) -> NetStats {
-        self.net.stats()
-    }
-}
+use crate::archive::UpdateArchive;
+use crate::batch::BatchVerifier;
+use crate::clock::Granularity;
+use crate::relay::RelayCore;
 
 /// One shape of the relay tree between the root daemon and its leaf
 /// subscribers: `branching` children per node across `levels` relay
@@ -203,17 +56,19 @@ pub struct DeliveryReport {
     pub p99_us: u64,
     /// Epoch-to-**last**-delivery: the slowest leaf, µs.
     pub max_us: u64,
-    /// Wall-clock µs the relay tier spent in pairing verification this
-    /// epoch (real measured [`BatchVerifier`] calls, one per relay).
+    /// Wall-clock µs the relay tier spent admitting this epoch: the
+    /// measured `RelayCore` admission of every relay (screen, one
+    /// verify, archive).
     pub verify_us: u64,
 }
 
 /// A million-subscriber relay tree under a deterministic latency model.
 ///
-/// The *verification* work is real: every relay runs the root update
-/// through [`BatchVerifier::verify`] exactly once per epoch (callers
+/// The *admission* work is real: every relay admits the root update
+/// through its own `RelayCore`, the `trerelay` pump's admission step,
+/// so it is verified exactly once per relay and epoch (callers
 /// counter-assert `2 × relays × epochs` pairings via `tre_obs`), and
-/// the measured wall time of each verify feeds the latency model. The
+/// the measured wall time of each admission feeds the latency model. The
 /// *fan-out* is modeled: each tree edge costs a seeded wire latency
 /// draw, and each node serializes frames to its children in slot order
 /// at a fixed per-frame spacing — which is exactly what makes the flat
@@ -222,7 +77,9 @@ pub struct DeliveryReport {
 pub struct RelayTreeSim<'c, const L: usize> {
     curve: &'c Curve<L>,
     keys: ServerKeyPair<L>,
-    verifier: crate::batch::BatchVerifier<'c, L>,
+    verifier: BatchVerifier<'c, L>,
+    /// One admission core per relay, in level order.
+    relays: Vec<RelayCore<L>>,
     shape: FanoutShape,
     subscribers: u64,
     granularity: Granularity,
@@ -243,8 +100,8 @@ impl<'c, const L: usize> RelayTreeSim<'c, L> {
     /// Builds the tree world: a fresh root key pair, one prepared
     /// batch verifier (every relay authenticates against the *same*
     /// root key — the prepared Miller coefficients are shared, the
-    /// per-relay verify calls are not), and a seeded RNG so the whole
-    /// latency schedule is reproducible.
+    /// per-relay admissions and archives are not), and a seeded RNG so
+    /// the whole latency schedule is reproducible.
     pub fn new(
         curve: &'c Curve<L>,
         shape: FanoutShape,
@@ -255,11 +112,19 @@ impl<'c, const L: usize> RelayTreeSim<'c, L> {
     ) -> Self {
         use rand::SeedableRng;
         let keys = ServerKeyPair::generate(curve, rng);
-        let verifier = crate::batch::BatchVerifier::new(curve, *keys.public());
+        let verifier = BatchVerifier::new(curve, *keys.public());
+        let relays = (0..shape.relay_count())
+            .map(|_| RelayCore {
+                granularity,
+                archive: Arc::new(UpdateArchive::new()),
+                stats: Arc::default(),
+            })
+            .collect();
         Self {
             curve,
             keys,
             verifier,
+            relays,
             shape,
             subscribers,
             granularity,
@@ -279,16 +144,16 @@ impl<'c, const L: usize> RelayTreeSim<'c, L> {
 
     /// Runs one epoch end to end: the root issues the update, each
     /// relay level receives it (edge latency + its slot in the parent's
-    /// serialization order), **verifies it for real** — one
-    /// [`BatchVerifier::verify`] call per relay, whose measured wall
-    /// time is that relay's processing cost — and fans it onward; every
-    /// leaf subscriber's arrival time is then drawn and the exact
-    /// percentile spread returned.
+    /// serialization order), **admits it for real** — one
+    /// `RelayCore` admission per relay, with no forecast, whose
+    /// measured wall time is that relay's processing cost — and fans it
+    /// onward; every leaf subscriber's arrival time is then drawn and
+    /// the exact percentile spread returned.
     pub fn run_epoch(&mut self, epoch: u64) -> DeliveryReport {
         let update = self
             .keys
             .issue_update(self.curve, &self.granularity.tag_for_epoch(epoch));
-        let batch = [update];
+        let mut relay = 0;
 
         let spacing = |slot: u64| slot * SEND_SPACING_TENTH_US / 10;
         let mut verify_us = 0u64;
@@ -301,13 +166,15 @@ impl<'c, const L: usize> RelayTreeSim<'c, L> {
             for &parent_at in &level {
                 for slot in 0..b {
                     let t0 = std::time::Instant::now();
-                    let verdict = self.verifier.verify(&batch);
+                    let admitted = self.relays[relay].admit(
+                        &self.verifier,
+                        vec![(parent_at, update.clone())],
+                        |_| None,
+                    );
+                    relay += 1;
                     let spent = t0.elapsed().as_micros() as u64;
                     verify_us += spent;
-                    assert!(
-                        verdict.invalid.is_empty(),
-                        "root update verifies at every relay"
-                    );
+                    assert_eq!(admitted.len(), 1, "root update admitted at every relay");
                     next.push(parent_at + spacing(slot as u64) + self.wire_us() + spent);
                 }
             }
@@ -343,64 +210,6 @@ impl<'c, const L: usize> RelayTreeSim<'c, L> {
 mod tests {
     use super::*;
     use tre_pairing::toy64;
-
-    #[test]
-    fn scripted_world() {
-        let curve = toy64();
-        let mut rng = rand::thread_rng();
-        let mut sim = Simulation::new(
-            curve,
-            Granularity::Seconds,
-            NetConfig {
-                base_latency: 1,
-                jitter: 0,
-                loss_prob: 0.0,
-            },
-            7,
-            &mut rng,
-        );
-        let alice = sim.add_client(&mut rng);
-        let bob = sim.add_client(&mut rng);
-        sim.send_for_epoch(alice, 3, b"for alice at 3", &mut rng)
-            .unwrap();
-        sim.send_for_epoch(bob, 5, b"for bob at 5", &mut rng)
-            .unwrap();
-
-        // Nothing opens before the respective epochs (+1 tick latency).
-        let opened_by_4 = sim.run(4);
-        assert_eq!(opened_by_4, 1, "only alice's message by t=4");
-        assert_eq!(sim.client(alice).opened().len(), 1);
-        assert_eq!(sim.client(bob).opened().len(), 0);
-
-        let opened_rest = sim.run(3);
-        assert_eq!(opened_rest, 1);
-        assert_eq!(sim.client(bob).opened()[0].plaintext, b"for bob at 5");
-        assert!(sim.client(bob).opened()[0].opened_at >= 5);
-    }
-
-    #[test]
-    fn lossy_world_catches_up_from_archive() {
-        let curve = toy64();
-        let mut rng = rand::thread_rng();
-        let mut sim = Simulation::new(
-            curve,
-            Granularity::Seconds,
-            NetConfig {
-                base_latency: 1,
-                jitter: 0,
-                loss_prob: 1.0,
-            }, // everything lost
-            9,
-            &mut rng,
-        );
-        let c = sim.add_client(&mut rng);
-        sim.send_for_epoch(c, 2, b"lost on air", &mut rng).unwrap();
-        sim.run(5);
-        assert_eq!(sim.client(c).opened().len(), 0, "all broadcasts lost");
-        assert_eq!(sim.catch_up_all(), 1, "archive saves the day");
-        assert_eq!(sim.client(c).opened()[0].plaintext, b"lost on air");
-        assert!(sim.net_stats().lost > 0);
-    }
 
     #[test]
     fn relay_tree_verifies_once_per_relay() {
@@ -457,25 +266,5 @@ mod tests {
             fb.max_us
         );
         assert_eq!(fa.verify_us, 0, "no relays, no relay verification");
-    }
-
-    #[test]
-    fn broadcast_cost_constant_in_clients() {
-        let curve = toy64();
-        let mut rng = rand::thread_rng();
-        let mut sim = Simulation::new(
-            curve,
-            Granularity::Seconds,
-            NetConfig::default(),
-            1,
-            &mut rng,
-        );
-        for _ in 0..10 {
-            sim.add_client(&mut rng);
-        }
-        sim.run(3);
-        let stats = sim.net_stats();
-        assert_eq!(stats.broadcasts, 4); // epochs 0..=3
-        assert_eq!(stats.unicast_equivalent_bytes, stats.broadcast_bytes * 10);
     }
 }

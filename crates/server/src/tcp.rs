@@ -169,10 +169,15 @@ tre_obs::metrics! {
         /// woken by their wake fd, so this stays 0 unless something
         /// reintroduces sleep-polling.
         pub idle_wakeups: AtomicU64,
+    }
+}
+
+tre_obs::metrics! {
+    /// The [`Tred`] ticker's signing counters (all monotone).
+    #[derive(Debug, Default)]
+    pub struct TickerStats {
         /// Epochs the ticker signed off a forecast `H1(T)`, hashed ahead of
-        /// time on the idle-priority worker: one `s·H` at the boundary. A
-        /// relay's downstream copy stays 0; its pump counts in
-        /// [`crate::RelayStats`].
+        /// time on the idle-priority worker: one `s·H` at the boundary.
         pub forecast_hits: AtomicU64,
         /// Epochs the ticker signed without a forecast (boot, catch-up
         /// after a stall, or a forecast still in flight): hash, then sign.
@@ -204,6 +209,7 @@ pub struct Tred<const L: usize> {
     addr: SocketAddr,
     public_key: ServerPublicKey<L>,
     shared: Arc<ServeShared<L>>,
+    ticker_stats: Arc<TickerStats>,
     broadcaster: Option<Broadcaster<L>>,
     /// The server's clock, kept to wake the ticker on shutdown.
     clock: SimClock,
@@ -310,6 +316,7 @@ impl<const L: usize> Tred<L> {
         let local = broadcaster.local_addr();
         let handle = broadcaster.handle();
         let clock = server.clock().clone();
+        let ticker_stats = Arc::new(TickerStats::default());
 
         // The ticker publishes whatever is due, asks the forecast worker
         // to hash the next epoch's tag, then sleeps on the clock until the
@@ -317,6 +324,7 @@ impl<const L: usize> Tred<L> {
         // sees only the curve and the granularity.
         let ticker_handle = {
             let shared = Arc::clone(&shared);
+            let stats = Arc::clone(&ticker_stats);
             let mut server = server;
             let granularity = server.granularity();
             let mut forecaster = Forecaster::new(move |epoch| {
@@ -332,7 +340,6 @@ impl<const L: usize> Tred<L> {
                     }
                     let updates = server.poll();
                     if !updates.is_empty() {
-                        let stats = &shared.stats;
                         stats.forecast_hits.fetch_add(hit, Ordering::Relaxed);
                         stats
                             .forecast_misses
@@ -363,6 +370,7 @@ impl<const L: usize> Tred<L> {
             addr: local,
             public_key,
             shared,
+            ticker_stats,
             broadcaster: Some(broadcaster),
             clock,
             ticker_handle: Some(ticker_handle),
@@ -404,7 +412,10 @@ impl<const L: usize> Tred<L> {
     /// A cloneable handle that exports this daemon's metrics — what a
     /// `/metrics` snapshot closure captures.
     pub fn exporter(&self) -> TredExporter<L> {
-        TredExporter(Arc::clone(&self.shared))
+        TredExporter {
+            shared: Arc::clone(&self.shared),
+            ticker: Arc::clone(&self.ticker_stats),
+        }
     }
 
     /// The daemon's trace sink, when bound with tracing
@@ -430,15 +441,19 @@ impl<const L: usize> Tred<L> {
 /// Exports a running [`Tred`]'s metrics: the one export path behind
 /// both [`Tred::export_into`] and the daemon's `/metrics` endpoint.
 #[derive(Clone)]
-pub struct TredExporter<const L: usize>(Arc<ServeShared<L>>);
+pub struct TredExporter<const L: usize> {
+    shared: Arc<ServeShared<L>>,
+    ticker: Arc<TickerStats>,
+}
 
 impl<const L: usize> TredExporter<L> {
-    /// Exports the daemon counters, the subscriber gauge and — when
+    /// Exports the daemon and ticker counters, the subscriber gauge and — when
     /// the archive is journal-backed — the journal (`<prefix>_journal_*`)
     /// and archive-read (`<prefix>_archive_*`) counters, plus the trace
     /// sink (`<prefix>_trace_*`) when tracing, into a shared registry.
     pub fn export_into(&self, registry: &mut tre_obs::Registry, prefix: &str) {
-        self.0.export_into(registry, prefix, prefix);
+        self.shared.export_into(registry, prefix, prefix);
+        self.ticker.export_into(registry, prefix);
     }
 
     /// The snapshot a [`crate::TelemetryServer`] serves under `prefix`.
@@ -446,7 +461,7 @@ impl<const L: usize> TredExporter<L> {
     pub fn snapshot(self, prefix: &'static str) -> TelemetrySnapshot {
         Arc::new(move |registry| {
             self.export_into(registry, prefix);
-            match self.0.archive.journal_stats() {
+            match self.shared.archive.journal_stats() {
                 Some(js) => HealthSnapshot::serving(
                     js.appends == 0 || js.fsyncs > 0,
                     format!("journal appends={} fsyncs={}", js.appends, js.fsyncs),

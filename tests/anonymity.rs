@@ -3,7 +3,7 @@
 //! even be aware of the existence of a sender or receiver."
 
 use tre::prelude::*;
-use tre::server::{NetConfig, Simulation};
+use tre::server::{ChaosSim, FaultPlan};
 
 /// Runs a world with `n_users` receivers all exchanging messages, and
 /// returns the server's complete observable transcript: every byte it
@@ -75,18 +75,12 @@ fn updates_carry_no_receiver_information() {
 fn broadcast_volume_constant_under_population_growth() {
     // The network-level counterpart, via the simulation stats.
     let curve = tre::pairing::toy64();
-    let mut rng = rand::thread_rng();
     let mut volumes = Vec::new();
     for n in [1usize, 10, 50] {
-        let mut sim = Simulation::new(
-            curve,
-            Granularity::Seconds,
-            NetConfig::default(),
-            5,
-            &mut rng,
-        );
+        let mut sim: ChaosSim<'_, 8> =
+            ChaosSim::new(curve, Granularity::Seconds, FaultPlan::new(), 5);
         for _ in 0..n {
-            sim.add_client(&mut rng);
+            sim.add_client();
         }
         sim.run(4);
         volumes.push(sim.net_stats().broadcast_bytes);

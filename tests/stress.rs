@@ -3,55 +3,36 @@
 
 use tre::core::fo;
 use tre::prelude::*;
-use tre::server::{NetConfig, Simulation};
+use tre::server::{ChaosSim, FaultPlan, NetConfig};
 
 #[test]
 fn sustained_mixed_load() {
     let curve = tre::pairing::toy64();
-    let mut rng = rand::thread_rng();
-    let mut sim = Simulation::new(
-        curve,
-        Granularity::Seconds,
-        NetConfig {
+    let mut sim: ChaosSim<'_, 8> =
+        ChaosSim::new(curve, Granularity::Seconds, FaultPlan::new(), 1234).with_net(NetConfig {
             base_latency: 1,
             jitter: 2,
             loss_prob: 0.2,
-        },
-        1234,
-        &mut rng,
-    );
-    let clients: Vec<_> = (0..6).map(|_| sim.add_client(&mut rng)).collect();
+        });
+    let clients: Vec<_> = (0..6).map(|_| sim.add_client()).collect();
     // 3 messages per client, spread over epochs 1..=12.
     let mut expected = 0;
     for (i, &c) in clients.iter().enumerate() {
         for j in 0..3u64 {
             let epoch = 1 + ((i as u64) * 3 + j) % 12;
-            sim.send_for_epoch(c, epoch, format!("m-{i}-{j}").as_bytes(), &mut rng)
-                .unwrap();
+            sim.send_for_epoch(c, epoch, format!("m-{i}-{j}").as_bytes());
             expected += 1;
         }
     }
     // Run 20 ticks; then recover anything the lossy channel dropped.
     let mut opened = sim.run(20);
-    opened += sim.catch_up_all();
+    opened += sim.catch_up();
     assert_eq!(opened, expected, "every message eventually opens");
     for &c in &clients {
         assert_eq!(sim.client(c).pending_count(), 0);
-        for m in sim.client(c).opened() {
-            // No message ever opened before its epoch.
-            let epoch: u64 = String::from_utf8_lossy(m.tag.value())
-                .rsplit('/')
-                .next()
-                .unwrap()
-                .parse()
-                .unwrap();
-            assert!(
-                m.opened_at >= epoch,
-                "opened at {} before epoch {epoch}",
-                m.opened_at
-            );
-        }
     }
+    // Each message opened exactly once, never before its epoch.
+    sim.check_invariants().assert_ok();
 }
 
 #[test]
