@@ -7,13 +7,14 @@
 //! cargo run --release -p tre-bench --bin tables -- --exp e1
 //! ```
 
+use std::hint::black_box;
 use tre_baselines::{
     hybrid_pke_ibe, may_escrow::EscrowAgent, mont_ibe, rivest, rsw::TimeLockPuzzle,
 };
 use tre_bench::{header, rng, row, time_ms, Fixture};
 use tre_core::{fo, hybrid, insulated::EpochKey, multi_server, react, server_change::ReboundKey};
 use tre_core::{KeyUpdate, Receiver, ReleaseTag, Sender, ServerKeyPair, UserKeyPair};
-use tre_pairing::{mid96, toy64, Curve};
+use tre_pairing::{mid96, toy64, Curve, Fp2};
 use tre_server::{
     BroadcastNet, CatchUpConfig, ChaosProxy, ChaosSim, Fault, FaultPlan, Feed, FsyncPolicy,
     Granularity, JournalConfig, NetConfig, ReceiverClient, SimClock, Stage, SupervisedFeed,
@@ -940,72 +941,15 @@ fn e14() {
     let curve = toy64();
     let mut r = rng();
     let fx = Fixture::new(curve);
-    let spk = *fx.server.public();
     let g = Granularity::Seconds;
 
-    tre_obs::enable();
-    let clock = SimClock::new();
-    let mut server = TimeServer::new(curve, fx.server.clone(), clock.clone(), g);
-    let mut net: BroadcastNet<8> = BroadcastNet::new(clock.clone(), NetConfig::default(), 14);
-    let sub = net.subscribe();
-    let mut client = ReceiverClient::new(curve, spk, fx.user.clone());
-
-    // Encrypt: two messages locked to epochs 1 and 2. The session open
-    // (key validation + table build) is part of the encrypt phase.
-    let cts: Vec<_> = {
-        let _p = tre_obs::span("phase.encrypt");
-        let sender = Sender::new(curve, &spk, fx.user.public()).unwrap();
-        [1u64, 2]
-            .iter()
-            .map(|&e| sender.encrypt(&g.tag_for_epoch(e), b"e14 payload", &mut r))
-            .collect()
-    };
-    // Broadcast: the server signs epochs 0..=2 and puts them on the air.
-    {
-        let _p = tre_obs::span("phase.broadcast");
-        clock.advance(2);
-        for u in server.poll() {
-            let bytes = update_body_len(curve, &u);
-            net.broadcast(&u, bytes);
-        }
-    }
-    // Verify: the client consumes the updates while nothing is pending, so
-    // this phase isolates the two-pairing self-authentication cost.
-    {
-        let _p = tre_obs::span("phase.verify");
-        clock.advance(1);
-        for (at, u) in net.poll(sub) {
-            let _ = client.receive_update(u, at);
-        }
-    }
-    // Decrypt: the ciphertexts arrive after their updates are cached, so
-    // each opens immediately — pure decryption cost.
-    {
-        let _p = tre_obs::span("phase.decrypt");
-        for ct in cts {
-            client.receive_ciphertext(ct, clock.now());
-        }
-    }
-    // Archive recovery: a message for an epoch whose broadcast the client
-    // never saw is recovered from the public archive (verify + decrypt).
-    {
-        let _p = tre_obs::span("phase.archive_recovery");
-        let ct = Sender::new(curve, &spk, fx.user.public()).unwrap().encrypt(
-            &g.tag_for_epoch(5),
-            b"missed broadcast",
-            &mut r,
-        );
-        client.receive_ciphertext(ct, clock.now());
-        clock.advance(4);
-        server.poll(); // epochs 3..=7 archived, deliberately not broadcast
-        client.catch_up(server.archive(), clock.now(), |t| g.epoch_of_tag(t));
-    }
-    let trace = tre_obs::finish();
-    assert_eq!(
-        client.opened().len(),
-        3,
-        "workload opens all three messages"
-    );
+    // The first run feeds the counter table and the metrics snapshot; the
+    // wall-ms column is the per-phase median over all runs, since one
+    // run's phase timings vary by over 50% on a shared host.
+    let (trace, server, net, client) = e14_workload(curve, &fx, &mut r);
+    let mut runs = vec![trace];
+    runs.extend((1..E14_REPEATS).map(|_| e14_workload(curve, &fx, &mut rng()).0));
+    let trace = &runs[0];
 
     let phases = [
         "phase.encrypt",
@@ -1035,18 +979,22 @@ fn e14() {
     }
     println!();
 
-    let total_ns: u128 = phases
-        .iter()
-        .map(|n| trace.spans_named(n)[0].wall_ns)
-        .sum::<u128>()
-        .max(1);
+    let median_ns = |name: &str| {
+        median(
+            runs.iter()
+                .map(|t| t.spans_named(name)[0].wall_ns as f64)
+                .collect(),
+        )
+    };
+    let total_ns = phases.iter().map(|n| median_ns(n)).sum::<f64>().max(1.0);
+    println!("(wall ms: median of {E14_REPEATS} runs of the workload)\n");
     header(&["phase", "wall ms", "share of workload"]);
     for name in phases {
-        let ns = trace.spans_named(name)[0].wall_ns;
+        let ns = median_ns(name);
         row(&[
             name.into(),
-            format!("{:.2}", ns as f64 / 1e6),
-            format!("{:.0}%", 100.0 * ns as f64 / total_ns as f64),
+            format!("{:.2}", ns / 1e6),
+            format!("{:.0}%", 100.0 * ns / total_ns),
         ]);
     }
     println!();
@@ -1151,6 +1099,90 @@ fn e14() {
         let _ = std::fs::write(dir.join("metrics.json"), registry.render_json());
         println!("artifacts: target/e14/{{trace.jsonl, metrics.prom, metrics.json}}\n");
     }
+}
+
+/// Runs of the E14 sim workload behind the median wall-ms column.
+const E14_REPEATS: usize = 5;
+
+/// One traced run of the E14 sim workload — encrypt, broadcast, verify,
+/// decrypt and archive recovery, one span per phase — returning the
+/// trace and the server, channel and client it ran on.
+fn e14_workload<'c>(
+    curve: &'c Curve<8>,
+    fx: &Fixture<8>,
+    r: &mut rand::rngs::StdRng,
+) -> (
+    tre_obs::Trace,
+    TimeServer<'c, 8>,
+    BroadcastNet<8>,
+    ReceiverClient<'c, 8>,
+) {
+    let spk = *fx.server.public();
+    let g = Granularity::Seconds;
+    tre_obs::enable();
+    let clock = SimClock::new();
+    let mut server = TimeServer::new(curve, fx.server.clone(), clock.clone(), g);
+    let mut net: BroadcastNet<8> = BroadcastNet::new(clock.clone(), NetConfig::default(), 14);
+    let sub = net.subscribe();
+    let mut client = ReceiverClient::new(curve, spk, fx.user.clone());
+
+    // Encrypt: two messages locked to epochs 1 and 2. The session open
+    // (key validation + table build) is part of the encrypt phase.
+    let cts: Vec<_> = {
+        let _p = tre_obs::span("phase.encrypt");
+        let sender = Sender::new(curve, &spk, fx.user.public()).unwrap();
+        [1u64, 2]
+            .iter()
+            .map(|&e| sender.encrypt(&g.tag_for_epoch(e), b"e14 payload", r))
+            .collect()
+    };
+    // Broadcast: the server signs epochs 0..=2 and puts them on the air.
+    {
+        let _p = tre_obs::span("phase.broadcast");
+        clock.advance(2);
+        for u in server.poll() {
+            let bytes = update_body_len(curve, &u);
+            net.broadcast(&u, bytes);
+        }
+    }
+    // Verify: the client consumes the updates while nothing is pending, so
+    // this phase isolates the two-pairing self-authentication cost.
+    {
+        let _p = tre_obs::span("phase.verify");
+        clock.advance(1);
+        for (at, u) in net.poll(sub) {
+            let _ = client.receive_update(u, at);
+        }
+    }
+    // Decrypt: the ciphertexts arrive after their updates are cached, so
+    // each opens immediately — pure decryption cost.
+    {
+        let _p = tre_obs::span("phase.decrypt");
+        for ct in cts {
+            client.receive_ciphertext(ct, clock.now());
+        }
+    }
+    // Archive recovery: a message for an epoch whose broadcast the client
+    // never saw is recovered from the public archive (verify + decrypt).
+    {
+        let _p = tre_obs::span("phase.archive_recovery");
+        let ct = Sender::new(curve, &spk, fx.user.public()).unwrap().encrypt(
+            &g.tag_for_epoch(5),
+            b"missed broadcast",
+            r,
+        );
+        client.receive_ciphertext(ct, clock.now());
+        clock.advance(4);
+        server.poll(); // epochs 3..=7 archived, deliberately not broadcast
+        client.catch_up(server.archive(), clock.now(), |t| g.epoch_of_tag(t));
+    }
+    let trace = tre_obs::finish();
+    assert_eq!(
+        client.opened().len(),
+        3,
+        "workload opens all three messages"
+    );
+    (trace, server, net, client)
 }
 
 /// E11 (extension): the §6 future-work cover-tree scheme — missing-update
@@ -1781,9 +1813,12 @@ fn e18() {
     println!("artifacts: target/e18/e18.json, {out}\n");
 }
 
-/// E19: prepared pairings — fixed-argument Miller precomputation plus
-/// the lazy-reduction F_{p²} kernels on the verify/decrypt hot path
-/// (PR 8 tentpole). Counter-guarded: every prepared row must spend
+/// E19: prepared pairings — fixed-argument Miller precomputation on the
+/// verify/decrypt hot path — and the field-kernel layer beneath them
+/// (eager Karatsuba F_{p²} products on fused CIOS, the dedicated
+/// Montgomery squaring, unitary G_T squaring and signed-window powers),
+/// whose per-call timings close the report without a wall-clock
+/// guard. Counter-guarded: every prepared row must spend
 /// strictly fewer F_p multiplications at an identical pairing count
 /// (the memo-hit seal row at zero pairings instead of one; the
 /// forecast-hit verify row at one pairing and zero hash-to-curve
@@ -2216,19 +2251,99 @@ fn e19() {
          strictly lower on every row, verdict-shaped 5-lane speedup {speed3:.2}x ≥ 3x, batch_verify non-regression vs E15.)\n"
     );
 
+    // The field-kernel layer under every row above. Each kernel's ns per
+    // call is the median of PAIRED_REPEATS rounds that each run every
+    // kernel once in turn, so a noisy stretch skews one round, not one
+    // kernel.
+    let ctx = curve.fp();
+    let fa = ctx.from_be_bytes_mod(&[0xa5; 64]);
+    let fb = ctx.from_be_bytes_mod(&[0x3c; 64]);
+    let (xa, xb) = (Fp2::new(fa, fb), Fp2::new(fb, fa));
+    let gt = curve.pairing(&sg, &q);
+    let n = if quick { 1000 } else { 5000 };
+    // (table name, JSON key, calls per timing, kernel)
+    type Kernel<'a> = (&'a str, &'a str, u32, Box<dyn FnMut() + 'a>);
+    let mut kernels: [Kernel<'_>; 5] = [
+        (
+            "Fp mul",
+            "fp_mul",
+            20 * n,
+            Box::new(|| {
+                black_box(black_box(fa).mul(&fb, ctx));
+            }),
+        ),
+        (
+            "Fp square",
+            "fp_square",
+            20 * n,
+            Box::new(|| {
+                black_box(black_box(fa).square(ctx));
+            }),
+        ),
+        (
+            "Fp2 mul",
+            "fp2_mul",
+            5 * n,
+            Box::new(|| {
+                black_box(black_box(xa).mul(&xb, ctx));
+            }),
+        ),
+        (
+            "G_T (unitary) square",
+            "unitary_square",
+            5 * n,
+            Box::new(|| {
+                black_box(black_box(gt).square(curve));
+            }),
+        ),
+        (
+            "final exponentiation",
+            "final_exp",
+            n / 50,
+            Box::new(|| {
+                black_box(curve.final_exponentiation(&black_box(xa)));
+            }),
+        ),
+    ];
+    let mut samples = vec![Vec::new(); kernels.len()];
+    for _ in 0..PAIRED_REPEATS {
+        for (k, (_, _, iters, f)) in kernels.iter_mut().enumerate() {
+            samples[k].push(time_ms(*iters, f) * 1e6);
+        }
+    }
+    let kernel_ns: Vec<f64> = samples.into_iter().map(median).collect();
+    header(&["field kernel (toy64)", "ns/call (median)"]);
+    for ((name, ..), ns) in kernels.iter().zip(&kernel_ns) {
+        row(&[(*name).into(), format!("{ns:.0}")]);
+    }
+    row(&[
+        "Fp muls per prepared pairing".into(),
+        format!("{}", prep1.fp_muls),
+    ]);
+    println!();
+    let kernel_json = kernels
+        .iter()
+        .zip(&kernel_ns)
+        .map(|((_, key, ..), ns)| format!("\"{key}\": {ns:.1}"))
+        .collect::<Vec<_>>()
+        .join(", ");
+
     let json = format!(
         "{{\n  \"experiment\": \"e19\",\n  \"quick\": {quick},\n  \"iters\": {iters},\n  \
          \"kernels\": [\n    {}\n  ],\n  \
          \"batch_verify_64\": {{\"generic_ms\": {bv_gen_ms:.4}, \"prepared_ms\": {bv_prep_ms:.4}, \
          \"generic_fp_muls\": {}, \"prepared_fp_muls\": {}, \"pairings\": {}}},\n  \
          \"decrypt_bulk_16\": {{\"generic_ms\": {dec_gen_ms:.4}, \"prepared_ms\": {dec_prep_ms:.4}, \
-         \"generic_fp_muls_per_op\": {}, \"prepared_fp_muls_per_op\": {}}}\n}}\n",
+         \"generic_fp_muls_per_op\": {}, \"prepared_fp_muls_per_op\": {}}},\n  \
+         \"field_kernels_ns\": {{{kernel_json}}},\n  \
+         \"fp_muls_per_prepared_pairing\": {}\n}}\n",
         kernel_rows.join(",\n    "),
         bv_gen.fp_muls,
         bv_prep.fp_muls,
         bv_prep.pairings,
         dec_gen.fp_muls,
         dec_prep.fp_muls,
+        prep1.fp_muls,
     );
     let dir = std::path::Path::new("target/e19");
     if std::fs::create_dir_all(dir).is_ok() {
@@ -2259,15 +2374,17 @@ fn paired_ms<A, B>(
             }
         })
         .collect();
-    let median = |mut v: Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
     (
         median(runs.iter().map(|r| r.0).collect()),
         median(runs.iter().map(|r| r.1).collect()),
         median(runs.iter().map(|(g, p)| g / p.max(1e-9)).collect()),
     )
+}
+
+/// The median of a non-empty sample (the upper one for an even count).
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
 }
 
 /// Interleaved generic/prepared pairs behind each E19 wall-clock guard.
@@ -2485,7 +2602,8 @@ fn e20_live(sockets: usize, epochs: u64) -> (usize, Vec<tre_server::DeliveryRepo
 fn e20() {
     println!("## E20 — relay-tree fan-out: epoch-to-last-delivery latency\n");
     let quick = std::env::var("TRE_BENCH_QUICK").is_ok_and(|v| v != "0");
-    let epochs: u64 = if quick { 2 } else { 4 };
+    // Odd, so the per-epoch relay verify time has a true median.
+    let epochs: u64 = if quick { 3 } else { 5 };
     let subscribers: u64 = 1 << 20; // 1,048,576 leaves in every shape
     let curve = toy64();
     let mut r = rng();
@@ -2520,7 +2638,7 @@ fn e20() {
         "p50 ms",
         "p99 ms",
         "last delivery ms",
-        "relay verify ms/epoch",
+        "relay verify ms/epoch (median)",
         "pairings",
     ]);
     let mut sim_rows = Vec::new();
@@ -2535,11 +2653,15 @@ fn e20() {
         );
         tre_obs::enable();
         let mut last = tre_server::DeliveryReport::default();
-        let mut verify_us_total = 0u64;
+        let mut verify_us = Vec::new();
         for epoch in 0..epochs {
             last = sim.run_epoch(epoch);
-            verify_us_total += last.verify_us;
+            verify_us.push(last.verify_us);
         }
+        // Each epoch repeats the same relay admissions: the median epoch
+        // is comparable across commits where one run is not.
+        verify_us.sort_unstable();
+        let verify_ms = verify_us[verify_us.len() / 2] as f64 / 1000.0;
         let pairings = tre_obs::finish().total_ops().pairings;
         let relays = shape.relay_count() as u64;
         assert_eq!(
@@ -2554,12 +2676,12 @@ fn e20() {
             format!("{:.2}", last.p50_us as f64 / 1000.0),
             format!("{:.2}", last.p99_us as f64 / 1000.0),
             format!("{:.2}", last.max_us as f64 / 1000.0),
-            format!("{:.2}", verify_us_total as f64 / epochs as f64 / 1000.0),
+            format!("{verify_ms:.2}"),
             format!("{pairings}"),
         ]);
         sim_rows.push(format!(
             "{{\"shape\": \"{}\", \"relays\": {relays}, \"p50_us\": {}, \"p99_us\": {}, \
-             \"max_us\": {}, \"pairings\": {pairings}}}",
+             \"max_us\": {}, \"verify_ms_median\": {verify_ms:.2}, \"pairings\": {pairings}}}",
             shape.name, last.p50_us, last.p99_us, last.max_us
         ));
     }

@@ -42,7 +42,7 @@ mod slicearith;
 mod uint;
 
 pub use modinv::mod_inverse;
-pub use monty::{MontyParams, MontyWide};
+pub use monty::MontyParams;
 pub use uint::{ParseUintError, Uint, MAX_LIMBS};
 
 /// 256-bit unsigned integer (4 limbs) — scalars and small-field work.

@@ -8,13 +8,8 @@
 //! for tracking which domain a value lives in (the field layer in
 //! `tre-pairing` wraps this in a type-safe API).
 
-use core::cmp::Ordering;
-
 use crate::slicearith;
-use crate::uint::{adc, mac, sbb, Uint, MAX_LIMBS};
-
-/// Scratch size covering a double-width product plus one carry limb.
-const SCRATCH: usize = 2 * MAX_LIMBS + 1;
+use crate::uint::{adc, mac, Uint, MAX_LIMBS};
 
 /// Precomputed context for Montgomery arithmetic modulo an odd `m`.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -26,36 +21,6 @@ pub struct MontyParams<const L: usize> {
     r: Uint<L>,
     /// `R² mod m` — used to convert into Montgomery form.
     r2: Uint<L>,
-    /// `m²` as a full-width `2L`-limb value, used as the non-negativity
-    /// offset for lazily-reduced subtractions ([`Self::wide_sub_product`]).
-    m2: [u64; 2 * MAX_LIMBS],
-}
-
-/// A double-width lazy accumulator: an unreduced value `< k·m²` for a small
-/// term count `k`, destined for one deferred [`MontyParams::redc_wide`].
-///
-/// `2·MAX_LIMBS + 1` limbs of scratch hold any sum of up to `2^64` products
-/// of reduced inputs — each product is `< m² < R²` (`2L` limbs), so `k`
-/// accumulated products need at most `2L` limbs plus `log₂(k)` carry bits,
-/// which the single extra limb absorbs for every practical `k`. See
-/// DESIGN.md §10 for the full bound analysis.
-#[derive(Clone, Copy)]
-pub struct MontyWide<const L: usize> {
-    t: [u64; SCRATCH],
-}
-
-impl<const L: usize> MontyWide<L> {
-    /// The zero accumulator.
-    #[inline]
-    pub const fn zero() -> Self {
-        Self { t: [0; SCRATCH] }
-    }
-}
-
-impl<const L: usize> Default for MontyWide<L> {
-    fn default() -> Self {
-        Self::zero()
-    }
 }
 
 impl<const L: usize> MontyParams<L> {
@@ -91,7 +56,6 @@ impl<const L: usize> MontyParams<L> {
             inv_neg,
             r,
             r2: Uint::ZERO,
-            m2: [0u64; 2 * MAX_LIMBS],
         };
         // R² mod m = monty_mul would need r2 itself, so reduce the wide
         // product r·r directly.
@@ -103,10 +67,6 @@ impl<const L: usize> MontyParams<L> {
         let mut r2_arr = [0u64; L];
         r2_arr.copy_from_slice(&r2_red[..L]);
         params.r2 = Uint::from_limbs(r2_arr);
-        // Full-width m², the offset added before lazily-reduced subtraction.
-        let (m2_lo, m2_hi) = modulus.widening_mul(&modulus);
-        params.m2[..L].copy_from_slice(m2_lo.limbs());
-        params.m2[L..2 * L].copy_from_slice(m2_hi.limbs());
         Some(params)
     }
 
@@ -147,11 +107,12 @@ impl<const L: usize> MontyParams<L> {
     /// (Koç–Acar–Kaliski bound), so a single conditional subtract suffices.
     pub fn mul(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
         debug_assert!(a < &self.modulus && b < &self.modulus);
-        let mut t = [0u64; MAX_LIMBS + 2];
-        let al = a.limbs();
+        // The accumulator's low L limbs, plus its top limb (at most 1).
+        let mut t = [0u64; L];
+        let mut top = 0u64;
         let bl = b.limbs();
         let m = self.modulus.limbs();
-        for &ai in al.iter().take(L) {
+        for &ai in a.limbs() {
             // t += a[i] · b
             let mut carry = 0u64;
             for j in 0..L {
@@ -159,9 +120,7 @@ impl<const L: usize> MontyParams<L> {
                 t[j] = v;
                 carry = c;
             }
-            let (v, c) = adc(t[L], carry, 0);
-            t[L] = v;
-            t[L + 1] = c;
+            let (hi, hi_carry) = adc(top, carry, 0);
             // t := (t + u·m) / 2^64 with u chosen to zero the low limb.
             let u = t[0].wrapping_mul(self.inv_neg);
             let (_, mut carry) = mac(t[0], u, m[0], 0);
@@ -170,18 +129,15 @@ impl<const L: usize> MontyParams<L> {
                 t[j - 1] = v;
                 carry = c;
             }
-            let (v, c) = adc(t[L], carry, 0);
+            let (v, c) = adc(hi, carry, 0);
             t[L - 1] = v;
             // Both top contributions are ≤ 1 and the shifted value is < 2m,
             // so the new top limb is at most 1.
-            t[L] = t[L + 1] + c;
-            t[L + 1] = 0;
-            debug_assert!(t[L] <= 1);
+            top = hi_carry + c;
+            debug_assert!(top <= 1);
         }
-        let mut res = [0u64; L];
-        res.copy_from_slice(&t[..L]);
-        let mut out = Uint::from_limbs(res);
-        if t[L] != 0 || out >= self.modulus {
+        let mut out = Uint::from_limbs(t);
+        if top != 0 || out >= self.modulus {
             out = out.wrapping_sub(&self.modulus);
         }
         out
@@ -195,7 +151,8 @@ impl<const L: usize> MontyParams<L> {
     /// not used on any hot path.
     pub fn mul_two_pass(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
         debug_assert!(a < &self.modulus && b < &self.modulus);
-        let mut t = [0u64; SCRATCH];
+        let mut t = [[0u64; L]; 2];
+        let t = t.as_flattened_mut();
         // Schoolbook product into t[..2L].
         let al = a.limbs();
         let bl = b.limbs();
@@ -208,13 +165,48 @@ impl<const L: usize> MontyParams<L> {
             }
             t[i + L] = carry;
         }
-        self.redc(&mut t)
+        self.redc(t)
     }
 
-    /// Montgomery squaring.
-    #[inline]
+    /// Montgomery squaring `a²·R^{-1} mod m`; input and output in
+    /// Montgomery form and `< m`.
+    ///
+    /// Each off-diagonal product `aᵢ·aⱼ` (`i < j`) is computed once, the
+    /// sum is doubled by a one-bit shift and the diagonal squares `aᵢ²`
+    /// are added in the same pass, then one REDC sweep reduces the
+    /// `2L`-limb square: `L(L+1)/2` limb products for the square instead
+    /// of the `L²` of [`Self::mul`].
     pub fn square(&self, a: &Uint<L>) -> Uint<L> {
-        self.mul(a, a)
+        debug_assert!(a < &self.modulus);
+        let al = a.limbs();
+        let mut t = [[0u64; L]; 2];
+        let t = t.as_flattened_mut();
+        for i in 0..L {
+            let mut carry = 0u64;
+            for j in i + 1..L {
+                let (v, c) = mac(t[i + j], al[i], al[j], carry);
+                t[i + j] = v;
+                carry = c;
+            }
+            t[i + L] = carry;
+        }
+        // The off-diagonal sum is < a²/2, so doubling it loses no bit and
+        // adding the diagonal leaves a² < 2^(128·L) with no final carry.
+        let mut shifted_out = 0u64;
+        let mut carry = 0u64;
+        for (i, &ai) in al.iter().enumerate() {
+            let (lo, hi) = mac(0, ai, ai, 0);
+            let d0 = (t[2 * i] << 1) | shifted_out;
+            let d1 = (t[2 * i + 1] << 1) | (t[2 * i] >> 63);
+            shifted_out = t[2 * i + 1] >> 63;
+            let (v, c) = adc(d0, lo, carry);
+            t[2 * i] = v;
+            let (v, c) = adc(d1, hi, c);
+            t[2 * i + 1] = v;
+            carry = c;
+        }
+        debug_assert!(shifted_out == 0 && carry == 0);
+        self.redc(t)
     }
 
     /// Modular addition of reduced values (domain-agnostic).
@@ -285,77 +277,18 @@ impl<const L: usize> MontyParams<L> {
         Some(self.to_monty(&inv))
     }
 
-    /// Double-width product `a·b` of two reduced values, left unreduced for
-    /// lazy accumulation. The result is `< m²` and occupies `2L` limbs.
-    pub fn wide_mul(&self, a: &Uint<L>, b: &Uint<L>) -> MontyWide<L> {
-        debug_assert!(a < &self.modulus && b < &self.modulus);
-        let mut t = [0u64; SCRATCH];
-        let al = a.limbs();
-        let bl = b.limbs();
-        for i in 0..L {
-            let mut carry = 0u64;
-            for j in 0..L {
-                let (v, c) = mac(t[i + j], al[i], bl[j], carry);
-                t[i + j] = v;
-                carry = c;
-            }
-            t[i + L] = carry;
-        }
-        MontyWide { t }
-    }
-
-    /// Accumulates `rhs` into `acc` without reduction.
+    /// Montgomery REDC of the `2L`-limb value in `t` (which must be
+    /// `< m·R`): returns `t·R^{-1} mod m`, fully reduced.
     ///
-    /// The caller must keep the running total below `2^(64·(2L+1))`; any sum
-    /// of at most `2^64` products of reduced inputs satisfies this.
-    pub fn wide_add(&self, acc: &mut MontyWide<L>, rhs: &MontyWide<L>) {
-        let mut carry = 0u64;
-        for j in 0..2 * L + 1 {
-            let (v, c) = adc(acc.t[j], rhs.t[j], carry);
-            acc.t[j] = v;
-            carry = c;
-        }
-        debug_assert_eq!(carry, 0, "wide accumulator overflow");
-    }
-
-    /// Lazily-reduced subtraction of a single product: `acc += m² − prod`.
-    ///
-    /// Adding the `m²` offset before subtracting keeps the accumulator
-    /// non-negative without a per-term reduction; `prod` must be a fresh
-    /// product of reduced values (`< m²`), not itself an accumulated sum.
-    /// The `m²` bias is congruent to 0 mod `m`, so [`Self::redc_wide`]
-    /// removes it for free.
-    pub fn wide_sub_product(&self, acc: &mut MontyWide<L>, prod: &MontyWide<L>) {
-        let mut carry = 0u64;
-        for j in 0..2 * L {
-            let (v, c) = adc(acc.t[j], self.m2[j], carry);
-            acc.t[j] = v;
-            carry = c;
-        }
-        let (v, c) = adc(acc.t[2 * L], carry, 0);
-        acc.t[2 * L] = v;
-        debug_assert_eq!(c, 0, "wide accumulator overflow");
-        let mut borrow = 0u64;
-        for j in 0..2 * L + 1 {
-            let (d, b) = sbb(acc.t[j], prod.t[j], borrow);
-            acc.t[j] = d;
-            borrow = b;
-        }
-        debug_assert_eq!(
-            borrow, 0,
-            "wide_sub_product underflow: rhs not a fresh product"
-        );
-    }
-
-    /// Montgomery reduction of a lazy accumulator holding a value `≤ k·m²`:
-    /// returns `value·R^{-1} mod m`, fully reduced.
-    ///
-    /// After the `L` REDC rounds the result is `< (k+1)·m`, so the final
-    /// correction loops at most `k` times — constant for the small `k`
-    /// (≤ 3) used by the field kernels.
-    pub fn redc_wide(&self, w: &MontyWide<L>) -> Uint<L> {
-        let mut t = w.t;
+    /// Each round's carry out of limb `i + L` is deferred into the next
+    /// round's top add instead of rippling upward, so the sweep touches
+    /// exactly `L + 1` limbs per round. With `t < m·R` the shifted result
+    /// is `< 2m`: one conditional subtract finishes it.
+    fn redc(&self, t: &mut [u64]) -> Uint<L> {
+        debug_assert_eq!(t.len(), 2 * L);
         let m = self.modulus.limbs();
+        // Carry out of limb `i + L`, owed to limb `i + L + 1`.
+        let mut top = 0u64;
         for i in 0..L {
             let u = t[i].wrapping_mul(self.inv_neg);
             let mut carry = 0u64;
@@ -364,73 +297,14 @@ impl<const L: usize> MontyParams<L> {
                 t[i + j] = v;
                 carry = c;
             }
-            let mut k = i + L;
-            let mut c = carry;
-            while c != 0 {
-                let (v, cc) = adc(t[k], c, 0);
-                t[k] = v;
-                c = cc;
-                k += 1;
-            }
-        }
-        // The shifted result is the (L+1)-limb value t[L..=2L]; subtract m
-        // until it is a canonical representative.
-        loop {
-            if t[2 * L] == 0 && slicearith::cmp(&t[L..2 * L], m) == Ordering::Less {
-                break;
-            }
-            let mut borrow = 0u64;
-            for j in 0..L {
-                let (d, b) = sbb(t[L + j], m[j], borrow);
-                t[L + j] = d;
-                borrow = b;
-            }
-            let (d, _) = sbb(t[2 * L], 0, borrow);
-            t[2 * L] = d;
+            let (v, c) = adc(t[i + L], carry, top);
+            t[i + L] = v;
+            top = c;
         }
         let mut res = [0u64; L];
-        res.copy_from_slice(&t[L..2 * L]);
-        Uint::from_limbs(res)
-    }
-
-    /// Fused `Σ aᵢ·bᵢ · R^{-1} mod m` with one deferred reduction: every
-    /// product is accumulated at double width and a single
-    /// [`Self::redc_wide`] pays the reduction cost for the whole sum.
-    pub fn sum_of_products(&self, terms: &[(Uint<L>, Uint<L>)]) -> Uint<L> {
-        let mut acc = MontyWide::zero();
-        for (a, b) in terms {
-            let w = self.wide_mul(a, b);
-            self.wide_add(&mut acc, &w);
-        }
-        self.redc_wide(&acc)
-    }
-
-    /// Montgomery REDC of the double-width value in `t[..2L]` (with
-    /// `t[2L]` available as carry headroom).
-    fn redc(&self, t: &mut [u64; SCRATCH]) -> Uint<L> {
-        let m = self.modulus.limbs();
-        for i in 0..L {
-            let u = t[i].wrapping_mul(self.inv_neg);
-            let mut carry = 0u64;
-            for j in 0..L {
-                let (v, c) = mac(t[i + j], u, m[j], carry);
-                t[i + j] = v;
-                carry = c;
-            }
-            // Propagate the final carry upward.
-            let mut k = i + L;
-            let mut c = carry;
-            while c != 0 {
-                let (v, cc) = adc(t[k], c, 0);
-                t[k] = v;
-                c = cc;
-                k += 1;
-            }
-        }
-        let mut res = [0u64; L];
-        res.copy_from_slice(&t[L..2 * L]);
+        res.copy_from_slice(&t[L..]);
         let mut out = Uint::from_limbs(res);
-        if t[2 * L] != 0 || out >= self.modulus {
+        if top != 0 || out >= self.modulus {
             out = out.wrapping_sub(&self.modulus);
         }
         out
@@ -545,67 +419,23 @@ mod tests {
     }
 
     #[test]
-    fn sum_of_products_matches_serial() {
-        let ctx = params();
-        let a = ctx.to_monty(&U256::from_u64(123456789));
-        let b = ctx.to_monty(&U256::from_u64(987654321));
-        let c = ctx.to_monty(&U256::from_u128(0xdead_beef_cafe_babe));
-        let d = ctx.to_monty(&U256::from_u64(42));
-        let lazy = ctx.sum_of_products(&[(a, b), (c, d), (a, d)]);
-        let serial = ctx.add(
-            &ctx.add(&ctx.mul(&a, &b), &ctx.mul(&c, &d)),
-            &ctx.mul(&a, &d),
-        );
-        assert_eq!(lazy, serial);
-    }
-
-    #[test]
-    fn sum_of_products_saturated_terms() {
-        // All terms at m-1: the accumulator reaches k·(m-1)² with a
-        // full-width modulus, exercising the redc_wide subtract loop.
+    fn square_matches_mul() {
         let ctx = params();
         let top = ctx.modulus().wrapping_sub(&U256::ONE);
-        let k = 5usize;
-        let terms: Vec<_> = (0..k).map(|_| (top, top)).collect();
-        let lazy = ctx.sum_of_products(&terms);
-        let one = ctx.mul(&top, &top);
-        let mut serial = U256::ZERO;
-        for _ in 0..k {
-            serial = ctx.add(&serial, &one);
+        let mut seed = 0x0fed_cba9_8765_4321u64;
+        let mut next = || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let mut cases = vec![U256::ZERO, U256::ONE, ctx.one(), top];
+        for _ in 0..200 {
+            cases.push(U256::from_limbs([next(), next(), next(), next()]).rem(ctx.modulus()));
         }
-        assert_eq!(lazy, serial);
-    }
-
-    #[test]
-    fn wide_sub_product_deferred_difference() {
-        // a·b − c·d + e·f mod m via one deferred reduction.
-        let ctx = params();
-        let vals: Vec<_> = [3u64, 999999937, 0xffff_ffff_ffff_fffe, 7, 123, 456]
-            .iter()
-            .map(|&v| ctx.to_monty(&U256::from_u64(v)))
-            .collect();
-        let (a, b, c, d, e, f) = (vals[0], vals[1], vals[2], vals[3], vals[4], vals[5]);
-        let mut acc = ctx.wide_mul(&a, &b);
-        let cd = ctx.wide_mul(&c, &d);
-        ctx.wide_sub_product(&mut acc, &cd);
-        let ef = ctx.wide_mul(&e, &f);
-        ctx.wide_add(&mut acc, &ef);
-        let lazy = ctx.redc_wide(&acc);
-        let serial = ctx.add(
-            &ctx.sub(&ctx.mul(&a, &b), &ctx.mul(&c, &d)),
-            &ctx.mul(&e, &f),
-        );
-        assert_eq!(lazy, serial);
-    }
-
-    #[test]
-    fn redc_wide_of_single_product_matches_mul() {
-        let ctx = params();
-        let a = ctx.to_monty(&U256::from_u64(0xdeadbeef));
-        let b = ctx.to_monty(&U256::from_u128(0x0123_4567_89ab_cdef_fedc_ba98_7654_3210));
-        let w = ctx.wide_mul(&a, &b);
-        assert_eq!(ctx.redc_wide(&w), ctx.mul(&a, &b));
-        assert_eq!(ctx.redc_wide(&MontyWide::zero()), U256::ZERO);
+        for a in cases {
+            assert_eq!(ctx.square(&a), ctx.mul(&a, &a), "a = {a:?}");
+        }
     }
 
     #[test]

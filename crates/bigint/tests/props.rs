@@ -9,10 +9,9 @@ fn u256(v: u128) -> U256 {
     U256::from_u128(v)
 }
 
-/// Oracle check for the fused-CIOS multiplier: at any limb width, the
-/// single-pass interleaved reduction must agree with the classic
-/// two-pass (schoolbook product, then REDC) on a random odd modulus,
-/// and `sum_of_products` must match the add-of-muls it replaces.
+/// Oracle check for the fused-CIOS multiplier and the dedicated squaring:
+/// at any limb width, both must agree with the classic two-pass
+/// (schoolbook product, then REDC) on a random odd modulus.
 fn cios_matches_two_pass<const L: usize>(
     m_raw: [u64; L],
     a_raw: [u64; L],
@@ -26,13 +25,23 @@ fn cios_matches_two_pass<const L: usize>(
     let b = Uint::from_limbs(b_raw).rem(&m);
     prop_assert_eq!(ctx.mul(&a, &b), ctx.mul_two_pass(&a, &b));
     prop_assert_eq!(ctx.square(&a), ctx.mul_two_pass(&a, &a));
-    // Lazy wide accumulation: a·b + b·a + a·a, reduced once.
-    let fused = ctx.sum_of_products(&[(a, b), (b, a), (a, a)]);
-    let naive = ctx.add(
-        &ctx.add(&ctx.mul(&a, &b), &ctx.mul(&b, &a)),
-        &ctx.mul(&a, &a),
-    );
-    prop_assert_eq!(fused, naive);
+    prop_assert_eq!(ctx.square(&b), ctx.mul(&b, &b));
+    Ok(())
+}
+
+/// Squaring at the carry extremes: a modulus with its top limb's high bit
+/// set (so `m²` and every REDC intermediate use the full `2L` limbs) and
+/// the inputs 0, 1, `m − 1` and the Montgomery one, against both
+/// multipliers.
+fn square_edges_full_width<const L: usize>(m_raw: [u64; L]) -> Result<(), TestCaseError> {
+    let mut m = Uint::<L>::from_limbs(m_raw);
+    m.limbs_mut()[0] |= 1;
+    m.limbs_mut()[L - 1] |= 1 << 63;
+    let ctx = MontyParams::new(m).unwrap();
+    for a in [Uint::ZERO, Uint::ONE, m.wrapping_sub(&Uint::ONE), ctx.one()] {
+        prop_assert_eq!(ctx.square(&a), ctx.mul(&a, &a));
+        prop_assert_eq!(ctx.square(&a), ctx.mul_two_pass(&a, &a));
+    }
     Ok(())
 }
 
@@ -190,6 +199,26 @@ proptest! {
     #[test]
     fn fused_cios_matches_two_pass_24_limbs(m in any::<[u64; 24]>(), a in any::<[u64; 24]>(), b in any::<[u64; 24]>()) {
         cios_matches_two_pass(m, a, b)?;
+    }
+
+    #[test]
+    fn square_edges_1_limb(m in any::<[u64; 1]>()) {
+        square_edges_full_width(m)?;
+    }
+
+    #[test]
+    fn square_edges_4_limbs(m in any::<[u64; 4]>()) {
+        square_edges_full_width(m)?;
+    }
+
+    #[test]
+    fn square_edges_8_limbs(m in any::<[u64; 8]>()) {
+        square_edges_full_width(m)?;
+    }
+
+    #[test]
+    fn square_edges_24_limbs(m in any::<[u64; 24]>()) {
+        square_edges_full_width(m)?;
     }
 
     #[test]

@@ -10,6 +10,7 @@ use rand::RngCore;
 use tre_bigint::{MontyParams, Uint, U256};
 
 use crate::fp::{Fp, FpCtx};
+use crate::pairing::GT_WNAF_WIDTH;
 
 /// A point on `E(F_p)` in affine coordinates (or the point at infinity).
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Hash)]
@@ -95,6 +96,9 @@ pub struct Curve<const L: usize> {
     q: U256,
     scalar: MontyParams<4>,
     cofactor: Uint<L>,
+    /// Width-5 wNAF digits of the cofactor, recoded once for the final
+    /// exponentiation's signed-window power.
+    cofactor_naf: Vec<i8>,
     gen: G1Affine<L>,
     name: &'static str,
 }
@@ -127,6 +131,7 @@ impl<const L: usize> Curve<L> {
             q,
             scalar,
             cofactor: cof,
+            cofactor_naf: wnaf_digits(&cof, GT_WNAF_WIDTH),
             gen,
             name,
         };
@@ -160,6 +165,13 @@ impl<const L: usize> Curve<L> {
     #[inline]
     pub fn cofactor(&self) -> &Uint<L> {
         &self.cofactor
+    }
+
+    /// The cofactor's width-[`GT_WNAF_WIDTH`] wNAF digits, least
+    /// significant first.
+    #[inline]
+    pub(crate) fn cofactor_naf(&self) -> &[i8] {
+        &self.cofactor_naf
     }
 
     /// The subgroup generator `G`.
@@ -631,14 +643,16 @@ impl<const L: usize> G1Jac<L> {
 
 /// Width-`w` NAF recoding: digits in `{0, ±1, ±3, …, ±(2^(w−1)−1)}`,
 /// least-significant first, with no two adjacent non-zeros within `w`
-/// positions.
-fn wnaf_digits<const E: usize>(k: &Uint<E>, w: u32) -> Vec<i8> {
+/// positions. Defined for every `k < 2^(64·E)`: a negative digit's carry
+/// out of the top limb is shifted back in as the top bit.
+pub(crate) fn wnaf_digits<const E: usize>(k: &Uint<E>, w: u32) -> Vec<i8> {
     debug_assert!((2..=7).contains(&w));
     let mut k = *k;
     let window = 1u64 << w;
     let half = 1u64 << (w - 1);
     let mut digits = Vec::with_capacity(k.bits() as usize + 1);
     while !k.is_zero() {
+        let mut overflow = false;
         if k.is_odd() {
             let mods = k.limbs()[0] & (window - 1);
             let d: i64 = if mods >= half {
@@ -649,15 +663,16 @@ fn wnaf_digits<const E: usize>(k: &Uint<E>, w: u32) -> Vec<i8> {
             if d > 0 {
                 k = k.wrapping_sub(&Uint::from_u64(d as u64));
             } else {
-                k = k
-                    .checked_add(&Uint::from_u64((-d) as u64))
-                    .expect("wNAF carry cannot overflow reduced scalars");
+                (k, overflow) = k.overflowing_add(&Uint::from_u64((-d) as u64));
             }
             digits.push(d as i8);
         } else {
             digits.push(0);
         }
         k = k.shr1();
+        if overflow {
+            k.limbs_mut()[E - 1] |= 1 << 63;
+        }
     }
     digits
 }
@@ -683,6 +698,27 @@ mod wnaf_tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn top_carry_is_shifted_back_in() {
+        // 2^256 − 1 recodes with a −1 digit whose carry leaves the top
+        // limb; the digits must still reconstruct the value mod 2^256
+        // and end on a positive leading digit.
+        let k = U256::from_limbs([u64::MAX; 4]);
+        let digits = wnaf_digits(&k, 5);
+        let mut acc = U256::ZERO;
+        for &d in digits.iter().rev() {
+            acc = acc.wrapping_add(&acc);
+            acc = if d >= 0 {
+                acc.wrapping_add(&U256::from_u64(d as u64))
+            } else {
+                acc.wrapping_sub(&U256::from_u64(d.unsigned_abs() as u64))
+            };
+        }
+        assert_eq!(acc, k);
+        assert_eq!(digits.len(), 257);
+        assert!(*digits.last().unwrap() > 0);
     }
 
     #[test]

@@ -20,8 +20,8 @@
 
 use tre_bigint::{Uint, U256};
 
-use crate::curve::{Curve, G1Affine, G1Jac};
-use crate::fp::{Fp, Fp2};
+use crate::curve::{wnaf_digits, Curve, G1Affine, G1Jac};
+use crate::fp::{Fp, Fp2, FpCtx};
 
 /// An element of the order-`q` target group `G_T` (unitary subgroup of
 /// `F_{p²}^*`). Produced only by [`Curve::pairing`] and `Gt` operations.
@@ -101,7 +101,7 @@ impl<const L: usize> Curve<L> {
                 t = t3;
             }
         }
-        Gt(self.final_exponentiation(&f))
+        self.final_exponentiation(&f)
     }
 
     /// Product of pairings `∏ ê(Pᵢ, Qᵢ)` with a **shared Miller loop**:
@@ -169,7 +169,7 @@ impl<const L: usize> Curve<L> {
                 }
             }
         }
-        Gt(self.final_exponentiation(&f))
+        self.final_exponentiation(&f)
     }
 
     /// Naive product of pairings (independent Miller loops and final
@@ -264,7 +264,7 @@ impl<const L: usize> Curve<L> {
             }
         }
         debug_assert_eq!(si, prep.steps.len(), "prepared step count mismatch");
-        Gt(self.final_exponentiation(&f))
+        self.final_exponentiation(&f)
     }
 
     /// Product of pairings with **prepared and generic lanes sharing one
@@ -358,7 +358,7 @@ impl<const L: usize> Curve<L> {
                 }
             }
         }
-        Gt(self.final_exponentiation(&f))
+        self.final_exponentiation(&f)
     }
 
     /// Multiplies `f` by one stored normalized line evaluated at `φ(Q)`:
@@ -589,14 +589,71 @@ impl<const L: usize> Curve<L> {
         )
     }
 
-    /// `f ↦ f^((p²−1)/q)`, via `f^(p−1) = conj(f)·f^{−1}` then an
-    /// exponentiation by the cofactor `(p+1)/q`.
-    fn final_exponentiation(&self, f: &Fp2<L>) -> Fp2<L> {
+    /// The final exponentiation `f ↦ f^((p²−1)/q)` that maps a Miller
+    /// value onto `G_T` (every pairing entry point already applies it).
+    ///
+    /// Computed as `f^(p−1) = conj(f)·f^{−1}`, then a power by the
+    /// cofactor `(p+1)/q`. `f^(p−1)` is unitary, so that power runs the
+    /// width-5 signed window of [`GtPrecomp`] over the cofactor digits
+    /// recoded once in [`Curve::new`].
+    ///
+    /// # Panics
+    /// Panics if `f` is zero.
+    pub fn final_exponentiation(&self, f: &Fp2<L>) -> Gt<L> {
         let ctx = self.fp();
         let inv = f.invert(ctx).expect("Miller value is nonzero");
         let f_pm1 = f.conjugate(ctx).mul(&inv, ctx);
-        f_pm1.pow(&self.cofactor().clone(), ctx)
+        Gt(unitary_pow(
+            &odd_powers(&f_pm1, ctx),
+            self.cofactor_naf(),
+            ctx,
+        ))
     }
+}
+
+/// Window width of the signed-digit `G_T` powers: width-5 wNAF digits
+/// lie in `{±1, ±3, …, ±15}`, so the 8 odd powers `x^1 … x^15` cover
+/// every digit and conjugation supplies the negative ones.
+pub(crate) const GT_WNAF_WIDTH: u32 = 5;
+
+/// The odd powers `x^1, x^3, …, x^15` of a unitary `x` (1 unitary
+/// squaring + 7 multiplications).
+fn odd_powers<const L: usize>(x: &Fp2<L>, ctx: &FpCtx<L>) -> [Fp2<L>; 8] {
+    let sq = x.unitary_square(ctx);
+    let mut odd = [*x; 8];
+    for k in 1..8 {
+        odd[k] = odd[k - 1].mul(&sq, ctx);
+    }
+    odd
+}
+
+/// `x^e` for a unitary `x` given its odd-power table and the width-5
+/// wNAF digits of `e` (least significant first): one unitary squaring
+/// per digit and one multiplication per non-zero digit, a negative digit
+/// `−d` multiplying by `conj(x^d) = x^(−d)` — the inverse is free on the
+/// norm-1 subgroup.
+fn unitary_pow<const L: usize>(odd: &[Fp2<L>; 8], digits: &[i8], ctx: &FpCtx<L>) -> Fp2<L> {
+    let entry = |d: i8| {
+        let x = &odd[(d.unsigned_abs() as usize - 1) / 2];
+        if d > 0 {
+            *x
+        } else {
+            x.conjugate(ctx)
+        }
+    };
+    // The leading digit is non-zero: start from its entry instead of
+    // squaring and multiplying the identity.
+    let Some((&lead, rest)) = digits.split_last() else {
+        return Fp2::one(ctx);
+    };
+    let mut acc = entry(lead);
+    for &d in rest.iter().rev() {
+        acc = acc.unitary_square(ctx);
+        if d != 0 {
+            acc = acc.mul(&entry(d), ctx);
+        }
+    }
+    acc
 }
 
 impl<const L: usize> Gt<L> {
@@ -615,9 +672,15 @@ impl<const L: usize> Gt<L> {
         Gt(self.0.mul(&rhs.0, curve.fp()))
     }
 
-    /// Exponentiation by a scalar.
+    /// Squaring: two `F_p` squarings, since `G_T` elements have norm 1.
+    pub fn square(&self, curve: &Curve<L>) -> Self {
+        Gt(self.0.unitary_square(curve.fp()))
+    }
+
+    /// Exponentiation by a scalar: the signed window of
+    /// [`Gt::pow_window`].
     pub fn pow(&self, exp: &U256, curve: &Curve<L>) -> Self {
-        Gt(self.0.pow(exp, curve.fp()))
+        self.pow_window(exp, curve)
     }
 
     /// Inverse — conjugation, since `G_T` elements are unitary.
@@ -633,31 +696,28 @@ impl<const L: usize> Gt<L> {
     /// Exponentiation by a full-width integer (used in tests to check the
     /// group order).
     pub fn pow_uint(&self, exp: &Uint<L>, curve: &Curve<L>) -> Self {
-        Gt(self.0.pow(exp, curve.fp()))
+        GtPrecomp::new(curve, self).pow(exp, curve)
     }
 
-    /// Sliding-window exponentiation: builds the odd-power table for this
-    /// base and runs [`GtPrecomp::pow`] once. Faster than the binary
-    /// [`Gt::pow`] for protocol-sized exponents (one multiplication per
-    /// ~5 exponent bits instead of per ~2, after an 8-entry table); use
-    /// [`GtPrecomp`] directly when the same base is raised repeatedly.
+    /// Signed-window exponentiation: builds the odd-power table for this
+    /// base and runs [`GtPrecomp::pow`] once. Use [`GtPrecomp`] directly
+    /// when the same base is raised repeatedly.
     pub fn pow_window(&self, exp: &U256, curve: &Curve<L>) -> Self {
         GtPrecomp::new(curve, self).pow(exp, curve)
     }
 }
 
-/// Window width (bits) for [`GtPrecomp`] — table holds the 8 odd powers
-/// `x^1, x^3, …, x^15`.
-const GT_WINDOW: u32 = 4;
-
 /// Precomputed odd-power table for exponentiation of one `G_T` base.
 ///
-/// The binary ladder in [`Gt::pow`] pays one `F_{p²}` multiplication per
-/// set exponent bit (~half of them). The width-4 sliding window pays one
-/// per *window* (~1 in 5 bits) after an 8-multiplication setup — a clear
-/// win for a single protocol exponentiation, and amortized to nothing
-/// when the same base is raised repeatedly (the E15 benchmarks and the
-/// failover `^a` step on re-decryption attempts).
+/// A binary ladder pays one general `F_{p²}` squaring per exponent bit
+/// and one multiplication per set bit (~half of them). Every `G_T`
+/// element is unitary, so this table's powers use the two-squaring
+/// unitary square and a width-5 signed window whose negative digits
+/// multiply by a conjugated entry: one multiplication per ~6 exponent
+/// bits after an 8-entry setup — a clear win for a single protocol
+/// exponentiation, and amortized to nothing when the same base is raised
+/// repeatedly (the E15 benchmarks and the failover `^a` step on
+/// re-decryption attempts).
 #[derive(Clone, Debug)]
 pub struct GtPrecomp<const L: usize> {
     /// `odd[k] = base^(2k+1)` for `k in 0..8`.
@@ -667,47 +727,16 @@ pub struct GtPrecomp<const L: usize> {
 impl<const L: usize> GtPrecomp<L> {
     /// Builds the odd-power table (1 squaring + 7 multiplications).
     pub fn new(curve: &Curve<L>, base: &Gt<L>) -> Self {
-        let ctx = curve.fp();
-        let sq = base.0.square(ctx);
-        let mut odd = [base.0; 8];
-        for k in 1..8 {
-            odd[k] = odd[k - 1].mul(&sq, ctx);
+        Self {
+            odd: odd_powers(&base.0, curve.fp()),
         }
-        Self { odd }
     }
 
-    /// `base^exp` by left-to-right sliding window over the exponent bits.
-    pub fn pow(&self, exp: &U256, curve: &Curve<L>) -> Gt<L> {
-        let ctx = curve.fp();
-        let bits = exp.bits();
-        let mut acc = Fp2::one(ctx);
-        let mut i = bits as i64 - 1;
-        while i >= 0 {
-            if !exp.bit(i as u32) {
-                acc = acc.square(ctx);
-                i -= 1;
-                continue;
-            }
-            // Greedy window [j..=i], at most GT_WINDOW wide, ending on a
-            // set bit so the digit is odd and lives in the table.
-            let mut j = (i - (GT_WINDOW as i64 - 1)).max(0);
-            while !exp.bit(j as u32) {
-                j += 1;
-            }
-            let width = (i - j + 1) as u32;
-            let mut digit = 0usize;
-            for k in 0..width {
-                if exp.bit(j as u32 + k) {
-                    digit |= 1 << k;
-                }
-            }
-            for _ in 0..width {
-                acc = acc.square(ctx);
-            }
-            acc = acc.mul(&self.odd[(digit - 1) / 2], ctx);
-            i = j - 1;
-        }
-        Gt(acc)
+    /// `base^exp` by the width-5 signed window over the exponent's wNAF
+    /// digits.
+    pub fn pow<const E: usize>(&self, exp: &Uint<E>, curve: &Curve<L>) -> Gt<L> {
+        let digits = wnaf_digits(exp, GT_WNAF_WIDTH);
+        Gt(unitary_pow(&self.odd, &digits, curve.fp()))
     }
 }
 
@@ -895,26 +924,114 @@ mod gt_window_tests {
              a full-width one ({wide} fp muls)"
         );
     }
+}
+
+#[cfg(test)]
+mod kernel_tests {
+    use super::*;
+    use crate::params::toy64;
+    use proptest::prelude::*;
+
+    /// The binary final exponentiation the signed window replaced:
+    /// `conj(f)·f⁻¹`, then a square-and-multiply power by the cofactor.
+    fn final_exponentiation_binary<const L: usize>(curve: &Curve<L>, f: &Fp2<L>) -> Fp2<L> {
+        let ctx = curve.fp();
+        let f_pm1 = f.conjugate(ctx).mul(&f.invert(ctx).unwrap(), ctx);
+        f_pm1.pow(curve.cofactor(), ctx)
+    }
+
+    /// A random `F_{p²}` element from raw limbs (reduced mod `p`).
+    fn fp2(curve: &Curve<8>, c0: [u64; 8], c1: [u64; 8]) -> Fp2<8> {
+        let ctx = curve.fp();
+        Fp2::new(
+            ctx.from_uint(&Uint::from_limbs(c0)),
+            ctx.from_uint(&Uint::from_limbs(c1)),
+        )
+    }
+
+    fn scalar(curve: &Curve<8>, raw: [u64; 4]) -> U256 {
+        U256::from_limbs(raw).rem(curve.order())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn unitary_square_matches_square(
+            c0 in any::<[u64; 8]>(),
+            c1 in any::<[u64; 8]>(),
+            ra in any::<[u64; 4]>(),
+            rb in any::<[u64; 4]>(),
+        ) {
+            let curve = toy64();
+            let ctx = curve.fp();
+            let f = fp2(curve, c0, c1);
+            prop_assume!(!f.is_zero());
+            let f_pm1 = f.conjugate(ctx).mul(&f.invert(ctx).unwrap(), ctx);
+            prop_assert_eq!(f_pm1.unitary_square(ctx), f_pm1.square(ctx));
+            let g = curve.generator();
+            let e = curve.pairing(&curve.g1_mul(&g, &scalar(curve, ra)), &curve.g1_mul(&g, &scalar(curve, rb)));
+            prop_assert_eq!(e.square(curve).0, e.0.square(ctx));
+        }
+
+        #[test]
+        fn final_exponentiation_matches_binary(c0 in any::<[u64; 8]>(), c1 in any::<[u64; 8]>()) {
+            let curve = toy64();
+            let f = fp2(curve, c0, c1);
+            prop_assume!(!f.is_zero());
+            prop_assert_eq!(curve.final_exponentiation(&f).0, final_exponentiation_binary(curve, &f));
+        }
+
+        #[test]
+        fn gt_powers_match_binary_pow(e in any::<[u64; 4]>(), ra in any::<[u64; 4]>()) {
+            let curve = toy64();
+            let ctx = curve.fp();
+            let g = curve.generator();
+            let base = curve.pairing(&g, &curve.g1_mul(&g, &scalar(curve, ra)));
+            let table = GtPrecomp::new(curve, &base);
+            let q = *curve.order();
+            let edges = [0u64, 1, 2, 15, 16, 17, 31, 32, 33, u64::MAX].map(U256::from_u64);
+            for e in [U256::from_limbs(e), scalar(curve, e), q.wrapping_sub(&U256::ONE), q, U256::MAX].into_iter().chain(edges) {
+                let expect = Gt(base.0.pow(&e, ctx));
+                prop_assert_eq!(base.pow(&e, curve), expect);
+                prop_assert_eq!(base.pow_window(&e, curve), expect);
+                prop_assert_eq!(table.pow(&e, curve), expect);
+            }
+        }
+    }
 
     #[test]
-    fn window_pow_matches_binary_pow() {
+    fn kernels_spend_fewer_fp_muls() {
+        // Deterministic op-count guard: a lost signed window or a reverted
+        // binary final exponentiation raises these counts, whatever the
+        // wall clock says. 2500 is the prepared toy64 pairing's count under
+        // the binary final exponentiation.
         let curve = toy64();
-        let mut rng = rand::thread_rng();
+        let ctx = curve.fp();
         let g = curve.generator();
-        let base = curve.pairing(&g, &g);
-        let table = GtPrecomp::new(curve, &base);
-        for _ in 0..10 {
-            let e = curve.random_scalar(&mut rng);
-            let expect = base.pow(&e, curve);
-            assert_eq!(base.pow_window(&e, curve), expect);
-            assert_eq!(table.pow(&e, curve), expect);
-        }
-        for v in [0u64, 1, 2, 15, 16, 17, u64::MAX] {
-            let e = U256::from_u64(v);
-            assert_eq!(table.pow(&e, curve), base.pow(&e, curve), "exp={v}");
-        }
-        // Full-width edge: q − 1 (all high-entropy windows).
-        let qm1 = curve.order().wrapping_sub(&U256::ONE);
-        assert_eq!(table.pow(&qm1, curve), base.pow(&qm1, curve));
+        let p = curve.g1_mul(&g, &U256::from_u64(12_345));
+        let q = curve.g1_mul(&g, &U256::from_u64(999));
+        let prep = curve.prepare(&p);
+        tre_obs::enable();
+        let e = curve.pairing_prepared(&prep, &q);
+        let prepared = tre_obs::finish().total_ops().fp_muls;
+        assert!(
+            prepared < 2500,
+            "prepared toy64 pairing spent {prepared} Fp muls (binary final exponentiation: 2500)"
+        );
+
+        let exp = curve.order().wrapping_sub(&U256::ONE);
+        assert_eq!(exp.bits(), 160);
+        tre_obs::enable();
+        let windowed = e.pow(&exp, curve);
+        let window_muls = tre_obs::finish().total_ops().fp_muls;
+        tre_obs::enable();
+        let binary = Gt(e.0.pow(&exp, ctx));
+        let binary_muls = tre_obs::finish().total_ops().fp_muls;
+        assert_eq!(windowed, binary);
+        assert!(
+            window_muls < binary_muls,
+            "160-bit G_T power spent {window_muls} Fp muls, binary ladder {binary_muls}"
+        );
     }
 }

@@ -68,8 +68,8 @@ proptest! {
 
     #[test]
     fn fp2_karatsuba_matches_schoolbook(a0 in any::<u64>(), a1 in any::<u64>(), b0 in any::<u64>(), b1 in any::<u64>()) {
-        // The lazy-reduction Karatsuba product is an exact drop-in for
-        // the four-mul schoolbook reference, coefficient for coefficient.
+        // The Karatsuba product is an exact drop-in for the four-mul
+        // schoolbook reference, coefficient for coefficient.
         let ctx = toy64().fp();
         let a = Fp2::new(ctx.from_u64(a0), ctx.from_u64(a1));
         let b = Fp2::new(ctx.from_u64(b0), ctx.from_u64(b1));
