@@ -183,13 +183,19 @@ mod tests {
 
     #[test]
     fn epoch_keys_are_epoch_specific() {
+        use rand::SeedableRng;
         let curve = toy64();
-        let mut rng = rand::thread_rng();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(185);
         let mut server = MontServer::new(curve, &mut rng);
         server.register("alice");
-        let ct = encrypt(curve, server.public_key(), "alice", 8, b"m", &mut rng);
+        // 32 bytes: a wrong key leaves a plaintext unchanged with
+        // probability 2^-256, not the 1/256 of a one-byte message.
+        let msg = b"epoch 8 vault document, 32 bytes";
+        let ct = encrypt(curve, server.public_key(), "alice", 8, msg, &mut rng);
         let wrong_epoch_key = &server.epoch_rollover(7)[0].1;
-        assert_ne!(decrypt(curve, wrong_epoch_key, &ct), b"m");
+        assert_ne!(decrypt(curve, wrong_epoch_key, &ct), msg);
+        let right_epoch_key = &server.epoch_rollover(8)[0].1;
+        assert_eq!(decrypt(curve, right_epoch_key, &ct), msg);
     }
 
     #[test]

@@ -1822,9 +1822,12 @@ fn e18() {
 /// strictly fewer F_p multiplications at an identical pairing count
 /// (the memo-hit seal row at zero pairings instead of one; the
 /// forecast-hit verify row at one pairing and zero hash-to-curve
-/// iterations), the 2-lane verify-shaped multi-pairing must clear 3x wall-clock over
-/// naive fixed-argument evaluation, and the prepared batch path must
-/// not regress the E15 numbers. Each wall-clock guard is decided from
+/// iterations; the prepared verify row with zero G1 scalar mults, the
+/// cofactor riding on the prepared `sG` lane), the 5-lane verdict-shaped
+/// multi-pairing must clear 3x wall-clock over naive fixed-argument
+/// evaluation, and the prepared batch path must not regress the E15
+/// numbers. The hash-to-curve row (candidate vs cleared) is reported
+/// without a wall-clock guard. Each wall-clock guard is decided from
 /// [`paired_ms`] medians, not from a single run.
 fn e19() {
     println!("## E19 — prepared pairing kernels (fixed-argument Miller precomputation)\n");
@@ -2074,6 +2077,63 @@ fn e19() {
          \"generic_h2c_iters\": {}, \"prepared_h2c_iters\": {}}}",
         gen5.fp_muls, prep5.fp_muls, gen5.pairings, prep5.pairings, gen5.h2c_iters, prep5.h2c_iters
     ));
+    // Row 6: one honest verify. The textbook check (cleared H1(T), two
+    // generic pairings) against `verify_prepared`, whose `(h mod q)·sG`
+    // lane takes H1(T)'s uncleared candidate: no G1 scalar mult at all.
+    let (gen6_ms, prep6_ms, speed6) = paired_ms(
+        iters,
+        || fc_update.verify(curve, &spk),
+        || fc_update.verify_prepared(curve, &prep_key),
+    );
+    let gen6 = ops_of(&|| {
+        assert!(fc_update.verify(curve, &spk));
+    });
+    let prep6 = ops_of(&|| {
+        assert!(fc_update.verify_prepared(curve, &prep_key));
+    });
+    row(&[
+        "verify (prepared)".into(),
+        format!("{gen6_ms:.3}"),
+        format!("{prep6_ms:.3}"),
+        format!("{speed6:.2}x"),
+        format!("{} → {}", gen6.fp_muls, prep6.fp_muls),
+        format!("{} → {}", gen6.pairings, prep6.pairings),
+    ]);
+    kernel_rows.push(format!(
+        "{{\"kernel\": \"verify_prepared\", \"generic_ms\": {gen6_ms:.4}, \
+         \"prepared_ms\": {prep6_ms:.4}, \"speedup\": {speed6:.2}, \
+         \"generic_fp_muls\": {}, \"prepared_fp_muls\": {}, \
+         \"generic_scalar_mults\": {}, \"prepared_scalar_mults\": {}}}",
+        gen6.fp_muls, prep6.fp_muls, gen6.scalar_mults, prep6.scalar_mults
+    ));
+    // Row 7: the hash alone. `hash_to_g1` (candidate, then the ~350-bit
+    // cofactor clearing) against `h1_candidate`, the uncleared point the
+    // prepared verify, forecast and seal pair with.
+    let (gen7_ms, prep7_ms, speed7) = paired_ms(
+        iters,
+        || curve.hash_to_g1(fc_tag.h1_domain(), fc_tag.value()),
+        || curve.h1_candidate(fc_tag.h1_domain(), fc_tag.value()),
+    );
+    let gen7 = ops_of(&|| {
+        curve.hash_to_g1(fc_tag.h1_domain(), fc_tag.value());
+    });
+    let prep7 = ops_of(&|| {
+        curve.h1_candidate(fc_tag.h1_domain(), fc_tag.value());
+    });
+    row(&[
+        "hash-to-curve: candidate vs cleared".into(),
+        format!("{gen7_ms:.3}"),
+        format!("{prep7_ms:.3}"),
+        format!("{speed7:.2}x"),
+        format!("{} → {}", gen7.fp_muls, prep7.fp_muls),
+        format!("{} → {}", gen7.pairings, prep7.pairings),
+    ]);
+    kernel_rows.push(format!(
+        "{{\"kernel\": \"h2c_candidate_vs_cleared\", \"cleared_ms\": {gen7_ms:.4}, \
+         \"candidate_ms\": {prep7_ms:.4}, \"speedup\": {speed7:.2}, \
+         \"cleared_fp_muls\": {}, \"candidate_fp_muls\": {}}}",
+        gen7.fp_muls, prep7.fp_muls
+    ));
     println!();
 
     // Counter guards: same pairing budget, strictly less F_p work.
@@ -2117,6 +2177,26 @@ fn e19() {
         "forecast-hit verify must spend fewer Fp muls ({} vs {})",
         prep5.fp_muls,
         gen5.fp_muls
+    );
+    // An honest prepared verify folds the cofactor into the `sG` lane:
+    // the same two pairing lanes as the textbook check and no G1 scalar
+    // multiplication; the candidate hash skips exactly the clearing.
+    assert_eq!(gen6.pairings, prep6.pairings, "verify row pairing count");
+    assert_eq!(
+        prep6.scalar_mults, 0,
+        "an honest prepared verify must not clear the cofactor"
+    );
+    assert!(
+        prep6.fp_muls < gen6.fp_muls,
+        "prepared verify must spend fewer Fp muls ({} vs {})",
+        prep6.fp_muls,
+        gen6.fp_muls
+    );
+    assert_eq!(gen7.h2c_iters, prep7.h2c_iters, "one candidate loop");
+    assert_eq!(
+        (gen7.scalar_mults, prep7.scalar_mults),
+        (1, 0),
+        "the cleared hash multiplies once, the candidate never"
     );
     // Wall-clock guards, calibrated for toy64: the final exponentiation
     // bounds the single-pairing win near 2x and the 2-lane verify shape
@@ -2168,7 +2248,7 @@ fn e19() {
         .collect();
     let a = fx.user.secret_scalar();
     let textbook_open = |ct: &tre_core::tre::Ciphertext<8>| {
-        let k = curve.pairing(ct.u(), update.sig()).pow_window(a, curve);
+        let k = curve.pairing(ct.u(), update.sig()).pow(a, curve);
         let mask = curve.gt_kdf(&k, b"tre/basic/mask", ct.v().len());
         ct.v()
             .iter()
@@ -2248,7 +2328,8 @@ fn e19() {
     );
     println!(
         "(guards: pairing budgets unchanged except the memo-hit seal (1 → 0), prepared Fp muls\n\
-         strictly lower on every row, verdict-shaped 5-lane speedup {speed3:.2}x ≥ 3x, batch_verify non-regression vs E15.)\n"
+         strictly lower on every row, 0 G1 scalar mults in an honest prepared verify,\n\
+         verdict-shaped 5-lane speedup {speed3:.2}x ≥ 3x, batch_verify non-regression vs E15.)\n"
     );
 
     // The field-kernel layer under every row above. Each kernel's ns per

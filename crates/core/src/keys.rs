@@ -170,13 +170,18 @@ impl<const L: usize> ServerPublicKey<L> {
 
 /// A [`ServerPublicKey`] with its pairing and scalar-multiplication
 /// precomputation attached: prepared Miller-loop coefficients for the
-/// two fixed first arguments of every verification equation (`sG` and
-/// `−G`) plus fixed-base windowed tables for `G` and `sG`.
+/// fixed first arguments of every verification equation (`sG`,
+/// `(h mod q)·sG` and `−G`) plus fixed-base windowed tables for `G` and
+/// `sG`.
 ///
 /// Every check against a server key pairs with the *same* two points —
 /// `ê(sG, H1(T)) · ê(−G, I_T) = 1` — so a receiver that verifies a
 /// stream of epochs against one server amortizes the per-pairing
-/// point arithmetic down to zero by preparing both sides once.
+/// point arithmetic down to zero by preparing both sides once. The
+/// `(h mod q)·sG` side takes `H1(T)`'s uncleared candidate `P` instead
+/// of `H1(T) = h·P`: `ê((h mod q)·sG, P) = ê(sG, h·P)`, so the hash
+/// skips its cofactor clearing (DESIGN §10, "Cofactor on the prepared
+/// side").
 ///
 /// Built by [`ServerPublicKey::prepare`]; consumed by
 /// [`KeyUpdate::verify_prepared`], the prepared batch verifiers, and
@@ -186,6 +191,8 @@ impl<const L: usize> ServerPublicKey<L> {
 pub struct PreparedServerKey<const L: usize> {
     key: ServerPublicKey<L>,
     s_g_prep: MillerPrecomp<L>,
+    /// `(h mod q)·sG`, the lane an uncleared `H1` candidate pairs with.
+    h_s_g_prep: MillerPrecomp<L>,
     neg_g_prep: MillerPrecomp<L>,
     g_table: G1Precomp<L>,
     s_g_table: G1Precomp<L>,
@@ -198,12 +205,14 @@ impl<const L: usize> ServerPublicKey<L> {
     /// Miller-loop point arithmetic on both lanes.
     pub fn prepare(&self, curve: &Curve<L>) -> PreparedServerKey<L> {
         let _span = tre_obs::span("tre.prepare_server_key");
+        let s_g_table = G1Precomp::new(curve, &self.s_g);
         PreparedServerKey {
             key: *self,
             s_g_prep: curve.prepare(&self.s_g),
+            h_s_g_prep: curve.prepare(&s_g_table.mul(curve, curve.cofactor_mod_q())),
             neg_g_prep: curve.prepare(&curve.g1_neg(&self.g)),
             g_table: G1Precomp::new(curve, &self.g),
-            s_g_table: G1Precomp::new(curve, &self.s_g),
+            s_g_table,
         }
     }
 }
@@ -235,43 +244,46 @@ impl<const L: usize> PreparedServerKey<L> {
         &self.s_g_table
     }
 
-    /// Forecasts `tag` against this key: `H1(T)` and the public half of
-    /// the verification equation, `y_T = ê(sG, H1(T))` (one prepared
-    /// pairing lane). Both depend only on public values, so they can be
-    /// computed before `T`; [`KeyUpdate::verify_forecast`] then checks
-    /// the update with the one remaining lane.
-    pub fn forecast(&self, curve: &Curve<L>, tag: &ReleaseTag) -> TagForecast<L> {
-        let mut forecast = TagForecast::hash(curve, tag);
-        let y = curve.pairing_prepared(&self.s_g_prep, &forecast.h);
-        forecast.y = Some((self.key.s_g, y));
-        forecast
+    /// Forecasts `tag` against this key: the public half of the
+    /// verification equation, `y_T = ê(sG, H1(T))`, as one prepared
+    /// lane `ê((h mod q)·sG, P)` off `H1(T)`'s uncleared candidate `P`.
+    /// It depends only on public values, so it can be computed before
+    /// `T`; [`KeyUpdate::verify_forecast`] then checks the update with
+    /// the one remaining lane. `y_T = 1` means `P` was `h`-torsion, and
+    /// the lane is retaken against the cleared `H1(T)`.
+    pub fn forecast(&self, curve: &Curve<L>, tag: &ReleaseTag) -> VerifyForecast<L> {
+        let mut y = curve.pairing_prepared(&self.h_s_g_prep, &h1_candidate(curve, tag));
+        if y.is_one(curve) {
+            y = curve.pairing_prepared(&self.s_g_prep, &h1(curve, tag));
+        }
+        VerifyForecast {
+            tag: tag.clone(),
+            s_g: self.key.s_g,
+            y,
+        }
     }
 }
 
-/// The public, predictable part of one release tag's key update,
-/// computed ahead of time: `H1(T)` and, when built against a server key
-/// by [`PreparedServerKey::forecast`], `y_T = ê(sG, H1(T))`.
+/// The signer's forecast: one release tag hashed to `H1(T)` ahead of
+/// time, so [`ServerKeyPair::issue_forecast`] signs it at the boundary
+/// with one scalar multiplication.
 ///
 /// The tag of a scheduled epoch is public and known in advance (§5.3.1),
-/// so a signer can hash it before the boundary and a verifier can pair
-/// it too. A forecast is never a signature: it holds no secret and no
-/// part of `I_T = s·H1(T)`, which [`ServerKeyPair::issue_forecast`]
-/// still computes at release time.
+/// so a signer can hash it before the boundary. A forecast is never a
+/// signature: it holds no secret and no part of `I_T = s·H1(T)`.
 #[derive(Clone, Debug)]
 pub struct TagForecast<const L: usize> {
     tag: ReleaseTag,
+    /// The cleared `H1(T)`: the only point `issue_forecast` ever signs.
     h: G1Affine<L>,
-    /// `(sG, ê(sG, H1(T)))`: the key half the pairing was taken with.
-    y: Option<(G1Affine<L>, Gt<L>)>,
 }
 
 impl<const L: usize> TagForecast<L> {
-    /// Hashes `tag` to `H1(T)` — the signer's forecast, with no pairing.
+    /// Hashes `tag` to `H1(T)`.
     pub fn hash(curve: &Curve<L>, tag: &ReleaseTag) -> Self {
         Self {
             tag: tag.clone(),
-            h: curve.hash_to_g1(tag.h1_domain(), tag.value()),
-            y: None,
+            h: h1(curve, tag),
         }
     }
 
@@ -279,6 +291,38 @@ impl<const L: usize> TagForecast<L> {
     pub fn tag(&self) -> &ReleaseTag {
         &self.tag
     }
+}
+
+/// The verifier's forecast, built by [`PreparedServerKey::forecast`]:
+/// `y_T = ê(sG, H1(T))` for one tag under one server key, paired before
+/// `T`. It carries no curve point, so nothing in it can be signed.
+#[derive(Clone, Debug)]
+pub struct VerifyForecast<const L: usize> {
+    tag: ReleaseTag,
+    /// The key half `sG` the pairing was taken with.
+    s_g: G1Affine<L>,
+    y: Gt<L>,
+}
+
+/// `H1(T)`, the cleared hash of a release tag.
+fn h1<const L: usize>(curve: &Curve<L>, tag: &ReleaseTag) -> G1Affine<L> {
+    curve.hash_to_g1(tag.h1_domain(), tag.value())
+}
+
+/// `H1(T)`'s uncleared try-and-increment candidate `P`
+/// ([`Curve::h1_candidate`]): `H1(T) = h·P` unless `h·P = O`.
+fn h1_candidate<const L: usize>(curve: &Curve<L>, tag: &ReleaseTag) -> G1Affine<L> {
+    #[cfg(test)]
+    if let Some(p) = tests::injected_candidate(curve, tag) {
+        return p;
+    }
+    curve.h1_candidate(tag.h1_domain(), tag.value())
+}
+
+/// Whether `h·P = O`: the probability-`1/q` case where `P` is not
+/// `H1(T)`'s candidate after all and [`Curve::hash_to_g1`] moves on.
+fn is_h_torsion<const L: usize>(curve: &Curve<L>, p: &G1Affine<L>) -> bool {
+    curve.g1_mul_uint(p, curve.cofactor()).is_infinity()
 }
 
 impl<const L: usize> UserKeyPair<L> {
@@ -436,43 +480,73 @@ impl<const L: usize> KeyUpdate<L> {
     /// signature under the server key.
     pub fn verify(&self, curve: &Curve<L>, server: &ServerPublicKey<L>) -> bool {
         let _span = tre_obs::span("tre.verify");
-        let h = curve.hash_to_g1(self.tag.h1_domain(), self.tag.value());
-        curve.pairing(server.s_g(), &h) == curve.pairing(server.g(), &self.sig)
+        curve.pairing(server.s_g(), &h1(curve, &self.tag)) == curve.pairing(server.g(), &self.sig)
     }
 
     /// [`KeyUpdate::verify`] against a [`PreparedServerKey`]: both lanes
-    /// of `ê(sG, H1(T)) · ê(−G, I_T) = 1` replay prepared coefficients,
-    /// sharing one squaring chain and final exponentiation — no Miller
-    /// point arithmetic at all.
+    /// of `ê((h mod q)·sG, P) · ê(−G, I_T) = 1` replay prepared
+    /// coefficients, sharing one squaring chain and final exponentiation,
+    /// with `P` the uncleared candidate of `H1(T)`. No Miller point
+    /// arithmetic and no cofactor clearing on an honest update.
+    ///
+    /// The verdict is the textbook one for every `I_T` in `G1` (every
+    /// decoded update):
+    /// * `I_T = O` is decided before any pairing (`ê(sG, H1(T)) = 1`
+    ///   holds only for the degenerate key `sG = O`);
+    /// * a pass implies `h·P ≠ O` (else the check reads
+    ///   `ê(G, I_T) = 1`), so `h·P` is `H1(T)` and the pass is an accept;
+    /// * on a fail, `h·P ≠ O` rejects, and `h·P = O` reruns the check
+    ///   against the cleared `H1(T)`. A forgery pays the one clearing the
+    ///   hash used to.
     pub fn verify_prepared(&self, curve: &Curve<L>, server: &PreparedServerKey<L>) -> bool {
         let _span = tre_obs::span("tre.verify");
-        let h = curve.hash_to_g1(self.tag.h1_domain(), self.tag.value());
-        curve.bls_verify_one_prepared(server.neg_g_prep(), server.s_g_prep(), &h, &self.sig)
+        if self.sig.is_infinity() {
+            return server.key.s_g.is_infinity();
+        }
+        let p = h1_candidate(curve, &self.tag);
+        curve.bls_verify_one_prepared(&server.neg_g_prep, &server.h_s_g_prep, &p, &self.sig)
+            || self.recheck_torsion(curve, server, &p)
     }
 
-    /// [`KeyUpdate::verify_prepared`] off a [`TagForecast`]: when the
+    /// The rest of [`KeyUpdate::verify_prepared`] after the folded check
+    /// against candidate `p` failed: a reject unless `p` is `h`-torsion,
+    /// in which case the check runs again on the cleared `H1(T)`.
+    fn recheck_torsion(
+        &self,
+        curve: &Curve<L>,
+        server: &PreparedServerKey<L>,
+        p: &G1Affine<L>,
+    ) -> bool {
+        is_h_torsion(curve, p)
+            && curve.bls_verify_one_prepared(
+                &server.neg_g_prep,
+                &server.s_g_prep,
+                &h1(curve, &self.tag),
+                &self.sig,
+            )
+    }
+
+    /// [`KeyUpdate::verify_prepared`] off a [`VerifyForecast`]: when the
     /// forecast is for this update's tag and was paired against
     /// `server`'s `sG`, the check `ê(−G, I_T) · y_T = 1` costs one
     /// prepared pairing lane, one `G_T` multiplication and no hash.
-    /// Any other forecast (another tag, another key, hash only) falls
-    /// back to the full prepared check, so the verdict never depends on
-    /// which forecast the caller holds.
+    /// Any other forecast (another tag, another key) falls back to the
+    /// full prepared check, so the verdict never depends on which
+    /// forecast the caller holds.
     pub fn verify_forecast(
         &self,
         curve: &Curve<L>,
         server: &PreparedServerKey<L>,
-        forecast: &TagForecast<L>,
+        forecast: &VerifyForecast<L>,
     ) -> bool {
-        match &forecast.y {
-            Some((s_g, y)) if forecast.tag == self.tag && s_g == server.key().s_g() => {
-                let _span = tre_obs::span("tre.verify");
-                curve
-                    .pairing_prepared(server.neg_g_prep(), &self.sig)
-                    .mul(y, curve)
-                    .is_one(curve)
-            }
-            _ => self.verify_prepared(curve, server),
+        if forecast.tag != self.tag || forecast.s_g != server.key.s_g {
+            return self.verify_prepared(curve, server);
         }
+        let _span = tre_obs::span("tre.verify");
+        curve
+            .pairing_prepared(&server.neg_g_prep, &self.sig)
+            .mul(&forecast.y, curve)
+            .is_one(curve)
     }
 
     /// Canonical body encoding `tag ‖ sig` (compressed point), appended
@@ -531,9 +605,7 @@ impl<const L: usize> KeyUpdate<L> {
         updates: &[Self],
         threads: usize,
     ) -> Vec<(G1Affine<L>, G1Affine<L>)> {
-        tre_par::par_map(updates, threads, |u| {
-            (curve.hash_to_g1(u.tag.h1_domain(), u.tag.value()), u.sig)
-        })
+        tre_par::par_map(updates, threads, |u| (h1(curve, &u.tag), u.sig))
     }
 
     /// Batch self-authentication: accepts iff every update in `updates`
@@ -579,7 +651,13 @@ impl<const L: usize> KeyUpdate<L> {
 
     /// [`KeyUpdate::batch_verify`] against a [`PreparedServerKey`]: the
     /// same derandomized small-exponent test, with the two combined
-    /// pairing lanes replaying the key's prepared Miller coefficients.
+    /// pairing lanes replaying the key's prepared Miller coefficients and
+    /// each entry's uncleared `H1` candidate on the `(h mod q)·sG` lane
+    /// (see [`KeyUpdate::verify_prepared`]). The combined check equals
+    /// the cleared one unless a candidate is `h`-torsion, so a miss
+    /// clears every candidate (the work the hashes used to do) and, only
+    /// if one is `h`-torsion, decides by
+    /// [`KeyUpdate::batch_verify_isolate_prepared`].
     pub fn batch_verify_prepared(
         curve: &Curve<L>,
         server: &PreparedServerKey<L>,
@@ -587,14 +665,23 @@ impl<const L: usize> KeyUpdate<L> {
         threads: usize,
     ) -> bool {
         let _span = tre_obs::span("tre.batch_verify");
-        let entries = Self::batch_entries(curve, updates, threads);
+        if updates.iter().any(|u| u.sig.is_infinity()) {
+            return server.key.s_g.is_infinity()
+                && Self::isolate_folded(curve, server, updates, threads).is_empty();
+        }
+        let entries = tre_par::par_map(updates, threads, |u| (h1_candidate(curve, &u.tag), u.sig));
         let mut rng = Self::batch_drbg(curve, server.key(), updates);
-        curve.bls_batch_verify_prepared(server.neg_g_prep(), server.s_g_prep(), &entries, &mut rng)
+        curve.bls_batch_verify_prepared(&server.neg_g_prep, &server.h_s_g_prep, &entries, &mut rng)
+            || (entries.iter().any(|(p, _)| is_h_torsion(curve, p))
+                && Self::isolate_folded(curve, server, updates, threads).is_empty())
     }
 
     /// [`KeyUpdate::batch_verify_isolate`] against a
     /// [`PreparedServerKey`] — every batch check of the bisection runs
-    /// prepared.
+    /// prepared, on uncleared candidates. Signatures at infinity are
+    /// decided up front, and every index the bisection names is
+    /// re-decided by the [`KeyUpdate::verify_prepared`] rule, so the
+    /// named indices are exactly the updates that verify would reject.
     pub fn batch_verify_isolate_prepared(
         curve: &Curve<L>,
         server: &PreparedServerKey<L>,
@@ -602,9 +689,44 @@ impl<const L: usize> KeyUpdate<L> {
         threads: usize,
     ) -> Result<(), Vec<usize>> {
         let _span = tre_obs::span("tre.batch_verify");
-        let entries = Self::batch_entries(curve, updates, threads);
+        let bad = Self::isolate_folded(curve, server, updates, threads);
+        if bad.is_empty() {
+            Ok(())
+        } else {
+            Err(bad)
+        }
+    }
+
+    /// The indices (ascending) of `updates` that
+    /// [`KeyUpdate::verify_prepared`] rejects, by folded-lane bisection.
+    fn isolate_folded(
+        curve: &Curve<L>,
+        server: &PreparedServerKey<L>,
+        updates: &[Self],
+        threads: usize,
+    ) -> Vec<usize> {
+        let (live, at_infinity): (Vec<usize>, Vec<usize>) =
+            (0..updates.len()).partition(|&i| !updates[i].sig.is_infinity());
+        let entries = tre_par::par_map(&live, threads, |&i| {
+            (h1_candidate(curve, &updates[i].tag), updates[i].sig)
+        });
         let mut rng = Self::batch_drbg(curve, server.key(), updates);
-        curve.bls_batch_isolate_prepared(server.neg_g_prep(), server.s_g_prep(), &entries, &mut rng)
+        let named = curve
+            .bls_batch_isolate_prepared(&server.neg_g_prep, &server.h_s_g_prep, &entries, &mut rng)
+            .err()
+            .unwrap_or_default();
+        let mut bad: Vec<usize> = named
+            .into_iter()
+            .filter(|&k| !updates[live[k]].recheck_torsion(curve, server, &entries[k].0))
+            .map(|k| live[k])
+            .chain(
+                at_infinity
+                    .into_iter()
+                    .filter(|_| !server.key.s_g.is_infinity()),
+            )
+            .collect();
+        bad.sort_unstable();
+        bad
     }
 }
 
@@ -613,21 +735,27 @@ impl<const L: usize> KeyUpdate<L> {
 /// is built for the ephemeral point `U = r·G`, and the receiver point
 /// `asG` is prepared for the pairing.
 ///
-/// Sealing uses bilinearity: `K = ê(r·asG, H1(T)) = ê(H1(T), asG)^r`,
-/// and the base `g_T = ê(H1(T), asG)` depends only on the tag. A
-/// single-entry tag memo keeps the odd-power table of `g_T` for the
-/// most recent release tag, so a seal to the previous seal's tag costs
-/// one table-driven `r·G` and one `G_T` power with no pairing. A new
-/// tag adds one hash-to-curve and one pairing (Type-1 symmetry puts the
-/// fixed `asG` on the prepared side).
+/// Sealing uses bilinearity: `K = ê(r·asG, H1(T)) = ê(asG, P)^(r·h)`
+/// for `H1(T) = h·P`, and the base `g_T = ê(asG, P)` depends only on the
+/// tag. A single-entry tag memo keeps the odd-power table of `g_T` and
+/// its exponent factor `h mod q` for the most recent release tag, so a
+/// seal to the previous seal's tag costs one table-driven `r·G`, one
+/// scalar-field multiplication and one `G_T` power with no pairing. A new
+/// tag adds one candidate hash and one pairing (Type-1 symmetry puts the
+/// fixed `asG` on the prepared side) and no cofactor clearing; only an
+/// `h`-torsion candidate (`g_T = 1`) falls back to the cleared `H1(T)`
+/// with factor 1.
 #[derive(Debug)]
 pub struct SenderPrecomp<const L: usize> {
     server: ServerPublicKey<L>,
     user: UserPublicKey<L>,
     g_table: G1Precomp<L>,
     a_s_g_prep: MillerPrecomp<L>,
-    tag_memo: Mutex<Option<(ReleaseTag, GtPrecomp<L>)>>,
+    tag_memo: Mutex<Option<(ReleaseTag, SealBase<L>)>>,
 }
+
+/// One tag's sealing base: `K = g_T^(r·factor)`.
+type SealBase<const L: usize> = (GtPrecomp<L>, U256);
 
 impl<const L: usize> Clone for SenderPrecomp<L> {
     fn clone(&self) -> Self {
@@ -694,9 +822,10 @@ impl<const L: usize> SenderPrecomp<L> {
         }
     }
 
-    /// The sealing key `K = ê(r·asG, H1(T))`, computed as `g_T^r` off the
-    /// single-entry tag memo. The lock is held only to read or replace
-    /// the entry; a miss hashes and pairs outside it.
+    /// The sealing key `K = ê(r·asG, H1(T))`, computed as
+    /// `g_T^(r·factor)` off the single-entry tag memo. The lock is held
+    /// only to read or replace the entry; a miss hashes and pairs outside
+    /// it.
     pub(crate) fn seal_key(&self, curve: &Curve<L>, tag: &ReleaseTag, r: &U256) -> Gt<L> {
         let hit = self
             .tag_memo
@@ -704,14 +833,24 @@ impl<const L: usize> SenderPrecomp<L> {
             .expect("memo poisoned")
             .as_ref()
             .filter(|(t, _)| t == tag)
-            .map(|(_, g_t)| g_t.clone());
-        let g_t = hit.unwrap_or_else(|| {
-            let h_t = curve.hash_to_g1(tag.h1_domain(), tag.value());
-            let g_t = GtPrecomp::new(curve, &curve.pairing_prepared(&self.a_s_g_prep, &h_t));
-            *self.tag_memo.lock().expect("memo poisoned") = Some((tag.clone(), g_t.clone()));
-            g_t
+            .map(|(_, base)| base.clone());
+        let (g_t, factor) = hit.unwrap_or_else(|| {
+            let base = self.seal_base(curve, tag);
+            *self.tag_memo.lock().expect("memo poisoned") = Some((tag.clone(), base.clone()));
+            base
         });
-        g_t.pow(r, curve)
+        g_t.pow(&curve.scalar_mul(r, &factor), curve)
+    }
+
+    /// `(ê(asG, P), h mod q)` for `H1(T)`'s uncleared candidate `P`, or
+    /// `(ê(asG, H1(T)), 1)` when `P` is `h`-torsion.
+    fn seal_base(&self, curve: &Curve<L>, tag: &ReleaseTag) -> SealBase<L> {
+        let g_t = curve.pairing_prepared(&self.a_s_g_prep, &h1_candidate(curve, tag));
+        if g_t.is_one(curve) {
+            let g_t = curve.pairing_prepared(&self.a_s_g_prep, &h1(curve, tag));
+            return (GtPrecomp::new(curve, &g_t), U256::ONE);
+        }
+        (GtPrecomp::new(curve, &g_t), *curve.cofactor_mod_q())
     }
 
     /// The server key the tables are bound to.
@@ -1009,13 +1148,63 @@ mod tests {
         );
     }
 
+    thread_local! {
+        /// The candidate seam: `(tag, point)` makes [`h1_candidate`]
+        /// return `point` for `tag` on this thread.
+        static INJECTED: std::cell::RefCell<Option<(ReleaseTag, Vec<u8>)>> =
+            const { std::cell::RefCell::new(None) };
+    }
+
+    pub(super) fn injected_candidate<const L: usize>(
+        curve: &Curve<L>,
+        tag: &ReleaseTag,
+    ) -> Option<G1Affine<L>> {
+        INJECTED.with(|slot| {
+            let slot = slot.borrow();
+            let (t, bytes) = slot.as_ref()?;
+            (t == tag).then(|| curve.g1_from_bytes(bytes).expect("injected point"))
+        })
+    }
+
+    fn inject(tag: &ReleaseTag, point: Option<&G1Affine<8>>) {
+        let entry = point.map(|p| (tag.clone(), toy64().g1_to_bytes(p)));
+        INJECTED.with(|slot| *slot.borrow_mut() = entry);
+    }
+
+    /// The `h`-torsion points a candidate could be: the order-2 point
+    /// `(0, 0)` and an order-4 point with `x = ±1`.
+    fn h_torsion_points() -> Vec<G1Affine<8>> {
+        let curve = toy64();
+        let one = tre_bigint::Uint::<8>::ONE;
+        let minus_one = curve.fp().modulus().wrapping_sub(&one);
+        let at = |x: tre_bigint::Uint<8>| {
+            let mut bytes = vec![2];
+            bytes.extend_from_slice(&x.to_be_bytes());
+            curve.g1_from_bytes(&bytes).ok()
+        };
+        let points = vec![
+            at(tre_bigint::Uint::ZERO).expect("(0, 0) is on the curve"),
+            at(one)
+                .or_else(|| at(minus_one))
+                .expect("x = 1 or x = −1 is on the curve"),
+        ];
+        for p in &points {
+            assert!(is_h_torsion(curve, p));
+        }
+        assert!(
+            curve.g1_double(&points[1]) == points[0],
+            "the second point has order 4"
+        );
+        points
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(8))]
 
-        /// `verify_forecast` returns `verify_prepared`'s verdict for
-        /// valid, forged, relabelled and foreign-key updates, under a
-        /// forecast hit and under every kind of miss (another tag,
-        /// another key's pairing, hash only).
+        /// The prepared, forecast and batch/isolate verdicts equal the
+        /// textbook `verify` for valid, forged, relabelled, foreign-key
+        /// and infinity-signature updates, under a forecast hit and under
+        /// every kind of miss (another tag, another key's pairing).
         #[test]
         fn forecast_verdict_matches_prepared(
             seed in proptest::any::<[u8; 16]>(),
@@ -1039,22 +1228,154 @@ mod tests {
             let relabelled =
                 KeyUpdate::from_parts(tag.clone(), *server.issue_update(curve, &next).sig());
             let foreign = other.issue_update(curve, &tag);
+            let at_infinity = KeyUpdate::from_parts(tag.clone(), G1Affine::infinity(curve.fp()));
             let forecasts = [
                 prepared.forecast(curve, &tag),
                 prepared.forecast(curve, &next),
                 other.public().prepare(curve).forecast(curve, &tag),
-                TagForecast::hash(curve, &tag),
             ];
-            for update in [&valid, &forged, &relabelled, &foreign] {
+            let honest = |label: &str| server.issue_update(curve, &ReleaseTag::time(label));
+            for update in [&valid, &forged, &relabelled, &foreign, &at_infinity] {
+                let textbook = update.verify(curve, server.public());
+                proptest::prop_assert_eq!(update.verify_prepared(curve, &prepared), textbook);
                 for forecast in &forecasts {
                     proptest::prop_assert_eq!(
                         update.verify_forecast(curve, &prepared, forecast),
-                        update.verify_prepared(curve, &prepared)
+                        textbook
                     );
                 }
+                let burst = [honest("before"), update.clone(), honest("after")];
+                let isolated = if textbook { Ok(()) } else { Err(vec![1]) };
+                proptest::prop_assert_eq!(
+                    KeyUpdate::batch_verify_prepared(curve, &prepared, &burst, 1),
+                    textbook
+                );
+                proptest::prop_assert_eq!(
+                    KeyUpdate::batch_verify_isolate_prepared(curve, &prepared, &burst, 1),
+                    isolated.clone()
+                );
+                proptest::prop_assert_eq!(
+                    KeyUpdate::batch_verify_isolate(curve, server.public(), &burst, 1),
+                    isolated
+                );
             }
             proptest::prop_assert!(valid.verify_forecast(curve, &prepared, &forecasts[0]));
         }
+    }
+
+    /// An `h`-torsion candidate (probability `1/q` for a real tag) makes
+    /// verify, forecast, batch and seal each fall back to the cleared
+    /// `H1(T)` and agree with the textbook path.
+    #[test]
+    fn h_torsion_candidate_falls_back_to_cleared_hash() {
+        let curve = toy64();
+        let mut rng = tre_hashes::HmacDrbg::new(b"torsion seam", b"keys");
+        let server = ServerKeyPair::generate(curve, &mut rng);
+        let prepared = server.public().prepare(curve);
+        let user = UserKeyPair::generate(curve, server.public(), &mut rng);
+        let tag = ReleaseTag::time("torsion");
+        let valid = server.issue_update(curve, &tag);
+        let forged = KeyUpdate::from_parts(tag.clone(), curve.g1_double(valid.sig()));
+        // Against an h-torsion candidate the folded check alone would
+        // read ê(−G, O) = 1 and pass this one.
+        let at_infinity = KeyUpdate::from_parts(tag.clone(), G1Affine::infinity(curve.fp()));
+        let h_t = curve.hash_to_g1(tag.h1_domain(), tag.value());
+        let r = curve.random_scalar(&mut rng);
+        let textbook_key = curve.pairing(&curve.g1_mul(user.public().a_s_g(), &r), &h_t);
+        let clean_forecast = prepared.forecast(curve, &tag);
+        for point in h_torsion_points() {
+            inject(&tag, Some(&point));
+            assert_eq!(h1_candidate(curve, &tag), point, "the seam is live");
+
+            tre_obs::enable();
+            assert!(valid.verify_prepared(curve, &prepared));
+            let ops = tre_obs::finish().total_ops();
+            assert_eq!(ops.pairings, 4, "folded check, then the full one");
+            assert_eq!(
+                ops.scalar_mults, 2,
+                "the torsion test and the hash's clearing"
+            );
+            assert!(!forged.verify_prepared(curve, &prepared));
+            assert!(!at_infinity.verify_prepared(curve, &prepared));
+
+            let forecast = prepared.forecast(curve, &tag);
+            assert_eq!(
+                forecast.y, clean_forecast.y,
+                "y_T is ê(sG, H1(T)) either way"
+            );
+            assert!(valid.verify_forecast(curve, &prepared, &forecast));
+            assert!(!forged.verify_forecast(curve, &prepared, &forecast));
+
+            let mut burst: Vec<_> = (0..4)
+                .map(|i| server.issue_update(curve, &ReleaseTag::time(format!("t{i}"))))
+                .collect();
+            burst.insert(2, valid.clone());
+            assert!(KeyUpdate::batch_verify_prepared(
+                curve, &prepared, &burst, 1
+            ));
+            assert_eq!(
+                KeyUpdate::batch_verify_isolate_prepared(curve, &prepared, &burst, 1),
+                Ok(())
+            );
+            for bad in [&forged, &at_infinity] {
+                burst[2] = bad.clone();
+                assert!(!KeyUpdate::batch_verify_prepared(
+                    curve, &prepared, &burst, 1
+                ));
+                assert_eq!(
+                    KeyUpdate::batch_verify_isolate_prepared(curve, &prepared, &burst, 1),
+                    Err(vec![2])
+                );
+            }
+
+            let sender = SenderPrecomp::new(curve, server.public(), user.public()).unwrap();
+            tre_obs::enable();
+            assert_eq!(sender.seal_key(curve, &tag, &r), textbook_key);
+            let ops = tre_obs::finish().total_ops();
+            assert_eq!(ops.pairings, 2, "the torsion candidate's pairing is 1");
+            assert_eq!(sender.seal_key(curve, &tag, &r), textbook_key, "memo hit");
+        }
+        inject(&tag, None);
+    }
+
+    /// Op-count guards for the fold: an honest prepared verify is 2
+    /// lanes and no `G1` scalar multiplication, a forgery adds the one
+    /// clearing (no second hash, no extra lane), and a seal-memo miss is
+    /// one pairing with no scalar multiplication.
+    #[test]
+    fn folded_cofactor_op_counts() {
+        let curve = toy64();
+        let mut rng = tre_hashes::HmacDrbg::new(b"fold op counts", b"keys");
+        let server = ServerKeyPair::generate(curve, &mut rng);
+        let prepared = server.public().prepare(curve);
+        let tag = ReleaseTag::time("fold");
+        let valid = server.issue_update(curve, &tag);
+        let forged = KeyUpdate::from_parts(tag.clone(), curve.g1_double(valid.sig()));
+        let ops_of = |f: &dyn Fn() -> bool, verdict: bool| {
+            tre_obs::enable();
+            assert_eq!(f(), verdict);
+            tre_obs::finish().total_ops()
+        };
+        let honest = ops_of(&|| valid.verify_prepared(curve, &prepared), true);
+        assert_eq!(honest.pairings, 2);
+        assert_eq!(
+            honest.scalar_mults, 0,
+            "an honest verify clears no cofactor"
+        );
+        assert!(honest.h2c_iters >= 1);
+        let forgery = ops_of(&|| forged.verify_prepared(curve, &prepared), false);
+        assert_eq!(forgery.pairings, 2, "a forgery costs no extra lane");
+        assert_eq!(forgery.scalar_mults, 1, "one clearing decides the fail");
+        assert_eq!(forgery.h2c_iters, honest.h2c_iters, "and no second hash");
+
+        let user = UserKeyPair::generate(curve, server.public(), &mut rng);
+        let sender = SenderPrecomp::new(curve, server.public(), user.public()).unwrap();
+        let r = curve.random_scalar(&mut rng);
+        tre_obs::enable();
+        sender.seal_key(curve, &tag, &r);
+        let miss = tre_obs::finish().total_ops();
+        assert_eq!(miss.pairings, 1, "a seal miss pairs once");
+        assert_eq!(miss.scalar_mults, 0, "and multiplies no point");
     }
 
     #[test]

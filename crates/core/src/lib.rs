@@ -87,7 +87,7 @@ pub use committee::{
 pub use error::TreError;
 pub use keys::{
     KeyUpdate, PreparedServerKey, SenderPrecomp, ServerKeyPair, ServerPublicKey, TagForecast,
-    UserKeyPair, UserPublicKey,
+    UserKeyPair, UserPublicKey, VerifyForecast,
 };
 pub use session::{Receiver, Sender};
 pub use tag::{ReleaseTag, TagKind};

@@ -242,9 +242,7 @@ pub fn decrypt<const L: usize>(
         .zip(updates)
         .map(|(u, upd)| (*u, *upd.sig()))
         .collect();
-    let k = curve
-        .multi_pairing(&pairs)
-        .pow_window(user.secret_scalar(), curve);
+    let k = curve.multi_pairing(&pairs).pow(user.secret_scalar(), curve);
     let mask = curve.gt_kdf(&k, MASK_DOMAIN, ct.v.len());
     Ok(ct.v.iter().zip(&mask).map(|(c, k)| c ^ k).collect())
 }

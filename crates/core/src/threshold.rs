@@ -229,7 +229,7 @@ pub fn decrypt<const L: usize>(
         }
         let k = curve
             .pairing(&ct.us[i], update.sig())
-            .pow_window(user.secret_scalar(), curve);
+            .pow(user.secret_scalar(), curve);
         let index = i as u32 + 1;
         let mut dom = MASK_DOMAIN.to_vec();
         dom.extend_from_slice(&index.to_be_bytes());

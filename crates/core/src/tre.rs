@@ -101,7 +101,7 @@ pub(crate) fn sender_key<const L: usize>(
     r: &U256,
 ) -> Gt<L> {
     let h_t = curve.hash_to_g1(tag.h1_domain(), tag.value());
-    curve.pairing(user.a_s_g(), &h_t).pow_window(r, curve)
+    curve.pairing(user.a_s_g(), &h_t).pow(r, curve)
 }
 
 /// Computes the receiver-side pairing key `K' = ê(U, I_T)^a` (windowed
@@ -113,7 +113,7 @@ pub(crate) fn receiver_key<const L: usize>(
     update: &KeyUpdate<L>,
     a: &U256,
 ) -> Gt<L> {
-    curve.pairing(u, update.sig()).pow_window(a, curve)
+    curve.pairing(u, update.sig()).pow(a, curve)
 }
 
 /// [`receiver_key`] with the update signature *prepared*: Type-1
@@ -126,7 +126,7 @@ pub(crate) fn receiver_key_prepared<const L: usize>(
     u: &G1Affine<L>,
     a: &U256,
 ) -> Gt<L> {
-    curve.pairing_prepared(prep_sig, u).pow_window(a, curve)
+    curve.pairing_prepared(prep_sig, u).pow(a, curve)
 }
 
 /// Decrypts with an already-verified update, off its prepared signature:

@@ -12,6 +12,13 @@ use tre_bigint::{MontyParams, Uint, U256};
 use crate::fp::{Fp, FpCtx};
 use crate::pairing::GT_WNAF_WIDTH;
 
+/// Window width of variable-base `G1` scalar multiplication.
+const G1_WNAF_WIDTH: u32 = 4;
+
+/// Odd multiples `P, 3P, …, (2^(w−1) − 1)·P` a width-[`G1_WNAF_WIDTH`]
+/// digit can name.
+const G1_ODD_MULTIPLES: usize = 1 << (G1_WNAF_WIDTH - 2);
+
 /// A point on `E(F_p)` in affine coordinates (or the point at infinity).
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Hash)]
 pub struct G1Affine<const L: usize> {
@@ -96,9 +103,15 @@ pub struct Curve<const L: usize> {
     q: U256,
     scalar: MontyParams<4>,
     cofactor: Uint<L>,
+    /// `h mod q`: the exponent that moves cofactor clearing from an
+    /// `H1` candidate onto an order-`q` pairing partner.
+    cofactor_mod_q: U256,
     /// Width-5 wNAF digits of the cofactor, recoded once for the final
     /// exponentiation's signed-window power.
     cofactor_naf: Vec<i8>,
+    /// Width-[`G1_WNAF_WIDTH`] wNAF digits of `q`, recoded once for the
+    /// subgroup check.
+    order_naf: Vec<i8>,
     gen: G1Affine<L>,
     name: &'static str,
 }
@@ -121,6 +134,11 @@ impl<const L: usize> Curve<L> {
         let p1 = p.checked_add(&Uint::ONE).expect("p+1 overflow");
         let (cof, rem) = p1.div_rem(&q.resize::<L>());
         assert!(rem.is_zero(), "q must divide p+1");
+        let cofactor_mod_q = cof
+            .rem(&q.resize::<L>())
+            .try_narrow::<4>()
+            .expect("h mod q < q fits 256 bits");
+        assert!(!cofactor_mod_q.is_zero(), "q must not divide the cofactor");
         let gen = G1Affine {
             x: fp.from_uint(&gen_x),
             y: fp.from_uint(&gen_y),
@@ -131,7 +149,9 @@ impl<const L: usize> Curve<L> {
             q,
             scalar,
             cofactor: cof,
+            cofactor_mod_q,
             cofactor_naf: wnaf_digits(&cof, GT_WNAF_WIDTH),
+            order_naf: wnaf_digits(&q, G1_WNAF_WIDTH),
             gen,
             name,
         };
@@ -165,6 +185,16 @@ impl<const L: usize> Curve<L> {
     #[inline]
     pub fn cofactor(&self) -> &Uint<L> {
         &self.cofactor
+    }
+
+    /// The cofactor reduced mod `q`, non-zero by construction. For `A` of
+    /// order `q` and any `P` on the curve, bilinearity gives
+    /// `ê(A, h·P) = ê((h mod q)·A, P)`, so a pairing against a fixed `A`
+    /// can take an uncleared [`Curve::h1_candidate`] and carry the
+    /// cofactor on `A`'s side.
+    #[inline]
+    pub fn cofactor_mod_q(&self) -> &U256 {
+        &self.cofactor_mod_q
     }
 
     /// The cofactor's width-[`GT_WNAF_WIDTH`] wNAF digits, least
@@ -260,7 +290,7 @@ impl<const L: usize> Curve<L> {
     /// Scalar multiplication by a 256-bit scalar (protocol scalars mod `q`).
     ///
     /// # Contract
-    /// This is the **fast path** (width-4 wNAF) and the one protocol code
+    /// This is the **fast path** (signed-window wNAF) and the one protocol code
     /// must call. [`Curve::g1_mul_binary`] is the slow **reference path**
     /// (plain double-and-add) kept for ablation benchmarks and
     /// cross-checking; [`crate::G1Precomp::mul`] is the fixed-base path.
@@ -281,19 +311,22 @@ impl<const L: usize> Curve<L> {
         self.g1_mul_generic(p, k)
     }
 
-    /// Width-4 wNAF scalar multiplication: 8 precomputed odd multiples
-    /// (batch-normalized to affine with one inversion), then one mixed
-    /// addition per non-zero digit (~1 in 5 bits).
+    /// Width-[`G1_WNAF_WIDTH`] wNAF scalar multiplication: the odd
+    /// multiples the digits can name (batch-normalized to affine with one
+    /// inversion), then one mixed addition per non-zero digit.
     fn g1_mul_generic<const E: usize>(&self, p: &G1Affine<L>, k: &Uint<E>) -> G1Affine<L> {
         tre_obs::record_scalar_mul();
-        let ctx = &self.fp;
         if p.inf || k.is_zero() {
-            return G1Affine::infinity(ctx);
+            return G1Affine::infinity(&self.fp);
         }
-        // Precompute [1P, 3P, 5P, …, 15P].
+        self.jac_to_affine(&self.wnaf_mul(p, &wnaf_digits(k, G1_WNAF_WIDTH)))
+    }
+
+    /// `k·P` in Jacobian coordinates from the width-[`G1_WNAF_WIDTH`]
+    /// wNAF digits of `k`, for a non-identity `P`.
+    fn wnaf_mul(&self, p: &G1Affine<L>, digits: &[i8]) -> G1Jac<L> {
         let table = self.odd_multiples(p);
-        let digits = wnaf_digits(k, 4);
-        let mut acc = G1Jac::infinity(ctx);
+        let mut acc = G1Jac::infinity(&self.fp);
         for &d in digits.iter().rev() {
             acc = self.jac_double(&acc);
             if d > 0 {
@@ -302,7 +335,7 @@ impl<const L: usize> Curve<L> {
                 acc = self.jac_add_affine(&acc, &self.g1_neg(&table[((-d) as usize - 1) / 2]));
             }
         }
-        self.jac_to_affine(&acc)
+        acc
     }
 
     /// Plain binary double-and-add — the **reference path**, kept for the
@@ -327,29 +360,24 @@ impl<const L: usize> Curve<L> {
         self.jac_to_affine(&acc)
     }
 
-    /// The odd multiples `[P, 3P, …, 15P]` as affine points (one shared
-    /// inversion via batch normalization).
-    fn odd_multiples(&self, p: &G1Affine<L>) -> [G1Affine<L>; 8] {
-        let two_p = {
-            let j = G1Jac {
-                x: p.x,
-                y: p.y,
-                z: self.fp.one(),
-            };
-            self.jac_double(&j)
-        };
-        let mut jacs = Vec::with_capacity(8);
-        jacs.push(G1Jac {
+    /// The odd multiples `[P, 3P, …]` a width-[`G1_WNAF_WIDTH`] digit
+    /// can name, as affine points (one shared inversion via batch
+    /// normalization).
+    fn odd_multiples(&self, p: &G1Affine<L>) -> [G1Affine<L>; G1_ODD_MULTIPLES] {
+        let one = G1Jac {
             x: p.x,
             y: p.y,
             z: self.fp.one(),
-        });
-        for i in 1..8 {
+        };
+        let two_p = self.jac_double(&one);
+        let mut jacs = Vec::with_capacity(G1_ODD_MULTIPLES);
+        jacs.push(one);
+        for i in 1..G1_ODD_MULTIPLES {
             let prev: G1Jac<L> = jacs[i - 1];
             jacs.push(self.jac_add(&prev, &two_p));
         }
         let normalized = self.batch_normalize(&jacs);
-        normalized.try_into().expect("eight points")
+        normalized.try_into().expect("one point per odd multiple")
     }
 
     /// Full Jacobian + Jacobian addition (add-2007-bl).
@@ -515,9 +543,15 @@ impl<const L: usize> Curve<L> {
         }
     }
 
-    /// Whether `P` lies in the order-`q` subgroup.
+    /// Whether `P` lies in the order-`q` subgroup: `q·P` off the digits
+    /// recoded in [`Curve::new`], read as the identity straight from the
+    /// Jacobian `Z = 0` with no affine conversion.
     pub fn in_subgroup(&self, p: &G1Affine<L>) -> bool {
-        self.is_on_curve(p) && self.g1_mul_uint(p, &self.q.resize::<L>()).is_infinity()
+        if !self.is_on_curve(p) {
+            return false;
+        }
+        tre_obs::record_scalar_mul();
+        p.inf || self.wnaf_mul(p, &self.order_naf).z.is_zero()
     }
 
     /// Uniform random scalar in `[1, q)` — a private key or encryption nonce.

@@ -15,9 +15,40 @@ impl<const L: usize> Curve<L> {
     /// Deterministic for fixed `(domain, msg)` and uniform in the subgroup
     /// under the random-oracle model. The expected number of iterations is 2.
     pub fn hash_to_g1(&self, domain: &[u8], msg: &[u8]) -> G1Affine<L> {
+        let mut from = 0;
+        loop {
+            let (ctr, cand) = self.h1_candidate_from(domain, msg, from);
+            let cleared = self.g1_mul_uint(&cand, self.cofactor());
+            if !cleared.is_infinity() {
+                return cleared;
+            }
+            from = ctr
+                .checked_add(1)
+                .expect("hash-to-curve failed for 2^32 counters");
+        }
+    }
+
+    /// The first on-curve try-and-increment candidate `P` for
+    /// `(domain, msg)`, **before** cofactor clearing: `H1 = h·P` unless
+    /// `h·P` is the identity (probability `1/q`), in which case
+    /// [`Curve::hash_to_g1`] moves on to the next counter.
+    ///
+    /// `P` is not `H1` and must never be signed, encoded or compared as
+    /// one. It exists for pairings against a fixed order-`q` point `A`:
+    /// `ê((h mod q)·A, P) = ê(A, h·P)` (see [`Curve::cofactor_mod_q`]),
+    /// which skips the ~350-bit clearing multiplication. A caller must
+    /// treat `ê((h mod q)·A, P) = 1` as the `h·P = O` case and fall back
+    /// to [`Curve::hash_to_g1`].
+    pub fn h1_candidate(&self, domain: &[u8], msg: &[u8]) -> G1Affine<L> {
+        self.h1_candidate_from(domain, msg, 0).1
+    }
+
+    /// The try-and-increment loop: the first counter at or after `from`
+    /// whose x-coordinate lies on the curve, and its point.
+    fn h1_candidate_from(&self, domain: &[u8], msg: &[u8], from: u32) -> (u32, G1Affine<L>) {
         let ctx = self.fp();
         let fp_bytes = tre_bigint::Uint::<L>::BYTES;
-        for ctr in 0u32..=u32::MAX {
+        for ctr in from..=u32::MAX {
             tre_obs::record_h2c_iter();
             let mut input = Vec::with_capacity(msg.len() + 4);
             input.extend_from_slice(msg);
@@ -39,10 +70,7 @@ impl<const L: usize> Curve<L> {
             };
             let cand = G1Affine { x, y, inf: false };
             debug_assert!(self.is_on_curve(&cand));
-            let cleared = self.g1_mul_uint(&cand, &self.cofactor().clone());
-            if !cleared.is_infinity() {
-                return cleared;
-            }
+            return (ctr, cand);
         }
         unreachable!("hash-to-curve failed for 2^32 counters")
     }

@@ -677,10 +677,11 @@ impl<const L: usize> Gt<L> {
         Gt(self.0.unitary_square(curve.fp()))
     }
 
-    /// Exponentiation by a scalar: the signed window of
-    /// [`Gt::pow_window`].
+    /// Exponentiation by a scalar: builds the odd-power table for this
+    /// base and runs [`GtPrecomp::pow`] once. Use [`GtPrecomp`] directly
+    /// when the same base is raised repeatedly.
     pub fn pow(&self, exp: &U256, curve: &Curve<L>) -> Self {
-        self.pow_window(exp, curve)
+        GtPrecomp::new(curve, self).pow(exp, curve)
     }
 
     /// Inverse — conjugation, since `G_T` elements are unitary.
@@ -696,13 +697,6 @@ impl<const L: usize> Gt<L> {
     /// Exponentiation by a full-width integer (used in tests to check the
     /// group order).
     pub fn pow_uint(&self, exp: &Uint<L>, curve: &Curve<L>) -> Self {
-        GtPrecomp::new(curve, self).pow(exp, curve)
-    }
-
-    /// Signed-window exponentiation: builds the odd-power table for this
-    /// base and runs [`GtPrecomp::pow`] once. Use [`GtPrecomp`] directly
-    /// when the same base is raised repeatedly.
-    pub fn pow_window(&self, exp: &U256, curve: &Curve<L>) -> Self {
         GtPrecomp::new(curve, self).pow(exp, curve)
     }
 }
@@ -994,7 +988,6 @@ mod kernel_tests {
             for e in [U256::from_limbs(e), scalar(curve, e), q.wrapping_sub(&U256::ONE), q, U256::MAX].into_iter().chain(edges) {
                 let expect = Gt(base.0.pow(&e, ctx));
                 prop_assert_eq!(base.pow(&e, curve), expect);
-                prop_assert_eq!(base.pow_window(&e, curve), expect);
                 prop_assert_eq!(table.pow(&e, curve), expect);
             }
         }

@@ -227,6 +227,48 @@ fn hash_to_g1_pairing_compatible() {
 }
 
 #[test]
+fn cofactor_fold_identity_mid96() {
+    // The toy64 proptest's identity on the paper-era parameters:
+    // h·P = H1 and ê((h mod q)·A, P) = ê(A, H1) = ê(A, P)^(h mod q).
+    let c = tre_pairing::mid96();
+    let a = c.g1_mul(&c.generator(), &U256::from_u64(0x5eed_f01d));
+    let h_a = c.g1_mul(&a, c.cofactor_mod_q());
+    for msg in [&b"2026-07-04T00:00:00Z"[..], b"epoch-17"] {
+        let p = c.h1_candidate(b"time", msg);
+        let h1 = c.hash_to_g1(b"time", msg);
+        assert_eq!(c.g1_mul_uint(&p, c.cofactor()), h1);
+        let folded = c.pairing(&h_a, &p);
+        assert_eq!(folded, c.pairing(&a, &h1));
+        assert_eq!(c.pairing(&a, &p).pow(c.cofactor_mod_q(), c), folded);
+    }
+}
+
+#[test]
+fn h_torsion_points_pair_to_one() {
+    // A candidate P with h·P = O pairs to 1 against any order-q point:
+    // the case the folded verify, forecast and seal must fall back on.
+    let c = toy64();
+    let a = c.g1_mul(&c.generator(), &U256::from_u64(77));
+    let at_x = |x: Uint<8>| {
+        let mut bytes = vec![2];
+        bytes.extend_from_slice(&x.to_be_bytes());
+        c.g1_from_bytes(&bytes).ok()
+    };
+    let one = Uint::<8>::ONE;
+    let order2 = at_x(Uint::ZERO).expect("(0, 0) is on the curve");
+    let order4 = at_x(one)
+        .or_else(|| at_x(c.fp().modulus().wrapping_sub(&one)))
+        .expect("x = 1 or x = −1 is on the curve");
+    assert_eq!(c.g1_double(&order4), order2);
+    for p in [order2, order4] {
+        assert!(c.g1_mul_uint(&p, c.cofactor()).is_infinity());
+        assert!(!c.in_subgroup(&p));
+        assert!(c.pairing(&a, &p).is_one(c));
+        assert!(c.pairing_prepared(&c.prepare(&a), &p).is_one(c));
+    }
+}
+
+#[test]
 fn gt_kdf_stable_and_separated() {
     let c = toy64();
     let g = c.generator();

@@ -133,6 +133,29 @@ proptest! {
     }
 
     #[test]
+    fn cofactor_folds_onto_the_prepared_side(
+        msg in proptest::collection::vec(any::<u8>(), 0..32),
+        ra in any::<[u64; 4]>(),
+    ) {
+        // H1 = h·P for the uncleared candidate P, and against an order-q
+        // point A the cofactor moves across the pairing:
+        // ê((h mod q)·A, P) = ê(A, H1) = ê(A, P)^(h mod q).
+        let c = toy64();
+        let k = scalar(ra);
+        prop_assume!(!k.is_zero());
+        let a = c.g1_mul(&c.generator(), &k);
+        let p = c.h1_candidate(b"prop-fold", &msg);
+        let h1 = c.hash_to_g1(b"prop-fold", &msg);
+        prop_assert_eq!(c.g1_mul_uint(&p, c.cofactor()), h1);
+        prop_assert!(c.is_on_curve(&p) && !c.in_subgroup(&p), "P carries a cofactor part");
+        let h_a = c.g1_mul(&a, c.cofactor_mod_q());
+        let folded = c.pairing_prepared(&c.prepare(&h_a), &p);
+        prop_assert_eq!(folded, c.pairing(&a, &h1));
+        prop_assert_eq!(c.pairing(&a, &p).pow(c.cofactor_mod_q(), c), folded);
+        prop_assert!(!folded.is_one(c));
+    }
+
+    #[test]
     fn scalar_mul_paths_agree(ra in any::<[u64; 4]>(), rp in any::<[u64; 4]>()) {
         // The documented contract on Curve::g1_mul: the wNAF fast path,
         // the binary reference path, and the fixed-base precomputed path

@@ -10,7 +10,7 @@
 //! cost to a `client.batch_verify` span, and reports exactly which
 //! positions survived.
 
-use tre_core::{KeyUpdate, PreparedServerKey, ServerPublicKey, TagForecast};
+use tre_core::{KeyUpdate, PreparedServerKey, ServerPublicKey, VerifyForecast};
 use tre_pairing::Curve;
 
 /// Which entries of one verified batch were accepted.
@@ -87,7 +87,7 @@ impl<'c, const L: usize> BatchVerifier<'c, L> {
     pub(crate) fn verify_forecast(
         &self,
         update: &KeyUpdate<L>,
-        forecast: &TagForecast<L>,
+        forecast: &VerifyForecast<L>,
     ) -> BatchVerdict {
         let _span = tre_obs::span("client.batch_verify");
         let ok = update.verify_forecast(self.curve, &self.server_pk, forecast);

@@ -50,7 +50,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use tre_core::{KeyUpdate, ServerPublicKey, TagForecast};
+use tre_core::{KeyUpdate, ServerPublicKey, VerifyForecast};
 use tre_pairing::Curve;
 use tre_wire::Telemetry;
 
@@ -377,13 +377,13 @@ impl<const L: usize> RelayCore<L> {
     /// are skipped *before* the pairing, so each epoch is verified
     /// exactly once per relay: one [`BatchVerifier::verify`] per burst
     /// of fresh epochs. A burst of one fresh epoch asks `forecast` for
-    /// that epoch's [`TagForecast`] and, given one, verifies with one
+    /// that epoch's [`VerifyForecast`] and, given one, verifies with one
     /// pairing lane.
     pub(crate) fn admit(
         &self,
         verifier: &BatchVerifier<'_, L>,
         deliveries: Vec<(u64, KeyUpdate<L>)>,
-        forecast: impl FnOnce(u64) -> Option<TagForecast<L>>,
+        forecast: impl FnOnce(u64) -> Option<VerifyForecast<L>>,
     ) -> Vec<(u64, KeyUpdate<L>)> {
         let stats = &self.stats;
         let mut epochs = Vec::new();
@@ -446,7 +446,7 @@ fn pump_once<const L: usize>(
     core: &RelayCore<L>,
     sink: &TraceSink,
     verifier: &BatchVerifier<'static, L>,
-    forecaster: &mut Forecaster<TagForecast<L>>,
+    forecaster: &mut Forecaster<VerifyForecast<L>>,
     upstream: &mut SupervisedFeed<L>,
     sub: crate::net::SubscriberId,
     handle: &crate::evloop::BroadcastHandle<L>,
@@ -673,7 +673,7 @@ mod tests {
         let tag = |e: u64| Granularity::Seconds.tag_for_epoch(e);
         let epoch = |e: u64| keys.issue_update(curve, &tag(e));
         let untagged = || keys.issue_update(curve, &tre_core::ReleaseTag::time("not/an/epoch"));
-        let admit = |deliveries, forecast: Option<TagForecast<8>>| {
+        let admit = |deliveries, forecast: Option<VerifyForecast<8>>| {
             tre_obs::enable();
             let admitted: Vec<(u64, KeyUpdate<8>)> =
                 core.admit(&verifier, deliveries, |_| forecast);

@@ -151,11 +151,44 @@ fn verify_spans_attribute_two_pairings_each() {
             span.ops.h2c_iters >= 1,
             "hashing the tag to the curve takes at least one iteration"
         );
-        assert!(
-            span.ops.scalar_mults >= 1,
-            "cofactor clearing inside hash-to-curve counts"
-        );
     }
+    // The prepared verify folds the cofactor into the `sG` lane: an
+    // accepted update multiplies no point, a rejected one clears its
+    // hash candidate once to decide the fail. The verdict event follows
+    // its verify span in sequence order.
+    let mut pending = None;
+    let (mut accepted, mut rejected) = (0, 0);
+    for line in trace.to_jsonl().lines() {
+        if line.contains("\"ev\":\"exit\"") && line.contains("\"name\":\"tre.verify\"") {
+            let mults = line
+                .split("\"scalar_mults\":")
+                .nth(1)
+                .and_then(|rest| rest.split(',').next())
+                .and_then(|n| n.parse::<u64>().ok())
+                .expect("exit line carries scalar_mults");
+            pending = Some(mults);
+        } else if line.contains("\"name\":\"client.update_accepted\"") {
+            if let Some(mults) = pending.take() {
+                assert_eq!(mults, 0, "an accepted verify clears no cofactor");
+                accepted += 1;
+            }
+        } else if line.contains("\"name\":\"client.update_rejected\"") {
+            if let Some(mults) = pending.take() {
+                assert_eq!(mults, 1, "a rejected verify clears its candidate once");
+                rejected += 1;
+            }
+        }
+    }
+    assert!(accepted > 0, "accepted single verifies were traced");
+    assert!(
+        rejected > 0,
+        "the corruption produced rejected single verifies"
+    );
+    assert_eq!(
+        accepted + rejected,
+        verifies.len(),
+        "each verify span is followed by its verdict"
+    );
     // Archive recovery (under settle()) verifies in batches: the archive
     // is honest here, so every batch is clean — 2 pairing lanes each,
     // regardless of batch size.
