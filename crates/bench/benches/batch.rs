@@ -3,13 +3,11 @@
 //!
 //! Measures the small-exponent batch BLS check against one-by-one
 //! verification across burst sizes, bulk decryption against a decrypt
-//! loop, and the precomputed sender path against the plain one. Always
-//! writes a machine-readable summary to `BENCH_e15.json` (override the
-//! path with `TRE_BENCH_E15_OUT`); set `TRE_BENCH_QUICK=1` for a
-//! single-iteration smoke run — the CI mode.
+//! loop, and the precomputed sender path against the plain one. The
+//! E15 record (`target/e15/e15.json`) comes from `tables --exp e15`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use tre_bench::{rng, time_ms, Fixture};
+use tre_bench::{rng, Fixture};
 use tre_core::{KeyUpdate, Receiver, ReleaseTag, Sender};
 use tre_pairing::toy64;
 
@@ -125,47 +123,11 @@ fn sender_precomp(c: &mut Criterion) {
     grp.finish();
 }
 
-/// Writes `BENCH_e15.json`: per-burst-size wall times, speedups, and the
-/// obs-counter pairing totals that back the ≤4-pairings claim.
-fn report(_c: &mut Criterion) {
-    let curve = toy64();
-    let fx = Fixture::new(curve);
-    let spk = *fx.server.public();
-    let quick = std::env::var("TRE_BENCH_QUICK").is_ok_and(|v| v != "0");
-    let iters = if quick { 1 } else { 10 };
-
-    let mut rows = Vec::new();
-    for n in [1usize, 4, 16, 64] {
-        let batch = updates(&fx, n);
-        let seq_ms = time_ms(iters, || batch.iter().all(|u| u.verify(curve, &spk)));
-        let batch_ms = time_ms(iters, || KeyUpdate::batch_verify(curve, &spk, &batch, 1));
-        tre_obs::enable();
-        assert!(KeyUpdate::batch_verify(curve, &spk, &batch, 1));
-        let pairings = tre_obs::finish().total_ops().pairings;
-        rows.push(format!(
-            "{{\"n\": {n}, \"sequential_ms\": {seq_ms:.4}, \"batched_ms\": {batch_ms:.4}, \
-             \"speedup\": {:.2}, \"sequential_pairings\": {}, \"batched_pairings\": {pairings}}}",
-            seq_ms / batch_ms.max(1e-9),
-            2 * n,
-        ));
-    }
-    let json = format!(
-        "{{\n  \"experiment\": \"e15\",\n  \"mode\": \"{}\",\n  \"iters\": {iters},\n  \
-         \"batch_verify\": [\n    {}\n  ]\n}}\n",
-        if quick { "quick" } else { "full" },
-        rows.join(",\n    "),
-    );
-    let out = std::env::var("TRE_BENCH_E15_OUT").unwrap_or_else(|_| "BENCH_e15.json".to_string());
-    std::fs::write(&out, &json).expect("write BENCH_e15.json");
-    println!("e15 report written to {out}");
-}
-
 criterion_group!(
     benches,
     batch_verify,
     batch_isolate,
     bulk_decrypt,
-    sender_precomp,
-    report
+    sender_precomp
 );
 criterion_main!(benches);

@@ -2,9 +2,8 @@
 //!
 //! Measures `UpdateArchive::publish` against an in-memory archive and
 //! against durable archives under each [`FsyncPolicy`], plus cold-start
-//! replay speed. Always writes a machine-readable summary to
-//! `BENCH_e16.json` (override with `TRE_BENCH_E16_OUT`); set
-//! `TRE_BENCH_QUICK=1` for the single-iteration CI smoke run.
+//! replay speed. Always writes the E16 record to `target/e16/e16.json`;
+//! set `TRE_BENCH_QUICK=1` for the single-iteration CI smoke run.
 //!
 //! The report doubles as the regression guard: under `EveryN` fsync the
 //! amortised per-publish journal cost must stay below the signing cost
@@ -16,7 +15,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use tre_bench::{time_ms, Fixture};
+use tre_bench::{quick, record, time_ms, Fixture};
 use tre_core::{KeyUpdate, ReleaseTag};
 use tre_pairing::toy64;
 use tre_server::{FsyncPolicy, JournalConfig, UpdateArchive};
@@ -125,12 +124,11 @@ fn replay(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Writes `BENCH_e16.json` and enforces the overhead guard.
+/// Writes the E16 record and enforces the overhead guard.
 fn report(_c: &mut Criterion) {
     let curve = toy64();
     let fx = Fixture::new(curve);
-    let quick = std::env::var("TRE_BENCH_QUICK").is_ok_and(|v| v != "0");
-    let iters = if quick { 1 } else { 5 };
+    let iters = if quick() { 1 } else { 5 };
     const N: usize = 64;
     let batch = updates(&fx, N);
 
@@ -167,12 +165,10 @@ fn report(_c: &mut Criterion) {
             every_n_per_publish = per_publish;
             every_n_fsyncs = fsyncs;
         }
-        rows.push(format!(
-            "{{\"policy\": \"{}\", \"per_publish_ms\": {per_publish:.6}, \
-             \"overhead_vs_memory\": {:.2}, \"fsyncs_per_64\": {fsyncs}}}",
-            policy_name(policy),
-            per_publish / memory_ms.max(1e-9),
-        ));
+        rows.push(record! {
+            "policy": policy_name(policy), "per_publish_ms": per_publish,
+            "overhead_vs_memory": per_publish / memory_ms.max(1e-9), "fsyncs_per_64": fsyncs,
+        });
     }
 
     // Guard 1 (hermetic): EveryN(32) over 64 appends amortises to at
@@ -189,17 +185,12 @@ fn report(_c: &mut Criterion) {
          {issue_ms:.4} ms — journal overhead now dominates the broadcast path"
     );
 
-    let json = format!(
-        "{{\n  \"experiment\": \"e16\",\n  \"mode\": \"{}\",\n  \"iters\": {iters},\n  \
-         \"issue_update_ms\": {issue_ms:.4},\n  \"memory_publish_ms\": {memory_ms:.6},\n  \
-         \"durable_publish\": [\n    {}\n  ],\n  \
-         \"guard\": {{\"every_n_fsyncs_max\": 3, \"every_n_cheaper_than_signing\": true}}\n}}\n",
-        if quick { "quick" } else { "full" },
-        rows.join(",\n    "),
-    );
-    let out = std::env::var("TRE_BENCH_E16_OUT").unwrap_or_else(|_| "BENCH_e16.json".to_string());
-    std::fs::write(&out, &json).expect("write BENCH_e16.json");
-    println!("e16 report written to {out}");
+    record! {
+        "iters": iters, "issue_update_ms": issue_ms, "memory_publish_ms": memory_ms,
+        "durable_publish": rows,
+        "guard": record! { "every_n_fsyncs_max": 3u32, "every_n_cheaper_than_signing": true },
+    }
+    .write("e16");
 }
 
 criterion_group!(benches, publish, replay, report);

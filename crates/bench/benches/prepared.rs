@@ -4,15 +4,12 @@
 //! Measures the generic Tate pairing against the prepared replay
 //! (`Curve::prepare` + `pairing_prepared`) and the verify/verdict-shaped
 //! prepared multi-pairings against naive per-lane evaluation, plus the
-//! prepared batch-verify front-end. Always writes a machine-readable
-//! summary to `BENCH_e19.json` (override the path with
-//! `TRE_BENCH_E19_OUT`); set `TRE_BENCH_QUICK=1` for a single-iteration
-//! smoke run — the CI mode. The report hard-asserts the tentpole's
-//! counter guarantee: prepared rows spend strictly fewer F_p
-//! multiplications at an identical pairing count.
+//! prepared batch-verify front-end. The E19 record
+//! (`target/e19/e19.json`) and its counter guards come from
+//! `tables --exp e19`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use tre_bench::{rng, time_ms, Fixture};
+use tre_bench::{rng, Fixture};
 use tre_core::{KeyUpdate, ReleaseTag};
 use tre_pairing::{toy64, G1Affine, MillerPrecomp};
 
@@ -94,68 +91,5 @@ fn batch_verify(c: &mut Criterion) {
     grp.finish();
 }
 
-/// Writes `BENCH_e19.json`: wall times plus the obs-counter F_p-mul and
-/// pairing totals backing the tentpole's strict-reduction claim.
-fn report(_c: &mut Criterion) {
-    let curve = toy64();
-    let quick = std::env::var("TRE_BENCH_QUICK").is_ok_and(|v| v != "0");
-    let iters = if quick { 1 } else { 20 };
-
-    let ops_of = |f: &dyn Fn()| -> tre_obs::CryptoOps {
-        tre_obs::enable();
-        f();
-        tre_obs::finish().total_ops()
-    };
-    let mut rows = Vec::new();
-    for n in [1usize, 2, 5] {
-        let (fixed, fresh) = lane_points(n);
-        let preps: Vec<MillerPrecomp<8>> = fixed.iter().map(|p| curve.prepare(p)).collect();
-        let lanes: Vec<_> = preps.iter().zip(&fresh).map(|(p, q)| (p, *q)).collect();
-        let naive = || {
-            fixed
-                .iter()
-                .zip(&fresh)
-                .map(|(p, q)| curve.pairing(p, q))
-                .reduce(|a, b| a.mul(&b, curve))
-                .unwrap()
-        };
-        let generic_ms = time_ms(iters, naive);
-        let prepared_ms = time_ms(iters, || curve.multi_pairing_mixed(&lanes, &[]));
-        let gen_ops = ops_of(&|| {
-            naive();
-        });
-        let prep_ops = ops_of(&|| {
-            curve.multi_pairing_mixed(&lanes, &[]);
-        });
-        assert_eq!(naive(), curve.multi_pairing_mixed(&lanes, &[]));
-        assert_eq!(
-            gen_ops.pairings, prep_ops.pairings,
-            "{n}-lane pairing count"
-        );
-        assert!(
-            prep_ops.fp_muls < gen_ops.fp_muls,
-            "{n}-lane prepared row must spend fewer Fp muls ({} vs {})",
-            prep_ops.fp_muls,
-            gen_ops.fp_muls
-        );
-        rows.push(format!(
-            "{{\"lanes\": {n}, \"generic_ms\": {generic_ms:.4}, \"prepared_ms\": {prepared_ms:.4}, \
-             \"speedup\": {:.2}, \"generic_fp_muls\": {}, \"prepared_fp_muls\": {}}}",
-            generic_ms / prepared_ms.max(1e-9),
-            gen_ops.fp_muls,
-            prep_ops.fp_muls,
-        ));
-    }
-    let json = format!(
-        "{{\n  \"experiment\": \"e19\",\n  \"mode\": \"{}\",\n  \"iters\": {iters},\n  \
-         \"prepared_multi\": [\n    {}\n  ]\n}}\n",
-        if quick { "quick" } else { "full" },
-        rows.join(",\n    "),
-    );
-    let out = std::env::var("TRE_BENCH_E19_OUT").unwrap_or_else(|_| "BENCH_e19.json".to_string());
-    std::fs::write(&out, &json).expect("write BENCH_e19.json");
-    println!("e19 report written to {out}");
-}
-
-criterion_group!(benches, single_pairing, multi_pairing, batch_verify, report);
+criterion_group!(benches, single_pairing, multi_pairing, batch_verify);
 criterion_main!(benches);

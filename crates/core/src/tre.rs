@@ -334,9 +334,11 @@ mod tests {
         let a = curve.random_scalar(&mut rng);
         let b = curve.random_scalar(&mut rng);
         let bogus = UserPublicKey::from_points(
+            curve,
             curve.g1_mul(s.server.public().g(), &a),
             curve.g1_mul(s.server.public().g(), &b),
-        );
+        )
+        .unwrap();
         assert!(matches!(
             SenderPrecomp::new(curve, s.server.public(), &bogus),
             Err(TreError::InvalidUserKey)

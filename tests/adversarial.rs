@@ -143,20 +143,23 @@ fn malformed_user_keys_rejected_at_encryption() {
     // server (so she could decrypt without any update).
     let tries = vec![
         // (aG, bG): second component not a·sG.
-        UserPublicKey::from_points(curve.g1_mul(g, &a), curve.g1_mul(g, &b)),
+        (curve.g1_mul(g, &a), curve.g1_mul(g, &b)),
         // (aG, aG): reuses the first component.
-        UserPublicKey::from_points(curve.g1_mul(g, &a), curve.g1_mul(g, &a)),
+        (curve.g1_mul(g, &a), curve.g1_mul(g, &a)),
         // (∞, a·sG) and (aG, ∞): degenerate points.
-        UserPublicKey::from_points(
+        (
             tre::pairing::G1Affine::infinity(curve.fp()),
             curve.g1_mul(w.server.public().s_g(), &a),
         ),
-        UserPublicKey::from_points(
+        (
             curve.g1_mul(g, &a),
             tre::pairing::G1Affine::infinity(curve.fp()),
         ),
     ];
-    for (i, pk) in tries.into_iter().enumerate() {
+    for (i, (a_g, a_s_g)) in tries.into_iter().enumerate() {
+        // Subgroup points all: assembly accepts them, the pairing check
+        // must not.
+        let pk = UserPublicKey::from_points(curve, a_g, a_s_g).unwrap();
         // `Sender::new` front-loads the key validation, so the rogue key
         // is rejected before any message is ever encrypted to it.
         let r = Sender::new(curve, w.server.public(), &pk).err();
