@@ -37,7 +37,7 @@ pub use catalog::{Catalog, Metric};
 pub use hist::LatencyHistogram;
 pub use registry::Registry;
 pub use trace::{
-    enable, event, finish, is_enabled, record_fp_muls, record_h2c_iter, record_hash_bytes,
-    record_pairings, record_scalar_mul, record_sym_bytes, span, CryptoOps, SpanGuard, SpanRecord,
-    Trace, TraceLine,
+    enable, event, finish, is_enabled, json_str, record_fp_muls, record_h2c_iter,
+    record_hash_bytes, record_pairings, record_scalar_mul, record_sym_bytes, span, CryptoOps,
+    SpanGuard, SpanRecord, Trace, TraceLine,
 };

@@ -220,8 +220,9 @@ fn ops_json(ops: &CryptoOps) -> String {
     )
 }
 
-/// Minimal JSON string escaping (quotes, backslash, control characters).
-pub(crate) fn json_str(s: &str) -> String {
+/// Minimal JSON string escaping (quotes, backslash, control characters),
+/// returned with its surrounding quotes.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
