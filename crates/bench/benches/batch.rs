@@ -21,12 +21,13 @@ fn updates(fx: &Fixture<8>, n: usize) -> Vec<KeyUpdate<8>> {
         .collect()
 }
 
-/// Sequential 2-pairings-per-update verification vs one batched check
-/// (2 pairings total) across burst sizes.
+/// Sequential 2-pairings-per-update textbook verification vs the one
+/// burst verifier (2 pairings total) across burst sizes.
 fn batch_verify(c: &mut Criterion) {
     let curve = toy64();
     let fx = Fixture::new(curve);
     let spk = *fx.server.public();
+    let prep = spk.prepare(curve);
     let mut grp = c.benchmark_group("e15_verify");
     grp.sample_size(10);
     for n in [1usize, 16, 64] {
@@ -35,7 +36,7 @@ fn batch_verify(c: &mut Criterion) {
             b.iter(|| batch.iter().all(|u| u.verify(curve, &spk)))
         });
         grp.bench_function(BenchmarkId::new("batched", n), |b| {
-            b.iter(|| KeyUpdate::batch_verify(curve, &spk, black_box(&batch), 1))
+            b.iter(|| prep.verify_burst(curve, black_box(&batch), None, 1))
         });
     }
     grp.finish();
@@ -47,7 +48,7 @@ fn batch_isolate(c: &mut Criterion) {
     let curve = toy64();
     let mut r = rng();
     let fx = Fixture::new(curve);
-    let spk = *fx.server.public();
+    let prep = fx.server.public().prepare(curve);
     let mut batch = updates(&fx, 64);
     batch[21] = KeyUpdate::from_parts(
         batch[21].tag().clone(),
@@ -56,7 +57,7 @@ fn batch_isolate(c: &mut Criterion) {
     let mut grp = c.benchmark_group("e15_isolate");
     grp.sample_size(10);
     grp.bench_function("one_forgery_in_64", |b| {
-        b.iter(|| KeyUpdate::batch_verify_isolate(curve, &spk, black_box(&batch), 1).unwrap_err())
+        b.iter(|| prep.verify_burst(curve, black_box(&batch), None, 1))
     });
     grp.finish();
 }

@@ -4,12 +4,12 @@
 //! Measures the generic Tate pairing against the prepared replay
 //! (`Curve::prepare` + `pairing_prepared`) and the verify/verdict-shaped
 //! prepared multi-pairings against naive per-lane evaluation, plus the
-//! prepared batch-verify front-end. The E19 record
+//! one burst verifier against the textbook small-exponent batch. The E19 record
 //! (`target/e19/e19.json`) and its counter guards come from
 //! `tables --exp e19`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use tre_bench::{rng, Fixture};
+use tre_bench::{rng, textbook_batch_verify, Fixture};
 use tre_core::{KeyUpdate, ReleaseTag};
 use tre_pairing::{toy64, G1Affine, MillerPrecomp};
 
@@ -68,7 +68,8 @@ fn multi_pairing(c: &mut Criterion) {
     }
 }
 
-/// The E15 front-end with the prepared server key: a clean 64-burst.
+/// A clean 64-burst: the textbook small-exponent batch on the unprepared
+/// key vs the one burst verifier on the prepared key.
 fn batch_verify(c: &mut Criterion) {
     let curve = toy64();
     let fx = Fixture::new(curve);
@@ -83,10 +84,10 @@ fn batch_verify(c: &mut Criterion) {
     let mut grp = c.benchmark_group("e19_batch_verify");
     grp.sample_size(10);
     grp.bench_function("generic_64", |b| {
-        b.iter(|| KeyUpdate::batch_verify(curve, &spk, black_box(&batch), 1))
+        b.iter(|| textbook_batch_verify(curve, &spk, black_box(&batch)))
     });
     grp.bench_function("prepared_64", |b| {
-        b.iter(|| KeyUpdate::batch_verify_prepared(curve, &prep, black_box(&batch), 1))
+        b.iter(|| prep.verify_burst(curve, black_box(&batch), None, 1))
     });
     grp.finish();
 }

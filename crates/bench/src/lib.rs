@@ -8,9 +8,10 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use tre_core::{ServerKeyPair, UserKeyPair};
-use tre_pairing::Curve;
+use rand::{RngCore, SeedableRng};
+use tre_bigint::U256;
+use tre_core::{KeyUpdate, ServerKeyPair, ServerPublicKey, UserKeyPair};
+use tre_pairing::{Curve, G1Affine};
 
 /// A deterministic RNG for reproducible experiment runs.
 pub fn rng() -> StdRng {
@@ -33,6 +34,30 @@ impl<const L: usize> Fixture<L> {
         let user = UserKeyPair::generate(curve, server.public(), &mut rng);
         Self { server, user }
     }
+}
+
+/// The textbook small-exponent batch test (Bellare–Garay–Rabin) on the
+/// unprepared key, the baseline the one prepared verifier is measured
+/// against: the cleared `H1(T_i)` per update, generic `Σ e_i·H1(T_i)`
+/// and `Σ e_i·I_i` under seeded 64-bit exponents, then one generic
+/// 2-lane multi-pairing `ê(sG, ΣeH)·ê(−G, ΣeI) = 1`.
+pub fn textbook_batch_verify<const L: usize>(
+    curve: &Curve<L>,
+    server: &ServerPublicKey<L>,
+    updates: &[KeyUpdate<L>],
+) -> bool {
+    let mut exponents = rng();
+    let mut p = G1Affine::infinity(curve.fp());
+    let mut s = G1Affine::infinity(curve.fp());
+    for u in updates {
+        let e = U256::from_u64(exponents.next_u64().max(1));
+        let h = curve.hash_to_g1(u.tag().h1_domain(), u.tag().value());
+        p = curve.g1_add(&p, &curve.g1_mul(&h, &e));
+        s = curve.g1_add(&s, &curve.g1_mul(u.sig(), &e));
+    }
+    curve
+        .multi_pairing(&[(*server.s_g(), p), (curve.g1_neg(server.g()), s)])
+        .is_one(curve)
 }
 
 /// Runs `f` `iters` times and returns the mean wall-clock milliseconds.
@@ -231,6 +256,27 @@ fn write_value(out: &mut String, value: &Value, indent: usize) -> fmt::Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn textbook_batch_agrees_with_the_one_verifier() {
+        let curve = tre_pairing::toy64();
+        let fx = Fixture::new(curve);
+        let spk = *fx.server.public();
+        let mut updates: Vec<_> = (0..8)
+            .map(|i| {
+                let tag = tre_core::ReleaseTag::time(format!("textbook/{i}"));
+                fx.server.issue_update(curve, &tag)
+            })
+            .collect();
+        let prepared = spk.prepare(curve);
+        tre_obs::enable();
+        assert!(textbook_batch_verify(curve, &spk, &updates));
+        assert_eq!(tre_obs::finish().total_ops().pairings, 2);
+        assert!(prepared.verify_burst(curve, &updates, None, 1).is_empty());
+        updates[5] = KeyUpdate::from_parts(updates[5].tag().clone(), *updates[4].sig());
+        assert!(!textbook_batch_verify(curve, &spk, &updates));
+        assert_eq!(prepared.verify_burst(curve, &updates, None, 1), vec![5]);
+    }
 
     #[test]
     fn fixture_is_deterministic() {

@@ -62,47 +62,15 @@ pub struct ServerVerdict {
 /// ```
 ///
 /// into `N + 1` pairing lanes — one `(Σ e_i·s_iG_i, H)` lane plus one
-/// `(−e_i·G_i, I_i)` lane per server — instead of the `2N` pairings of
-/// per-server verification. On a batch failure a bisection isolates the
-/// bad servers so the per-server verdicts stay exact.
+/// `(−G_i, e_i·I_i)` lane per server — instead of the `2N` pairings of
+/// per-server verification. Every per-server lane replays its key's
+/// prepared `−G_i` coefficients (the exponent rides on the update, by
+/// bilinearity), and the `Σ e_i·s_iG_i` lane accumulates through the
+/// keys' cached fixed-base tables, so a client riding out faults epoch
+/// after epoch prepares its N server keys once. On a batch failure a
+/// bisection isolates the bad servers so the per-server verdicts stay
+/// exact.
 pub fn sanitize_updates<const L: usize>(
-    curve: &Curve<L>,
-    servers: &[ServerPublicKey<L>],
-    ct: &ThresholdCiphertext<L>,
-    updates: &[Option<KeyUpdate<L>>],
-) -> (Vec<Option<KeyUpdate<L>>>, Vec<ServerVerdict>) {
-    let _span = tre_obs::span("failover.sanitize");
-    let mut faults = structural_faults(ct, updates);
-    let candidates: Vec<usize> = faults
-        .iter()
-        .enumerate()
-        .filter_map(|(i, f)| f.is_none().then_some(i))
-        .collect();
-    if !candidates.is_empty() {
-        let h = curve.hash_to_g1(ct.tag().h1_domain(), ct.tag().value());
-        let e = verdict_exponents(curve, servers, updates, &candidates);
-        let mut bad = Vec::new();
-        isolate_by(
-            &|idxs| verdicts_hold(curve, servers, updates, &h, &e, idxs),
-            &candidates,
-            &mut bad,
-        );
-        for i in bad {
-            faults[i] = Some(UpdateFault::BadSignature);
-        }
-    }
-    finalize_verdicts(updates, faults)
-}
-
-/// [`sanitize_updates`] against *prepared* server keys: every pairing
-/// lane of the batched verdict check replays prepared Miller
-/// coefficients. Bilinearity shifts the batching exponent onto the
-/// update — `ê(−e_i·G_i, I_i) = ê(−G_i, e_i·I_i)` — so each server's
-/// fixed `−G_i` stays the prepared first argument, and the
-/// `Σ e_i·s_iG_i` lane accumulates through the keys' cached fixed-base
-/// tables. A client riding out faults epoch after epoch prepares its N
-/// server keys once.
-pub fn sanitize_updates_prepared<const L: usize>(
     curve: &Curve<L>,
     servers: &[PreparedServerKey<L>],
     ct: &ThresholdCiphertext<L>,
@@ -116,17 +84,13 @@ pub fn sanitize_updates_prepared<const L: usize>(
         .filter_map(|(i, f)| f.is_none().then_some(i))
         .collect();
     if !candidates.is_empty() {
-        let keys: Vec<ServerPublicKey<L>> = servers.iter().map(|p| *p.key()).collect();
         let h = curve.hash_to_g1(ct.tag().h1_domain(), ct.tag().value());
-        let e = verdict_exponents(curve, &keys, updates, &candidates);
-        let mut bad = Vec::new();
-        isolate_by(
-            &|idxs| verdicts_hold_prepared(curve, servers, updates, &h, &e, idxs),
-            &candidates,
-            &mut bad,
-        );
-        for i in bad {
-            faults[i] = Some(UpdateFault::BadSignature);
+        let e = verdict_exponents(curve, servers, updates, &candidates);
+        let bad = tre_pairing::bisect(candidates.len(), |range| {
+            verdicts_hold(curve, servers, updates, &h, &e, &candidates[range])
+        });
+        for k in bad {
+            faults[candidates[k]] = Some(UpdateFault::BadSignature);
         }
     }
     finalize_verdicts(updates, faults)
@@ -177,7 +141,7 @@ fn finalize_verdicts<const L: usize>(
 /// position; non-candidate slots stay zero and are never read.
 fn verdict_exponents<const L: usize>(
     curve: &Curve<L>,
-    servers: &[ServerPublicKey<L>],
+    servers: &[PreparedServerKey<L>],
     updates: &[Option<KeyUpdate<L>>],
     candidates: &[usize],
 ) -> Vec<U256> {
@@ -186,7 +150,7 @@ fn verdict_exponents<const L: usize>(
     let mut buf = Vec::new();
     for &i in candidates {
         buf.clear();
-        servers[i].write_body(curve, &mut buf);
+        servers[i].key().write_body(curve, &mut buf);
         updates[i]
             .as_ref()
             .expect("candidate present")
@@ -201,37 +165,12 @@ fn verdict_exponents<const L: usize>(
     e
 }
 
-/// The combined check over `idxs`: `N + 1` pairing lanes for `N` servers
-/// (2 for a singleton, via the shared-Miller-loop single check).
+/// The combined check over `idxs`: `N + 1` pairing lanes for `N`
+/// servers (2 for a singleton). Per-server `(−G_i, e_i·I_i)` lanes
+/// replay prepared coefficients, the `Σ e_i·s_iG_i` lane runs off the
+/// cached `s_iG` tables, and one squaring chain plus one final
+/// exponentiation is shared by all lanes.
 fn verdicts_hold<const L: usize>(
-    curve: &Curve<L>,
-    servers: &[ServerPublicKey<L>],
-    updates: &[Option<KeyUpdate<L>>],
-    h: &G1Affine<L>,
-    e: &[U256],
-    idxs: &[usize],
-) -> bool {
-    if let [i] = idxs {
-        let u = updates[*i].as_ref().expect("candidate present");
-        return curve.bls_verify_one(servers[*i].g(), servers[*i].s_g(), h, u.sig());
-    }
-    let mut lhs = G1Affine::infinity(curve.fp());
-    let mut lanes = Vec::with_capacity(idxs.len() + 1);
-    lanes.push((lhs, *h)); // placeholder; lhs accumulates below
-    for &i in idxs {
-        let u = updates[i].as_ref().expect("candidate present");
-        lhs = curve.g1_add(&lhs, &curve.g1_mul(servers[i].s_g(), &e[i]));
-        lanes.push((curve.g1_neg(&curve.g1_mul(servers[i].g(), &e[i])), *u.sig()));
-    }
-    lanes[0] = (lhs, *h);
-    curve.multi_pairing(&lanes).is_one(curve)
-}
-
-/// [`verdicts_hold`] off prepared keys: per-server `(−G_i, e_i·I_i)`
-/// lanes replay prepared coefficients, the `Σ e_i·s_iG_i` lane runs
-/// off the cached `s_iG` tables, and one squaring chain plus one final
-/// exponentiation is shared by all `N + 1` lanes.
-fn verdicts_hold_prepared<const L: usize>(
     curve: &Curve<L>,
     servers: &[PreparedServerKey<L>],
     updates: &[Option<KeyUpdate<L>>],
@@ -257,23 +196,11 @@ fn verdicts_hold_prepared<const L: usize>(
         .is_one(curve)
 }
 
-/// Bisects `idxs` until every index whose batched check fails is named.
-fn isolate_by(holds: &impl Fn(&[usize]) -> bool, idxs: &[usize], bad: &mut Vec<usize>) {
-    if idxs.is_empty() || holds(idxs) {
-        return;
-    }
-    if let [i] = idxs {
-        bad.push(*i);
-        return;
-    }
-    let mid = idxs.len() / 2;
-    isolate_by(holds, &idxs[..mid], bad);
-    isolate_by(holds, &idxs[mid..], bad);
-}
-
 /// Decrypts a threshold ciphertext while tolerating missing, mistagged,
 /// and forged updates, as long as `k` valid ones remain — the degraded
 /// mode of a k-of-N deployment with up to `N − k` servers down or hostile.
+/// The server keys are prepared once by the caller (a long-lived k-of-N
+/// client keeps them across epochs); see [`sanitize_updates`].
 ///
 /// Returns the plaintext together with the per-server verdicts so callers
 /// can feed a [`FailoverTracker`].
@@ -284,39 +211,6 @@ fn isolate_by(holds: &impl Fn(&[usize]) -> bool, idxs: &[usize], bad: &mut Vec<u
 ///   the number of valid updates);
 /// * [`TreError::DecryptionFailed`] on wrong receiver / mauled ciphertext.
 pub fn decrypt_resilient<const L: usize>(
-    curve: &Curve<L>,
-    servers: &[ServerPublicKey<L>],
-    user: &UserKeyPair<L>,
-    updates: &[Option<KeyUpdate<L>>],
-    ct: &ThresholdCiphertext<L>,
-) -> Result<(Vec<u8>, Vec<ServerVerdict>), TreError> {
-    let _span = tre_obs::span("failover.decrypt_resilient");
-    if servers.len() != updates.len() {
-        return Err(TreError::ArityMismatch {
-            expected: servers.len(),
-            got: updates.len(),
-        });
-    }
-    let (sanitized, verdicts) = sanitize_updates(curve, servers, ct, updates);
-    let valid = sanitized.iter().flatten().count();
-    if valid < ct.threshold() as usize {
-        return Err(TreError::ArityMismatch {
-            expected: ct.threshold() as usize,
-            got: valid,
-        });
-    }
-    let msg = threshold::decrypt(curve, servers, user, &sanitized, ct)?;
-    Ok((msg, verdicts))
-}
-
-/// [`decrypt_resilient`] against *prepared* server keys — the steady
-/// state of a long-lived k-of-N client, which prepares its server keys
-/// once and then rides every epoch's verdict pairings on the prepared
-/// coefficients (see [`sanitize_updates_prepared`]).
-///
-/// # Errors
-/// Same contract as [`decrypt_resilient`].
-pub fn decrypt_resilient_prepared<const L: usize>(
     curve: &Curve<L>,
     servers: &[PreparedServerKey<L>],
     user: &UserKeyPair<L>,
@@ -330,7 +224,7 @@ pub fn decrypt_resilient_prepared<const L: usize>(
             got: updates.len(),
         });
     }
-    let (sanitized, verdicts) = sanitize_updates_prepared(curve, servers, ct, updates);
+    let (sanitized, verdicts) = sanitize_updates(curve, servers, ct, updates);
     let valid = sanitized.iter().flatten().count();
     if valid < ct.threshold() as usize {
         return Err(TreError::ArityMismatch {
@@ -449,6 +343,30 @@ mod tests {
         )
     }
 
+    fn prepare(pks: &[ServerPublicKey<8>]) -> Vec<PreparedServerKey<8>> {
+        pks.iter().map(|pk| pk.prepare(toy64())).collect()
+    }
+
+    /// The oracle: per-server verdicts from the textbook `verify`.
+    fn textbook_verdicts(
+        pks: &[ServerPublicKey<8>],
+        ct: &ThresholdCiphertext<8>,
+        updates: &[Option<KeyUpdate<8>>],
+    ) -> Vec<ServerVerdict> {
+        let fault = |i: usize| match &updates[i] {
+            None => Some(UpdateFault::Missing),
+            Some(u) if u.tag() != ct.tag() => Some(UpdateFault::TagMismatch),
+            Some(u) if !u.verify(toy64(), &pks[i]) => Some(UpdateFault::BadSignature),
+            Some(_) => None,
+        };
+        (0..updates.len())
+            .map(|index| ServerVerdict {
+                index,
+                fault: fault(index),
+            })
+            .collect()
+    }
+
     #[test]
     fn tolerates_byzantine_server_where_strict_decrypt_fails() {
         let curve = toy64();
@@ -468,7 +386,8 @@ mod tests {
             Err(TreError::InvalidUpdate)
         );
         // …the failover path drops the bad share and decrypts.
-        let (pt, verdicts) = decrypt_resilient(curve, &pks, &user, &updates, &ct).unwrap();
+        let (pt, verdicts) =
+            decrypt_resilient(curve, &prepare(&pks), &user, &updates, &ct).unwrap();
         assert_eq!(pt, msg);
         assert_eq!(verdicts[0].fault, None);
         assert_eq!(verdicts[1].fault, Some(UpdateFault::BadSignature));
@@ -492,7 +411,8 @@ mod tests {
                 let mut faulty = all.clone();
                 faulty[down_a] = None; // crashed
                 faulty[down_b] = Some(forged(curve, &tag)); // hostile
-                let (pt, _) = decrypt_resilient(curve, &pks, &user, &faulty, &ct).unwrap();
+                let (pt, _) =
+                    decrypt_resilient(curve, &prepare(&pks), &user, &faulty, &ct).unwrap();
                 assert_eq!(pt, b"m", "servers {down_a},{down_b} down");
             }
         }
@@ -511,7 +431,7 @@ mod tests {
             None,
         ];
         assert_eq!(
-            decrypt_resilient(curve, &pks, &user, &updates, &ct),
+            decrypt_resilient(curve, &prepare(&pks), &user, &updates, &ct),
             Err(TreError::ArityMismatch {
                 expected: 2,
                 got: 1
@@ -532,7 +452,8 @@ mod tests {
             .collect();
         // Server 0 answers with an authentic update for the wrong epoch.
         updates[0] = Some(servers[0].issue_update(curve, &ReleaseTag::time("t+1")));
-        let (pt, verdicts) = decrypt_resilient(curve, &pks, &user, &updates, &ct).unwrap();
+        let (pt, verdicts) =
+            decrypt_resilient(curve, &prepare(&pks), &user, &updates, &ct).unwrap();
         assert_eq!(pt, b"m");
         assert_eq!(verdicts[0].fault, Some(UpdateFault::TagMismatch));
     }
@@ -554,7 +475,8 @@ mod tests {
             if round == 1 {
                 updates[0] = None; // server 0 briefly down
             }
-            let (_, verdicts) = decrypt_resilient(curve, &pks, &user, &updates, &ct).unwrap();
+            let (_, verdicts) =
+                decrypt_resilient(curve, &prepare(&pks), &user, &updates, &ct).unwrap();
             tracker.record(&verdicts);
         }
         let h = tracker.healths();
@@ -579,7 +501,7 @@ mod tests {
             .map(|s| Some(s.issue_update(curve, &tag)))
             .collect();
         tre_obs::enable();
-        let (_, verdicts) = sanitize_updates(curve, &pks, &ct, &updates);
+        let (_, verdicts) = sanitize_updates(curve, &prepare(&pks), &ct, &updates);
         let trace = tre_obs::finish();
         assert!(verdicts.iter().all(|v| v.fault.is_none()));
         let span = &trace.spans_named("failover.sanitize")[0];
@@ -604,7 +526,7 @@ mod tests {
         updates[0] = None;
         updates[2] = Some(forged(curve, &tag));
         updates[4] = Some(servers[4].issue_update(curve, &ReleaseTag::time("t+1")));
-        let (sanitized, verdicts) = sanitize_updates(curve, &pks, &ct, &updates);
+        let (sanitized, verdicts) = sanitize_updates(curve, &prepare(&pks), &ct, &updates);
         assert_eq!(verdicts[0].fault, Some(UpdateFault::Missing));
         assert_eq!(verdicts[1].fault, None);
         assert_eq!(verdicts[2].fault, Some(UpdateFault::BadSignature));
@@ -614,7 +536,7 @@ mod tests {
     }
 
     #[test]
-    fn prepared_sanitize_same_pairings_fewer_fp_muls() {
+    fn sanitize_matches_textbook_with_fewer_fp_muls() {
         let curve = toy64();
         let mut rng = rand::thread_rng();
         let (servers, pks, _user, mpk) = world(4);
@@ -624,55 +546,70 @@ mod tests {
             .iter()
             .map(|s| Some(s.issue_update(curve, &tag)))
             .collect();
-        let prepared: Vec<_> = pks.iter().map(|pk| pk.prepare(curve)).collect();
+        let prepared = prepare(&pks);
 
         tre_obs::enable();
-        let (_, generic_verdicts) = sanitize_updates(curve, &pks, &ct, &updates);
+        let textbook = textbook_verdicts(&pks, &ct, &updates);
         let generic = tre_obs::finish().total_ops();
 
         tre_obs::enable();
-        let (sanitized, verdicts) = sanitize_updates_prepared(curve, &prepared, &ct, &updates);
+        let (sanitized, verdicts) = sanitize_updates(curve, &prepared, &ct, &updates);
         let trace = tre_obs::finish();
         let prep = trace.total_ops();
 
-        assert_eq!(verdicts, generic_verdicts);
+        assert_eq!(verdicts, textbook);
         assert_eq!(sanitized.iter().flatten().count(), 4);
         assert_eq!(
             trace.spans_named("failover.sanitize")[0].ops.pairings,
             5,
-            "prepared path keeps the one (N+1)-lane check for N=4"
+            "one (N+1)-lane check for N=4"
         );
         assert!(
             prep.fp_muls < generic.fp_muls,
-            "prepared sanitize ({}) must spend fewer base-field muls than generic ({})",
+            "sanitize ({}) must spend fewer base-field muls than per-server \
+             textbook verification ({})",
             prep.fp_muls,
             generic.fp_muls
         );
     }
 
     #[test]
-    fn prepared_resilient_decrypt_agrees_under_mixed_faults() {
+    fn resilient_decrypt_matches_textbook_under_mixed_faults() {
         let curve = toy64();
         let mut rng = rand::thread_rng();
         let (servers, pks, user, mpk) = world(5);
         let tag = ReleaseTag::time("t");
         let ct = threshold::encrypt(curve, &pks, &mpk, 2, &tag, b"m", &mut rng).unwrap();
-        let mut updates: Vec<_> = servers
+        let honest: Vec<_> = servers
             .iter()
             .map(|s| Some(s.issue_update(curve, &tag)))
             .collect();
-        updates[0] = None;
-        updates[2] = Some(forged(curve, &tag));
-        updates[4] = Some(servers[4].issue_update(curve, &ReleaseTag::time("t+1")));
-        let prepared: Vec<_> = pks.iter().map(|pk| pk.prepare(curve)).collect();
-
-        let (pt, verdicts) =
-            decrypt_resilient_prepared(curve, &prepared, &user, &updates, &ct).unwrap();
-        let (pt_generic, verdicts_generic) =
-            decrypt_resilient(curve, &pks, &user, &updates, &ct).unwrap();
-        assert_eq!(pt, b"m");
-        assert_eq!(pt, pt_generic);
-        assert_eq!(verdicts, verdicts_generic);
+        let prepared = prepare(&pks);
+        // Every fault kind at every server, plus one fixed mixed set.
+        let mut sets = Vec::new();
+        for i in 0..servers.len() {
+            for fault in [
+                None,
+                Some(forged(curve, &tag)),
+                Some(servers[i].issue_update(curve, &ReleaseTag::time("t+1"))),
+                Some(servers[(i + 1) % 5].issue_update(curve, &tag)),
+            ] {
+                let mut set = honest.clone();
+                set[i] = fault;
+                sets.push(set);
+            }
+        }
+        let mut mixed = honest.clone();
+        mixed[0] = None;
+        mixed[2] = Some(forged(curve, &tag));
+        mixed[4] = Some(servers[4].issue_update(curve, &ReleaseTag::time("t+1")));
+        sets.push(mixed);
+        for updates in &sets {
+            let (pt, verdicts) = decrypt_resilient(curve, &prepared, &user, updates, &ct).unwrap();
+            assert_eq!(pt, b"m");
+            assert_eq!(verdicts, textbook_verdicts(&pks, &ct, updates));
+        }
+        let verdicts = &textbook_verdicts(&pks, &ct, sets.last().unwrap());
         assert_eq!(verdicts[0].fault, Some(UpdateFault::Missing));
         assert_eq!(verdicts[2].fault, Some(UpdateFault::BadSignature));
         assert_eq!(verdicts[4].fault, Some(UpdateFault::TagMismatch));
@@ -686,7 +623,7 @@ mod tests {
         let tag = ReleaseTag::time("t");
         let ct = threshold::encrypt(curve, &pks, &mpk, 2, &tag, b"m", &mut rng).unwrap();
         assert!(matches!(
-            decrypt_resilient(curve, &pks, &user, &[None], &ct),
+            decrypt_resilient(curve, &prepare(&pks), &user, &[None], &ct),
             Err(TreError::ArityMismatch { .. })
         ));
     }

@@ -185,9 +185,9 @@ impl<const L: usize> ServerPublicKey<L> {
 /// skips its cofactor clearing (DESIGN §10, "Cofactor on the prepared
 /// side").
 ///
-/// Built by [`ServerPublicKey::prepare`]; consumed by
-/// [`KeyUpdate::verify_prepared`], the prepared batch verifiers, and
-/// [`SenderPrecomp::with_server`] (which reuses the `G` table instead
+/// Built by [`ServerPublicKey::prepare`]; consumed by the one update
+/// verifier, [`PreparedServerKey::verify_burst`], by failover's verdict
+/// checks, and by [`SenderPrecomp::with_server`] (which reuses the `G` table instead
 /// of rebuilding it per receiver).
 #[derive(Clone, Debug)]
 pub struct PreparedServerKey<const L: usize> {
@@ -250,8 +250,8 @@ impl<const L: usize> PreparedServerKey<L> {
     /// verification equation, `y_T = ê(sG, H1(T))`, as one prepared
     /// lane `ê((h mod q)·sG, P)` off `H1(T)`'s uncleared candidate `P`.
     /// It depends only on public values, so it can be computed before
-    /// `T`; [`KeyUpdate::verify_forecast`] then checks the update with
-    /// the one remaining lane. `y_T = 1` means `P` was `h`-torsion, and
+    /// `T`; [`PreparedServerKey::verify_burst`] then checks the update
+    /// with the one remaining lane. `y_T = 1` means `P` was `h`-torsion, and
     /// the lane is retaken against the cleared `H1(T)`.
     pub fn forecast(&self, curve: &Curve<L>, tag: &ReleaseTag) -> VerifyForecast<L> {
         let mut y = curve.pairing_prepared(&self.h_s_g_prep, &h1_candidate(curve, tag));
@@ -263,6 +263,132 @@ impl<const L: usize> PreparedServerKey<L> {
             s_g: self.key.s_g,
             y,
         }
+    }
+
+    /// Self-authenticates a burst of key updates against this key
+    /// (§5.3.1: `ê(sG, H1(T)) = ê(G, I_T)` for each) and returns the
+    /// indices, ascending, that the textbook [`KeyUpdate::verify`]
+    /// rejects. Every lane replays prepared coefficients, and the
+    /// `(h mod q)·sG` lane takes `H1(T)`'s uncleared candidate `P`
+    /// instead of `H1(T) = h·P`, so an honest update clears no cofactor.
+    ///
+    /// * **One update** is one folded 2-lane check, `ê((h mod q)·sG, P)
+    ///   · ê(−G, I_T) = 1`. With a `forecast` for its tag under this key
+    ///   it is one lane and one `G_T` multiplication against `y_T`, with
+    ///   no hash. Any other forecast (another tag, another key) is
+    ///   ignored, so the verdict never depends on which one the caller
+    ///   holds.
+    /// * **Two or more** run the small-exponent test (2 lanes for a clean
+    ///   burst of any size), with exponents drawn by a Fiat–Shamir DRBG
+    ///   over the key and the burst, and bisect on a failure
+    ///   ([`tre_pairing::bisect`]). `forecast` is not used.
+    ///
+    /// The verdict is the textbook one for every `I_T` in `G1` (every
+    /// decoded update):
+    /// * `I_T = O` is decided before any pairing (`ê(sG, H1(T)) = 1`
+    ///   holds only for the degenerate key `sG = O`);
+    /// * a passing check implies `h·P ≠ O` (else it reads
+    ///   `ê(G, I_T) = 1`), so `h·P` is `H1(T)` and the pass is an accept;
+    /// * an update the check names is rejected if `h·P ≠ O`, and if
+    ///   `h·P = O` is checked again against the cleared `H1(T)`. A
+    ///   forgery pays the one clearing the hash used to.
+    ///
+    /// `threads` fans the candidate hashing of a burst out over
+    /// [`tre_par::par_map`] (`0` = auto, `1` = inline). Crypto-op
+    /// counters are thread-local, so count ops with `threads = 1`. A
+    /// caller holding conflicting signatures for one tag must resolve the
+    /// equivocation first (see [`Curve::bls_batch_check_prepared`]).
+    pub fn verify_burst(
+        &self,
+        curve: &Curve<L>,
+        updates: &[KeyUpdate<L>],
+        forecast: Option<&VerifyForecast<L>>,
+        threads: usize,
+    ) -> Vec<usize> {
+        match updates {
+            [] => Vec::new(),
+            [update] => {
+                let _span = tre_obs::span("tre.verify");
+                let ok = match forecast {
+                    Some(f) if f.tag == update.tag && f.s_g == self.key.s_g => curve
+                        .pairing_prepared(&self.neg_g_prep, &update.sig)
+                        .mul(&f.y, curve)
+                        .is_one(curve),
+                    _ => self.verify_one(curve, update),
+                };
+                if ok {
+                    Vec::new()
+                } else {
+                    vec![0]
+                }
+            }
+            _ => {
+                let _span = tre_obs::span("tre.batch_verify");
+                self.isolate_folded(curve, updates, threads)
+            }
+        }
+    }
+
+    /// The folded check of one update, with the `I_T = O` and
+    /// `h`-torsion cases of [`PreparedServerKey::verify_burst`].
+    fn verify_one(&self, curve: &Curve<L>, update: &KeyUpdate<L>) -> bool {
+        if update.sig.is_infinity() {
+            return self.key.s_g.is_infinity();
+        }
+        let p = h1_candidate(curve, &update.tag);
+        curve.bls_verify_one_prepared(&self.neg_g_prep, &self.h_s_g_prep, &p, &update.sig)
+            || self.recheck_torsion(curve, update, &p)
+    }
+
+    /// The rest of a folded check that failed against candidate `p`: a
+    /// reject unless `p` is `h`-torsion, in which case the check runs
+    /// again on the cleared `H1(T)`.
+    fn recheck_torsion(&self, curve: &Curve<L>, update: &KeyUpdate<L>, p: &G1Affine<L>) -> bool {
+        is_h_torsion(curve, p)
+            && curve.bls_verify_one_prepared(
+                &self.neg_g_prep,
+                &self.s_g_prep,
+                &h1(curve, &update.tag),
+                &update.sig,
+            )
+    }
+
+    /// The indices (ascending) of a burst that the folded check rejects:
+    /// signatures at infinity are decided up front, the rest are bisected
+    /// under small-exponent checks, and every index the bisection names
+    /// is re-decided by [`PreparedServerKey::recheck_torsion`].
+    fn isolate_folded(
+        &self,
+        curve: &Curve<L>,
+        updates: &[KeyUpdate<L>],
+        threads: usize,
+    ) -> Vec<usize> {
+        let (live, at_infinity): (Vec<usize>, Vec<usize>) =
+            (0..updates.len()).partition(|&i| !updates[i].sig.is_infinity());
+        let entries = tre_par::par_map(&live, threads, |&i| {
+            (h1_candidate(curve, &updates[i].tag), updates[i].sig)
+        });
+        let mut rng = batch_drbg(curve, &self.key, updates);
+        let named = tre_pairing::bisect(entries.len(), |range| {
+            curve.bls_batch_check_prepared(
+                &self.neg_g_prep,
+                &self.h_s_g_prep,
+                &entries[range],
+                &mut rng,
+            )
+        });
+        let mut bad: Vec<usize> = named
+            .into_iter()
+            .filter(|&k| !self.recheck_torsion(curve, &updates[live[k]], &entries[k].0))
+            .map(|k| live[k])
+            .chain(
+                at_infinity
+                    .into_iter()
+                    .filter(|_| !self.key.s_g.is_infinity()),
+            )
+            .collect();
+        bad.sort_unstable();
+        bad
     }
 }
 
@@ -304,6 +430,32 @@ pub struct VerifyForecast<const L: usize> {
     /// The key half `sG` the pairing was taken with.
     s_g: G1Affine<L>,
     y: Gt<L>,
+}
+
+/// The derandomized exponent source for one burst: a DRBG seeded by
+/// hashing the server key and the full burst contents, so the exponents
+/// are fixed only *after* the burst is committed (the Fiat–Shamir variant
+/// of the small-exponent test). Verification stays deterministic — no
+/// caller-supplied RNG, byte-identical traces across runs — without
+/// weakening the `2^-64` soundness bound, because an adversary must
+/// choose the updates before learning the exponents they will be
+/// combined under.
+fn batch_drbg<const L: usize>(
+    curve: &Curve<L>,
+    server: &ServerPublicKey<L>,
+    updates: &[KeyUpdate<L>],
+) -> HmacDrbg {
+    let mut h = Sha256::new();
+    h.update(BATCH_DRBG_DOMAIN);
+    let mut buf = Vec::new();
+    server.write_body(curve, &mut buf);
+    h.update(&buf);
+    for u in updates {
+        buf.clear();
+        u.write_body(curve, &mut buf);
+        h.update(&buf);
+    }
+    HmacDrbg::new(&h.finalize(), BATCH_DRBG_DOMAIN)
 }
 
 /// `H1(T)`, the cleared hash of a release tag.
@@ -504,72 +656,6 @@ impl<const L: usize> KeyUpdate<L> {
         curve.pairing(server.s_g(), &h1(curve, &self.tag)) == curve.pairing(server.g(), &self.sig)
     }
 
-    /// [`KeyUpdate::verify`] against a [`PreparedServerKey`]: both lanes
-    /// of `ê((h mod q)·sG, P) · ê(−G, I_T) = 1` replay prepared
-    /// coefficients, sharing one squaring chain and final exponentiation,
-    /// with `P` the uncleared candidate of `H1(T)`. No Miller point
-    /// arithmetic and no cofactor clearing on an honest update.
-    ///
-    /// The verdict is the textbook one for every `I_T` in `G1` (every
-    /// decoded update):
-    /// * `I_T = O` is decided before any pairing (`ê(sG, H1(T)) = 1`
-    ///   holds only for the degenerate key `sG = O`);
-    /// * a pass implies `h·P ≠ O` (else the check reads
-    ///   `ê(G, I_T) = 1`), so `h·P` is `H1(T)` and the pass is an accept;
-    /// * on a fail, `h·P ≠ O` rejects, and `h·P = O` reruns the check
-    ///   against the cleared `H1(T)`. A forgery pays the one clearing the
-    ///   hash used to.
-    pub fn verify_prepared(&self, curve: &Curve<L>, server: &PreparedServerKey<L>) -> bool {
-        let _span = tre_obs::span("tre.verify");
-        if self.sig.is_infinity() {
-            return server.key.s_g.is_infinity();
-        }
-        let p = h1_candidate(curve, &self.tag);
-        curve.bls_verify_one_prepared(&server.neg_g_prep, &server.h_s_g_prep, &p, &self.sig)
-            || self.recheck_torsion(curve, server, &p)
-    }
-
-    /// The rest of [`KeyUpdate::verify_prepared`] after the folded check
-    /// against candidate `p` failed: a reject unless `p` is `h`-torsion,
-    /// in which case the check runs again on the cleared `H1(T)`.
-    fn recheck_torsion(
-        &self,
-        curve: &Curve<L>,
-        server: &PreparedServerKey<L>,
-        p: &G1Affine<L>,
-    ) -> bool {
-        is_h_torsion(curve, p)
-            && curve.bls_verify_one_prepared(
-                &server.neg_g_prep,
-                &server.s_g_prep,
-                &h1(curve, &self.tag),
-                &self.sig,
-            )
-    }
-
-    /// [`KeyUpdate::verify_prepared`] off a [`VerifyForecast`]: when the
-    /// forecast is for this update's tag and was paired against
-    /// `server`'s `sG`, the check `ê(−G, I_T) · y_T = 1` costs one
-    /// prepared pairing lane, one `G_T` multiplication and no hash.
-    /// Any other forecast (another tag, another key) falls back to the
-    /// full prepared check, so the verdict never depends on which
-    /// forecast the caller holds.
-    pub fn verify_forecast(
-        &self,
-        curve: &Curve<L>,
-        server: &PreparedServerKey<L>,
-        forecast: &VerifyForecast<L>,
-    ) -> bool {
-        if forecast.tag != self.tag || forecast.s_g != server.key.s_g {
-            return self.verify_prepared(curve, server);
-        }
-        let _span = tre_obs::span("tre.verify");
-        curve
-            .pairing_prepared(&server.neg_g_prep, &self.sig)
-            .mul(&forecast.y, curve)
-            .is_one(curve)
-    }
-
     /// Canonical body encoding `tag ‖ sig` (compressed point), appended
     /// to `out`.
     pub fn write_body(&self, curve: &Curve<L>, out: &mut Vec<u8>) {
@@ -593,161 +679,6 @@ impl<const L: usize> KeyUpdate<L> {
             .g1_from_bytes_checked(rest)
             .map_err(|_| TreError::Malformed("update signature"))?;
         Ok(Self { tag, sig })
-    }
-
-    /// The derandomized exponent source for one batch: a DRBG seeded by
-    /// hashing the server key and the full batch contents, so the
-    /// exponents are fixed only *after* the batch is committed (the
-    /// Fiat–Shamir variant of the small-exponent test). Verification
-    /// stays deterministic — no caller-supplied RNG, byte-identical
-    /// traces across runs — without weakening the `2^-64` soundness
-    /// bound, because an adversary must choose the updates before
-    /// learning the exponents they will be combined under.
-    fn batch_drbg(curve: &Curve<L>, server: &ServerPublicKey<L>, updates: &[Self]) -> HmacDrbg {
-        let mut h = Sha256::new();
-        h.update(BATCH_DRBG_DOMAIN);
-        let mut buf = Vec::new();
-        server.write_body(curve, &mut buf);
-        h.update(&buf);
-        for u in updates {
-            buf.clear();
-            u.write_body(curve, &mut buf);
-            h.update(&buf);
-        }
-        HmacDrbg::new(&h.finalize(), BATCH_DRBG_DOMAIN)
-    }
-
-    /// Hashes every tag to its curve point `H1(T_i)` — the data-parallel
-    /// half of batch verification — fanning out over `threads` workers
-    /// ([`tre_par::par_map`]; `0` = auto, `1` = inline). Results are in
-    /// input order regardless of thread count.
-    fn batch_entries(
-        curve: &Curve<L>,
-        updates: &[Self],
-        threads: usize,
-    ) -> Vec<(G1Affine<L>, G1Affine<L>)> {
-        tre_par::par_map(updates, threads, |u| (h1(curve, &u.tag), u.sig))
-    }
-
-    /// Batch self-authentication: accepts iff every update in `updates`
-    /// verifies against `server`, at a cost of **2 pairing lanes per
-    /// batch** (small-exponent test) instead of 2 per update.
-    ///
-    /// `threads` controls the parallel hash-to-curve fan-out (`0` = auto,
-    /// `1` = fully inline). Note that crypto-op counters are thread-local,
-    /// so ops performed on worker threads are not attributed to the
-    /// caller's trace — run with `threads = 1` when counting ops.
-    ///
-    /// Callers holding conflicting signatures for the *same* tag must
-    /// resolve the equivocation before batching (see
-    /// [`Curve::bls_batch_verify`] for the algebraic caveat); the client
-    /// runtime in `tre-server` does this by byte comparison.
-    pub fn batch_verify(
-        curve: &Curve<L>,
-        server: &ServerPublicKey<L>,
-        updates: &[Self],
-        threads: usize,
-    ) -> bool {
-        let _span = tre_obs::span("tre.batch_verify");
-        let entries = Self::batch_entries(curve, updates, threads);
-        let mut rng = Self::batch_drbg(curve, server, updates);
-        curve.bls_batch_verify(server.g(), server.s_g(), &entries, &mut rng)
-    }
-
-    /// Like [`KeyUpdate::batch_verify`], but on failure bisects the batch
-    /// to name the offending indices (ascending) in `O(bad · log N)`
-    /// batch checks — the recovery path after a burst that mixes one
-    /// forged update into dozens of honest ones.
-    pub fn batch_verify_isolate(
-        curve: &Curve<L>,
-        server: &ServerPublicKey<L>,
-        updates: &[Self],
-        threads: usize,
-    ) -> Result<(), Vec<usize>> {
-        let _span = tre_obs::span("tre.batch_verify");
-        let entries = Self::batch_entries(curve, updates, threads);
-        let mut rng = Self::batch_drbg(curve, server, updates);
-        curve.bls_batch_isolate(server.g(), server.s_g(), &entries, &mut rng)
-    }
-
-    /// [`KeyUpdate::batch_verify`] against a [`PreparedServerKey`]: the
-    /// same derandomized small-exponent test, with the two combined
-    /// pairing lanes replaying the key's prepared Miller coefficients and
-    /// each entry's uncleared `H1` candidate on the `(h mod q)·sG` lane
-    /// (see [`KeyUpdate::verify_prepared`]). The combined check equals
-    /// the cleared one unless a candidate is `h`-torsion, so a miss
-    /// clears every candidate (the work the hashes used to do) and, only
-    /// if one is `h`-torsion, decides by
-    /// [`KeyUpdate::batch_verify_isolate_prepared`].
-    pub fn batch_verify_prepared(
-        curve: &Curve<L>,
-        server: &PreparedServerKey<L>,
-        updates: &[Self],
-        threads: usize,
-    ) -> bool {
-        let _span = tre_obs::span("tre.batch_verify");
-        if updates.iter().any(|u| u.sig.is_infinity()) {
-            return server.key.s_g.is_infinity()
-                && Self::isolate_folded(curve, server, updates, threads).is_empty();
-        }
-        let entries = tre_par::par_map(updates, threads, |u| (h1_candidate(curve, &u.tag), u.sig));
-        let mut rng = Self::batch_drbg(curve, server.key(), updates);
-        curve.bls_batch_verify_prepared(&server.neg_g_prep, &server.h_s_g_prep, &entries, &mut rng)
-            || (entries.iter().any(|(p, _)| is_h_torsion(curve, p))
-                && Self::isolate_folded(curve, server, updates, threads).is_empty())
-    }
-
-    /// [`KeyUpdate::batch_verify_isolate`] against a
-    /// [`PreparedServerKey`] — every batch check of the bisection runs
-    /// prepared, on uncleared candidates. Signatures at infinity are
-    /// decided up front, and every index the bisection names is
-    /// re-decided by the [`KeyUpdate::verify_prepared`] rule, so the
-    /// named indices are exactly the updates that verify would reject.
-    pub fn batch_verify_isolate_prepared(
-        curve: &Curve<L>,
-        server: &PreparedServerKey<L>,
-        updates: &[Self],
-        threads: usize,
-    ) -> Result<(), Vec<usize>> {
-        let _span = tre_obs::span("tre.batch_verify");
-        let bad = Self::isolate_folded(curve, server, updates, threads);
-        if bad.is_empty() {
-            Ok(())
-        } else {
-            Err(bad)
-        }
-    }
-
-    /// The indices (ascending) of `updates` that
-    /// [`KeyUpdate::verify_prepared`] rejects, by folded-lane bisection.
-    fn isolate_folded(
-        curve: &Curve<L>,
-        server: &PreparedServerKey<L>,
-        updates: &[Self],
-        threads: usize,
-    ) -> Vec<usize> {
-        let (live, at_infinity): (Vec<usize>, Vec<usize>) =
-            (0..updates.len()).partition(|&i| !updates[i].sig.is_infinity());
-        let entries = tre_par::par_map(&live, threads, |&i| {
-            (h1_candidate(curve, &updates[i].tag), updates[i].sig)
-        });
-        let mut rng = Self::batch_drbg(curve, server.key(), updates);
-        let named = curve
-            .bls_batch_isolate_prepared(&server.neg_g_prep, &server.h_s_g_prep, &entries, &mut rng)
-            .err()
-            .unwrap_or_default();
-        let mut bad: Vec<usize> = named
-            .into_iter()
-            .filter(|&k| !updates[live[k]].recheck_torsion(curve, server, &entries[k].0))
-            .map(|k| live[k])
-            .chain(
-                at_infinity
-                    .into_iter()
-                    .filter(|_| !server.key.s_g.is_infinity()),
-            )
-            .collect();
-        bad.sort_unstable();
-        bad
     }
 }
 
@@ -1091,99 +1022,89 @@ mod tests {
             .collect()
     }
 
+    /// The one verifier's verdict on a single update.
+    fn accepts(
+        server: &PreparedServerKey<8>,
+        update: &KeyUpdate<8>,
+        forecast: Option<&VerifyForecast<8>>,
+    ) -> bool {
+        server
+            .verify_burst(toy64(), std::slice::from_ref(update), forecast, 1)
+            .is_empty()
+    }
+
     #[test]
-    fn batch_verify_accepts_valid_updates_cheaply() {
+    fn clean_burst_is_two_pairings() {
         let curve = toy64();
         let mut rng = rand::thread_rng();
         let server = ServerKeyPair::generate(curve, &mut rng);
+        let prepared = server.public().prepare(curve);
         let updates = epoch_updates(&server, 64);
         tre_obs::enable();
-        assert!(KeyUpdate::batch_verify(curve, server.public(), &updates, 1));
+        assert!(prepared.verify_burst(curve, &updates, None, 1).is_empty());
         let trace = tre_obs::finish();
         let span = &trace.spans_named("tre.batch_verify")[0];
         assert_eq!(
             span.ops.pairings, 2,
             "64 updates must cost 2 pairing lanes, not 128"
         );
+        assert!(
+            trace.spans_named("tre.verify").is_empty(),
+            "a burst verifies no update singly"
+        );
     }
 
     #[test]
-    fn batch_verify_is_deterministic_and_thread_invariant() {
+    fn burst_is_deterministic_and_thread_invariant() {
         let curve = toy64();
         let mut rng = rand::thread_rng();
         let server = ServerKeyPair::generate(curve, &mut rng);
-        let updates = epoch_updates(&server, 9);
+        let prepared = server.public().prepare(curve);
+        let mut updates = epoch_updates(&server, 9);
         for threads in [0usize, 1, 4] {
-            assert!(KeyUpdate::batch_verify(
-                curve,
-                server.public(),
-                &updates,
-                threads
-            ));
+            assert!(prepared
+                .verify_burst(curve, &updates, None, threads)
+                .is_empty());
         }
-        assert!(KeyUpdate::batch_verify(curve, server.public(), &[], 1));
+        assert!(prepared.verify_burst(curve, &[], None, 1).is_empty());
+        for i in [2usize, 7] {
+            updates[i] =
+                KeyUpdate::from_parts(updates[i].tag().clone(), curve.g1_double(updates[i].sig()));
+        }
+        let ops_of = |threads: usize| {
+            tre_obs::enable();
+            assert_eq!(
+                prepared.verify_burst(curve, &updates, None, threads),
+                vec![2, 7]
+            );
+            tre_obs::finish().total_ops()
+        };
+        // The exponents are a function of the burst alone, so the
+        // bisection replays the same scalar multiplications every run.
+        assert_eq!(ops_of(1), ops_of(1));
+        for threads in [0usize, 4] {
+            ops_of(threads);
+        }
     }
 
     #[test]
-    fn batch_verify_isolates_forgeries() {
+    fn burst_isolates_forgeries() {
         let curve = toy64();
         let mut rng = rand::thread_rng();
         let server = ServerKeyPair::generate(curve, &mut rng);
+        let prepared = server.public().prepare(curve);
         let mut updates = epoch_updates(&server, 16);
         let forged_sig = curve.g1_mul(
             &curve.hash_to_g1(b"time", b"epoch-5"),
             &curve.random_scalar(&mut rng),
         );
         updates[5] = KeyUpdate::from_parts(ReleaseTag::time("epoch-5"), forged_sig);
-        assert!(!KeyUpdate::batch_verify(
-            curve,
-            server.public(),
-            &updates,
-            1
-        ));
-        assert_eq!(
-            KeyUpdate::batch_verify_isolate(curve, server.public(), &updates, 1),
-            Err(vec![5])
-        );
+        assert!(!updates[5].verify(curve, server.public()));
+        assert_eq!(prepared.verify_burst(curve, &updates, None, 1), vec![5]);
     }
 
     #[test]
-    fn prepared_verify_agrees_with_generic() {
-        let curve = toy64();
-        let mut rng = rand::thread_rng();
-        let server = ServerKeyPair::generate(curve, &mut rng);
-        let prepared = server.public().prepare(curve);
-        let update = server.issue_update(curve, &ReleaseTag::time("t"));
-        assert!(update.verify_prepared(curve, &prepared));
-        let forged = KeyUpdate::from_parts(
-            ReleaseTag::time("t"),
-            curve.g1_mul(
-                &curve.hash_to_g1(b"time", b"t"),
-                &curve.random_scalar(&mut rng),
-            ),
-        );
-        assert!(!forged.verify_prepared(curve, &prepared));
-
-        let mut updates = epoch_updates(&server, 16);
-        assert!(KeyUpdate::batch_verify_prepared(
-            curve, &prepared, &updates, 1
-        ));
-        updates[5] = KeyUpdate::from_parts(ReleaseTag::time("epoch-5"), *forged.sig());
-        assert!(!KeyUpdate::batch_verify_prepared(
-            curve, &prepared, &updates, 1
-        ));
-        assert_eq!(
-            KeyUpdate::batch_verify_isolate_prepared(curve, &prepared, &updates, 1),
-            KeyUpdate::batch_verify_isolate(curve, server.public(), &updates, 1),
-        );
-        assert_eq!(
-            KeyUpdate::batch_verify_isolate_prepared(curve, &prepared, &updates, 1),
-            Err(vec![5])
-        );
-    }
-
-    #[test]
-    fn prepared_verify_same_pairings_fewer_fp_muls() {
+    fn single_update_same_pairings_fewer_fp_muls() {
         let curve = toy64();
         let mut rng = rand::thread_rng();
         let server = ServerKeyPair::generate(curve, &mut rng);
@@ -1192,43 +1113,127 @@ mod tests {
 
         tre_obs::enable();
         assert!(update.verify(curve, server.public()));
-        let generic = tre_obs::finish().total_ops();
+        let textbook = tre_obs::finish().total_ops();
 
         tre_obs::enable();
-        assert!(update.verify_prepared(curve, &prepared));
+        assert!(accepts(&prepared, &update, None));
         let prep = tre_obs::finish().total_ops();
 
-        assert_eq!(generic.pairings, prep.pairings, "same pairing accounting");
+        assert_eq!(textbook.pairings, prep.pairings, "same pairing accounting");
         assert!(
-            prep.fp_muls < generic.fp_muls,
-            "prepared verify ({}) must spend strictly fewer base-field muls \
-             than generic ({})",
+            prep.fp_muls < textbook.fp_muls,
+            "the one verifier ({}) must spend strictly fewer base-field muls \
+             than the textbook check ({})",
             prep.fp_muls,
-            generic.fp_muls
+            textbook.fp_muls
         );
     }
 
-    thread_local! {
-        /// The candidate seam: `(tag, point)` makes [`h1_candidate`]
-        /// return `point` for `tag` on this thread.
-        static INJECTED: std::cell::RefCell<Option<(ReleaseTag, Vec<u8>)>> =
-            const { std::cell::RefCell::new(None) };
+    /// Every bad kind at every position of bursts of 1, 2, 3 and 17, on
+    /// 1 and 4 threads (a single update also under its forecast): the
+    /// one verifier names exactly the indices the textbook `verify`
+    /// rejects.
+    #[test]
+    fn burst_verdicts_match_textbook_at_every_position() {
+        let curve = toy64();
+        let mut rng = tre_hashes::HmacDrbg::new(b"burst table", b"keys");
+        let server = ServerKeyPair::generate(curve, &mut rng);
+        let other = ServerKeyPair::generate(curve, &mut rng);
+        let prepared = server.public().prepare(curve);
+        let bad = ReleaseTag::time("burst-table/bad");
+        let torsion = ReleaseTag::time("burst-table/torsion");
+        inject(&torsion, Some(&h_torsion_points()[1]));
+        let torsion_valid = server.issue_update(curve, &torsion);
+        let kinds = [
+            (
+                "forged",
+                KeyUpdate::from_parts(
+                    bad.clone(),
+                    curve.g1_mul(
+                        &curve.hash_to_g1(bad.h1_domain(), bad.value()),
+                        &curve.random_scalar(&mut rng),
+                    ),
+                ),
+            ),
+            (
+                "relabelled",
+                KeyUpdate::from_parts(
+                    bad.clone(),
+                    *server
+                        .issue_update(curve, &ReleaseTag::time("burst-table/next"))
+                        .sig(),
+                ),
+            ),
+            ("foreign key", other.issue_update(curve, &bad)),
+            (
+                "infinity",
+                KeyUpdate::from_parts(bad.clone(), G1Affine::infinity(curve.fp())),
+            ),
+            (
+                "h-torsion forged",
+                KeyUpdate::from_parts(torsion.clone(), curve.g1_double(torsion_valid.sig())),
+            ),
+            ("h-torsion valid", torsion_valid),
+        ];
+        let honest = epoch_updates(&server, 17);
+        // The oracle, once per distinct update.
+        let honest_ok: Vec<bool> = honest
+            .iter()
+            .map(|u| u.verify(curve, server.public()))
+            .collect();
+        assert!(honest_ok.iter().all(|&ok| ok));
+        for (kind, update) in &kinds {
+            let kind_ok = update.verify(curve, server.public());
+            assert_eq!(kind_ok, *kind == "h-torsion valid", "{kind}");
+            for n in [1usize, 2, 3, 17] {
+                for pos in 0..n {
+                    let mut burst = honest[..n].to_vec();
+                    burst[pos] = update.clone();
+                    let verdict = |i: usize| if i == pos { kind_ok } else { honest_ok[i] };
+                    let textbook: Vec<usize> = (0..n).filter(|&i| !verdict(i)).collect();
+                    // A burst ignores the forecast, so only n = 1 takes one.
+                    let forecast = prepared.forecast(curve, burst[0].tag());
+                    let forecasts = if n == 1 {
+                        vec![None, Some(&forecast)]
+                    } else {
+                        vec![None]
+                    };
+                    for threads in [1usize, 4] {
+                        for &fc in &forecasts {
+                            assert_eq!(
+                                prepared.verify_burst(curve, &burst, fc, threads),
+                                textbook,
+                                "{kind} at {pos} of {n}, {threads} threads, \
+                                 forecast {}",
+                                fc.is_some()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        inject(&torsion, None);
     }
+
+    /// The candidate seam: an entry `(tag, point)` makes
+    /// [`h1_candidate`] return `point` for `tag`, on every thread (a
+    /// burst hashes its candidates on worker threads). Each test injects
+    /// under its own tag.
+    static INJECTED: Mutex<Vec<(ReleaseTag, Vec<u8>)>> = Mutex::new(Vec::new());
 
     pub(super) fn injected_candidate<const L: usize>(
         curve: &Curve<L>,
         tag: &ReleaseTag,
     ) -> Option<G1Affine<L>> {
-        INJECTED.with(|slot| {
-            let slot = slot.borrow();
-            let (t, bytes) = slot.as_ref()?;
-            (t == tag).then(|| curve.g1_from_bytes(bytes).expect("injected point"))
-        })
+        let slot = INJECTED.lock().unwrap_or_else(|e| e.into_inner());
+        let (_, bytes) = slot.iter().find(|(t, _)| t == tag)?;
+        Some(curve.g1_from_bytes(bytes).expect("injected point"))
     }
 
     fn inject(tag: &ReleaseTag, point: Option<&G1Affine<8>>) {
-        let entry = point.map(|p| (tag.clone(), toy64().g1_to_bytes(p)));
-        INJECTED.with(|slot| *slot.borrow_mut() = entry);
+        let mut slot = INJECTED.lock().unwrap_or_else(|e| e.into_inner());
+        slot.retain(|(t, _)| t != tag);
+        slot.extend(point.map(|p| (tag.clone(), toy64().g1_to_bytes(p))));
     }
 
     /// The `h`-torsion points a candidate could be: the order-2 point
@@ -1261,10 +1266,11 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(8))]
 
-        /// The prepared, forecast and batch/isolate verdicts equal the
-        /// textbook `verify` for valid, forged, relabelled, foreign-key
-        /// and infinity-signature updates, under a forecast hit and under
-        /// every kind of miss (another tag, another key's pairing).
+        /// The one verifier's verdicts — one update with no forecast, a
+        /// forecast hit, either kind of miss (another tag, another key's
+        /// pairing), and a 3-update burst — equal the textbook `verify`
+        /// for valid, forged, relabelled, foreign-key and
+        /// infinity-signature updates.
         #[test]
         fn forecast_verdict_matches_prepared(
             seed in proptest::any::<[u8; 16]>(),
@@ -1297,29 +1303,15 @@ mod tests {
             let honest = |label: &str| server.issue_update(curve, &ReleaseTag::time(label));
             for update in [&valid, &forged, &relabelled, &foreign, &at_infinity] {
                 let textbook = update.verify(curve, server.public());
-                proptest::prop_assert_eq!(update.verify_prepared(curve, &prepared), textbook);
+                proptest::prop_assert_eq!(accepts(&prepared, update, None), textbook);
                 for forecast in &forecasts {
-                    proptest::prop_assert_eq!(
-                        update.verify_forecast(curve, &prepared, forecast),
-                        textbook
-                    );
+                    proptest::prop_assert_eq!(accepts(&prepared, update, Some(forecast)), textbook);
                 }
                 let burst = [honest("before"), update.clone(), honest("after")];
-                let isolated = if textbook { Ok(()) } else { Err(vec![1]) };
-                proptest::prop_assert_eq!(
-                    KeyUpdate::batch_verify_prepared(curve, &prepared, &burst, 1),
-                    textbook
-                );
-                proptest::prop_assert_eq!(
-                    KeyUpdate::batch_verify_isolate_prepared(curve, &prepared, &burst, 1),
-                    isolated.clone()
-                );
-                proptest::prop_assert_eq!(
-                    KeyUpdate::batch_verify_isolate(curve, server.public(), &burst, 1),
-                    isolated
-                );
+                let isolated = if textbook { vec![] } else { vec![1] };
+                proptest::prop_assert_eq!(prepared.verify_burst(curve, &burst, None, 1), isolated);
             }
-            proptest::prop_assert!(valid.verify_forecast(curve, &prepared, &forecasts[0]));
+            proptest::prop_assert!(accepts(&prepared, &valid, Some(&forecasts[0])));
         }
     }
 
@@ -1348,44 +1340,32 @@ mod tests {
             assert_eq!(h1_candidate(curve, &tag), point, "the seam is live");
 
             tre_obs::enable();
-            assert!(valid.verify_prepared(curve, &prepared));
+            assert!(accepts(&prepared, &valid, None));
             let ops = tre_obs::finish().total_ops();
             assert_eq!(ops.pairings, 4, "folded check, then the full one");
             assert_eq!(
                 ops.scalar_mults, 2,
                 "the torsion test and the hash's clearing"
             );
-            assert!(!forged.verify_prepared(curve, &prepared));
-            assert!(!at_infinity.verify_prepared(curve, &prepared));
+            assert!(!accepts(&prepared, &forged, None));
+            assert!(!accepts(&prepared, &at_infinity, None));
 
             let forecast = prepared.forecast(curve, &tag);
             assert_eq!(
                 forecast.y, clean_forecast.y,
                 "y_T is ê(sG, H1(T)) either way"
             );
-            assert!(valid.verify_forecast(curve, &prepared, &forecast));
-            assert!(!forged.verify_forecast(curve, &prepared, &forecast));
+            assert!(accepts(&prepared, &valid, Some(&forecast)));
+            assert!(!accepts(&prepared, &forged, Some(&forecast)));
 
             let mut burst: Vec<_> = (0..4)
                 .map(|i| server.issue_update(curve, &ReleaseTag::time(format!("t{i}"))))
                 .collect();
             burst.insert(2, valid.clone());
-            assert!(KeyUpdate::batch_verify_prepared(
-                curve, &prepared, &burst, 1
-            ));
-            assert_eq!(
-                KeyUpdate::batch_verify_isolate_prepared(curve, &prepared, &burst, 1),
-                Ok(())
-            );
+            assert!(prepared.verify_burst(curve, &burst, None, 1).is_empty());
             for bad in [&forged, &at_infinity] {
                 burst[2] = bad.clone();
-                assert!(!KeyUpdate::batch_verify_prepared(
-                    curve, &prepared, &burst, 1
-                ));
-                assert_eq!(
-                    KeyUpdate::batch_verify_isolate_prepared(curve, &prepared, &burst, 1),
-                    Err(vec![2])
-                );
+                assert_eq!(prepared.verify_burst(curve, &burst, None, 1), vec![2]);
             }
 
             let sender = SenderPrecomp::new(curve, server.public(), user.public()).unwrap();
@@ -1416,14 +1396,14 @@ mod tests {
             assert_eq!(f(), verdict);
             tre_obs::finish().total_ops()
         };
-        let honest = ops_of(&|| valid.verify_prepared(curve, &prepared), true);
+        let honest = ops_of(&|| accepts(&prepared, &valid, None), true);
         assert_eq!(honest.pairings, 2);
         assert_eq!(
             honest.scalar_mults, 0,
             "an honest verify clears no cofactor"
         );
         assert!(honest.h2c_iters >= 1);
-        let forgery = ops_of(&|| forged.verify_prepared(curve, &prepared), false);
+        let forgery = ops_of(&|| accepts(&prepared, &forged, None), false);
         assert_eq!(forgery.pairings, 2, "a forgery costs no extra lane");
         assert_eq!(forgery.scalar_mults, 1, "one clearing decides the fail");
         assert_eq!(forgery.h2c_iters, honest.h2c_iters, "and no second hash");
@@ -1454,9 +1434,9 @@ mod tests {
             tre_obs::finish().total_ops()
         };
 
-        let full = ops_of(&|| update.verify_prepared(curve, &prepared));
-        let on_hit = ops_of(&|| update.verify_forecast(curve, &prepared, &hit));
-        let on_miss = ops_of(&|| update.verify_forecast(curve, &prepared, &miss));
+        let full = ops_of(&|| accepts(&prepared, &update, None));
+        let on_hit = ops_of(&|| accepts(&prepared, &update, Some(&hit)));
+        let on_miss = ops_of(&|| accepts(&prepared, &update, Some(&miss)));
         assert_eq!(on_hit.h2c_iters, 0, "a hit hashes nothing");
         assert_eq!(on_hit.pairings, 1, "a hit runs one pairing lane");
         assert!(

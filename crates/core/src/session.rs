@@ -187,7 +187,10 @@ impl<'c, const L: usize> Receiver<'c, L> {
                 Err(TreError::Equivocation)
             };
         }
-        if !update.verify_prepared(self.curve, &self.server) {
+        let rejected = self
+            .server
+            .verify_burst(self.curve, std::slice::from_ref(&update), None, 1);
+        if !rejected.is_empty() {
             return Err(TreError::InvalidUpdate);
         }
         self.prepared_sigs
@@ -202,8 +205,8 @@ impl<'c, const L: usize> Receiver<'c, L> {
     /// Only the duplicate/equivocation screening runs; no pairings.
     ///
     /// Correctness contract: `update` must have passed
-    /// [`KeyUpdate::verify`] or a batch equivalent against this
-    /// session's server key.
+    /// [`PreparedServerKey::verify_burst`] (or the textbook
+    /// [`KeyUpdate::verify`]) against this session's server key.
     ///
     /// # Errors
     /// Returns [`TreError::Equivocation`] if a different update is

@@ -15,9 +15,15 @@
 //! completeness; soundness is statistical: a batch containing any forgery
 //! passes with probability at most `2^-EXPONENT_BITS` over the verifier's
 //! random exponents (the forged lane's error term must hit a random
-//! linear relation). On failure, [`Curve::bls_batch_isolate`] bisects to
-//! name the offending indices in `O(bad · log N)` batch checks instead of
-//! `N` individual ones.
+//! linear relation). On failure, [`bisect`] splits the batch to name the
+//! offending indices in `O(bad · log N)` batch checks instead of `N`
+//! individual ones.
+//!
+//! Both fixed sides of the equation (`sG` and `−G`) are prepared once per
+//! key ([`Curve::prepare`]), so every check — the combined one and each
+//! bisection step — pays only line evaluations on its two lanes.
+
+use std::ops::Range;
 
 use rand::RngCore;
 use tre_bigint::U256;
@@ -31,57 +37,11 @@ use crate::pairing::MillerPrecomp;
 pub const EXPONENT_BITS: u32 = 64;
 
 impl<const L: usize> Curve<L> {
-    /// Verifies one BLS equation `ê(pk, h) = ê(g, sig)` with a shared
-    /// Miller loop — 2 pairing lanes, 1 final exponentiation (vs 2 of
-    /// each for two independent [`Curve::pairing`] calls).
-    pub fn bls_verify_one(
-        &self,
-        g: &G1Affine<L>,
-        pk: &G1Affine<L>,
-        h: &G1Affine<L>,
-        sig: &G1Affine<L>,
-    ) -> bool {
-        // ê(pk, h)·ê(−G, sig) = 1  ⇔  ê(pk, h) = ê(G, sig).
-        self.multi_pairing(&[(*pk, *h), (self.g1_neg(g), *sig)])
-            .is_one(self)
-    }
-
-    /// Small-exponent batch verification of `entries = [(H_i, I_i)]`
-    /// against the key `(g, pk)`: accepts iff (whp over `rng`) every
-    /// `ê(pk, H_i) = ê(g, I_i)` holds. Performs exactly 2 pairing lanes
-    /// regardless of `N`; an empty batch is vacuously valid.
-    ///
-    /// The caller must reject duplicate/conflicting message points
-    /// *before* batching — the linear combination cannot distinguish
-    /// `{(H, I), (H, I')}` from `{(H, (I+I')/2) twice}`.
-    pub fn bls_batch_verify(
-        &self,
-        g: &G1Affine<L>,
-        pk: &G1Affine<L>,
-        entries: &[(G1Affine<L>, G1Affine<L>)],
-        rng: &mut (impl RngCore + ?Sized),
-    ) -> bool {
-        match entries {
-            [] => true,
-            [(h, sig)] => self.bls_verify_one(g, pk, h, sig),
-            _ => {
-                let mut p = G1Affine::infinity(self.fp());
-                let mut s = G1Affine::infinity(self.fp());
-                for (h, sig) in entries {
-                    let e = U256::from_u64(rng.next_u64().max(1));
-                    p = self.g1_add(&p, &self.g1_mul(h, &e));
-                    s = self.g1_add(&s, &self.g1_mul(sig, &e));
-                }
-                self.bls_verify_one(g, pk, &p, &s)
-            }
-        }
-    }
-
-    /// [`Curve::bls_verify_one`] with **prepared** fixed sides: both lanes
-    /// of the verification equation have a fixed first argument (`pk` and
-    /// `−g`), so a caller holding [`MillerPrecomp`] tables for them (built
-    /// once per key via [`Curve::prepare`]) pays only line evaluations —
-    /// no Jacobian point arithmetic — per verification.
+    /// Verifies one BLS equation `ê(pk, h) = ê(g, sig)` off prepared
+    /// fixed sides (`pk` and `−g`, built once per key via
+    /// [`Curve::prepare`]): 2 pairing lanes sharing one Miller squaring
+    /// chain and one final exponentiation, with no Jacobian point
+    /// arithmetic.
     pub fn bls_verify_one_prepared(
         &self,
         neg_g_prep: &MillerPrecomp<L>,
@@ -89,14 +49,21 @@ impl<const L: usize> Curve<L> {
         h: &G1Affine<L>,
         sig: &G1Affine<L>,
     ) -> bool {
+        // ê(pk, h)·ê(−G, sig) = 1  ⇔  ê(pk, h) = ê(G, sig).
         self.multi_pairing_mixed(&[(pk_prep, *h), (neg_g_prep, *sig)], &[])
             .is_one(self)
     }
 
-    /// [`Curve::bls_batch_verify`] with prepared fixed sides. The
-    /// small-exponent combination is unchanged (the combined points vary
-    /// per batch); only the final 2-lane pairing check runs prepared.
-    pub fn bls_batch_verify_prepared(
+    /// Small-exponent batch verification of `entries = [(H_i, I_i)]`
+    /// against the prepared key sides: accepts iff (whp over `rng`) every
+    /// `ê(pk, H_i) = ê(g, I_i)` holds. Performs exactly 2 pairing lanes
+    /// regardless of `N`; an empty batch is vacuously valid and a
+    /// singleton draws no exponent.
+    ///
+    /// The caller must reject duplicate/conflicting message points
+    /// *before* batching — the linear combination cannot distinguish
+    /// `{(H, I), (H, I')}` from `{(H, (I+I')/2) twice}`.
+    pub fn bls_batch_check_prepared(
         &self,
         neg_g_prep: &MillerPrecomp<L>,
         pk_prep: &MillerPrecomp<L>,
@@ -118,88 +85,35 @@ impl<const L: usize> Curve<L> {
             }
         }
     }
+}
 
-    /// [`Curve::bls_batch_isolate`] with prepared fixed sides: the
-    /// preparation cost is amortized across every batch check the
-    /// bisection performs (`~2·bad·log2(N)` of them on failure).
-    pub fn bls_batch_isolate_prepared(
-        &self,
-        neg_g_prep: &MillerPrecomp<L>,
-        pk_prep: &MillerPrecomp<L>,
-        entries: &[(G1Affine<L>, G1Affine<L>)],
-        rng: &mut (impl RngCore + ?Sized),
-    ) -> Result<(), Vec<usize>> {
-        let mut bad = Vec::new();
-        self.isolate_rec_prepared(neg_g_prep, pk_prep, entries, 0, rng, &mut bad);
-        if bad.is_empty() {
-            Ok(())
-        } else {
-            Err(bad)
-        }
-    }
-
-    fn isolate_rec_prepared(
-        &self,
-        neg_g_prep: &MillerPrecomp<L>,
-        pk_prep: &MillerPrecomp<L>,
-        entries: &[(G1Affine<L>, G1Affine<L>)],
-        offset: usize,
-        rng: &mut (impl RngCore + ?Sized),
+/// Names the failing indices of a batch of `n` by bisection: `holds`
+/// decides one contiguous sub-batch, a failing singleton is named, and a
+/// failing larger range is split in half (left first). Returns the named
+/// indices ascending: one check when every entry holds, `~2·bad·log2(n)`
+/// otherwise. `holds` is called in a fixed order, so a caller drawing
+/// batching exponents from a deterministic stream gets the same stream
+/// on every run.
+pub fn bisect(n: usize, mut holds: impl FnMut(Range<usize>) -> bool) -> Vec<usize> {
+    fn split(
+        range: Range<usize>,
+        holds: &mut dyn FnMut(Range<usize>) -> bool,
         bad: &mut Vec<usize>,
     ) {
-        if entries.is_empty() || self.bls_batch_verify_prepared(neg_g_prep, pk_prep, entries, rng) {
+        if range.is_empty() || holds(range.clone()) {
             return;
         }
-        if entries.len() == 1 {
-            bad.push(offset);
+        if range.len() == 1 {
+            bad.push(range.start);
             return;
         }
-        let mid = entries.len() / 2;
-        self.isolate_rec_prepared(neg_g_prep, pk_prep, &entries[..mid], offset, rng, bad);
-        self.isolate_rec_prepared(neg_g_prep, pk_prep, &entries[mid..], offset + mid, rng, bad);
+        let mid = range.start + range.len() / 2;
+        split(range.start..mid, holds, bad);
+        split(mid..range.end, holds, bad);
     }
-
-    /// Batch verification with bisection fall-back: on success returns
-    /// `Ok(())` after one 2-pairing batch check; on failure recursively
-    /// splits the batch to isolate the offending entries, returning their
-    /// indices (ascending). A single forgery hidden in `N` valid entries
-    /// is named in `~2·log2(N)` batch checks.
-    pub fn bls_batch_isolate(
-        &self,
-        g: &G1Affine<L>,
-        pk: &G1Affine<L>,
-        entries: &[(G1Affine<L>, G1Affine<L>)],
-        rng: &mut (impl RngCore + ?Sized),
-    ) -> Result<(), Vec<usize>> {
-        let mut bad = Vec::new();
-        self.isolate_rec(g, pk, entries, 0, rng, &mut bad);
-        if bad.is_empty() {
-            Ok(())
-        } else {
-            Err(bad)
-        }
-    }
-
-    fn isolate_rec(
-        &self,
-        g: &G1Affine<L>,
-        pk: &G1Affine<L>,
-        entries: &[(G1Affine<L>, G1Affine<L>)],
-        offset: usize,
-        rng: &mut (impl RngCore + ?Sized),
-        bad: &mut Vec<usize>,
-    ) {
-        if entries.is_empty() || self.bls_batch_verify(g, pk, entries, rng) {
-            return;
-        }
-        if entries.len() == 1 {
-            bad.push(offset);
-            return;
-        }
-        let mid = entries.len() / 2;
-        self.isolate_rec(g, pk, &entries[..mid], offset, rng, bad);
-        self.isolate_rec(g, pk, &entries[mid..], offset + mid, rng, bad);
-    }
+    let mut bad = Vec::new();
+    split(0..n, &mut holds, &mut bad);
+    bad
 }
 
 #[cfg(test)]
@@ -211,6 +125,8 @@ mod tests {
         g: G1Affine<8>,
         pk: G1Affine<8>,
         secret: U256,
+        neg_g_prep: MillerPrecomp<8>,
+        pk_prep: MillerPrecomp<8>,
     }
 
     fn fixture() -> Fixture {
@@ -219,7 +135,13 @@ mod tests {
         let g = curve.g1_mul(&curve.generator(), &curve.random_scalar(&mut rng));
         let secret = curve.random_scalar(&mut rng);
         let pk = curve.g1_mul(&g, &secret);
-        Fixture { g, pk, secret }
+        Fixture {
+            g,
+            pk,
+            secret,
+            neg_g_prep: curve.prepare(&curve.g1_neg(&g)),
+            pk_prep: curve.prepare(&pk),
+        }
     }
 
     fn signed(fx: &Fixture, n: usize) -> Vec<(G1Affine<8>, G1Affine<8>)> {
@@ -232,14 +154,34 @@ mod tests {
             .collect()
     }
 
+    fn batch(fx: &Fixture, entries: &[(G1Affine<8>, G1Affine<8>)]) -> bool {
+        toy64().bls_batch_check_prepared(
+            &fx.neg_g_prep,
+            &fx.pk_prep,
+            entries,
+            &mut rand::thread_rng(),
+        )
+    }
+
+    fn isolate(fx: &Fixture, entries: &[(G1Affine<8>, G1Affine<8>)]) -> Vec<usize> {
+        let mut rng = rand::thread_rng();
+        bisect(entries.len(), |r| {
+            toy64().bls_batch_check_prepared(&fx.neg_g_prep, &fx.pk_prep, &entries[r], &mut rng)
+        })
+    }
+
+    /// The oracle: two independent generic pairings per entry.
+    fn textbook(fx: &Fixture, (h, sig): &(G1Affine<8>, G1Affine<8>)) -> bool {
+        let curve = toy64();
+        curve.pairing(&fx.pk, h) == curve.pairing(&fx.g, sig)
+    }
+
     #[test]
     fn valid_batch_accepts_with_two_pairings() {
-        let curve = toy64();
         let fx = fixture();
         let entries = signed(&fx, 32);
         tre_obs::enable();
-        let mut rng = rand::thread_rng();
-        assert!(curve.bls_batch_verify(&fx.g, &fx.pk, &entries, &mut rng));
+        assert!(batch(&fx, &entries));
         let trace = tre_obs::finish();
         assert_eq!(
             trace.total_ops().pairings,
@@ -250,12 +192,12 @@ mod tests {
 
     #[test]
     fn empty_and_singleton() {
-        let curve = toy64();
         let fx = fixture();
-        let mut rng = rand::thread_rng();
-        assert!(curve.bls_batch_verify(&fx.g, &fx.pk, &[], &mut rng));
+        assert!(batch(&fx, &[]));
+        assert!(isolate(&fx, &[]).is_empty());
         let one = signed(&fx, 1);
-        assert!(curve.bls_batch_verify(&fx.g, &fx.pk, &one, &mut rng));
+        assert!(batch(&fx, &one));
+        assert!(toy64().bls_verify_one_prepared(&fx.neg_g_prep, &fx.pk_prep, &one[0].0, &one[0].1));
     }
 
     #[test]
@@ -265,7 +207,8 @@ mod tests {
         let mut rng = rand::thread_rng();
         let mut entries = signed(&fx, 16);
         entries[7].1 = curve.g1_mul(&fx.g, &curve.random_scalar(&mut rng));
-        assert!(!curve.bls_batch_verify(&fx.g, &fx.pk, &entries, &mut rng));
+        assert!(!textbook(&fx, &entries[7]));
+        assert!(!batch(&fx, &entries));
     }
 
     #[test]
@@ -277,45 +220,24 @@ mod tests {
         for &i in &[3usize, 11] {
             entries[i].1 = curve.g1_mul(&fx.g, &curve.random_scalar(&mut rng));
         }
-        assert_eq!(
-            curve.bls_batch_isolate(&fx.g, &fx.pk, &entries, &mut rng),
-            Err(vec![3, 11])
-        );
+        assert_eq!(isolate(&fx, &entries), vec![3, 11]);
         // And a fully valid batch is one cheap check.
         let clean = signed(&fx, 16);
-        assert_eq!(
-            curve.bls_batch_isolate(&fx.g, &fx.pk, &clean, &mut rng),
-            Ok(())
-        );
+        tre_obs::enable();
+        assert!(isolate(&fx, &clean).is_empty());
+        assert_eq!(tre_obs::finish().total_ops().pairings, 2);
     }
 
     #[test]
-    fn prepared_batch_agrees_with_generic() {
-        let curve = toy64();
-        let fx = fixture();
-        let mut rng = rand::thread_rng();
-        let neg_g_prep = curve.prepare(&curve.g1_neg(&fx.g));
-        let pk_prep = curve.prepare(&fx.pk);
-        let entries = signed(&fx, 12);
-
-        tre_obs::enable();
-        assert!(curve.bls_batch_verify_prepared(&neg_g_prep, &pk_prep, &entries, &mut rng));
-        let trace = tre_obs::finish();
-        assert_eq!(
-            trace.total_ops().pairings,
-            2,
-            "prepared batch is still 2 lanes"
-        );
-
-        let mut forged = entries.clone();
-        forged[4].1 = curve.g1_mul(&fx.g, &curve.random_scalar(&mut rng));
-        assert!(!curve.bls_batch_verify_prepared(&neg_g_prep, &pk_prep, &forged, &mut rng));
-        assert_eq!(
-            curve.bls_batch_isolate_prepared(&neg_g_prep, &pk_prep, &forged, &mut rng),
-            Err(vec![4])
-        );
-        // Singleton path.
-        assert!(curve.bls_verify_one_prepared(&neg_g_prep, &pk_prep, &entries[0].0, &entries[0].1));
+    fn bisect_visits_ranges_left_first() {
+        let mut seen = Vec::new();
+        let bad = bisect(5, |r| {
+            seen.push(r.clone());
+            !r.contains(&3)
+        });
+        assert_eq!(bad, vec![3]);
+        assert_eq!(seen, vec![0..5, 0..2, 2..5, 2..3, 3..5, 3..4, 4..5]);
+        assert!(bisect(0, |_| unreachable!("an empty batch is never checked")).is_empty());
     }
 
     #[test]
@@ -324,35 +246,20 @@ mod tests {
         // multi-pairing lane filter (ê(·, ∞) = 1) — but the equation's
         // other lane stays live, so the check fails and bisection names
         // the entry rather than letting it pass vacuously.
-        let curve = toy64();
         let fx = fixture();
-        let mut rng = rand::thread_rng();
-        let inf = G1Affine::infinity(curve.fp());
+        let inf = G1Affine::infinity(toy64().fp());
 
         // Infinity signature.
         let mut entries = signed(&fx, 8);
         entries[5].1 = inf;
-        assert_eq!(
-            curve.bls_batch_isolate(&fx.g, &fx.pk, &entries, &mut rng),
-            Err(vec![5])
-        );
-        assert!(!curve.bls_verify_one(&fx.g, &fx.pk, &entries[5].0, &inf));
+        assert_eq!(isolate(&fx, &entries), vec![5]);
+        assert!(!textbook(&fx, &entries[5]));
 
         // Infinity message point with a non-trivial signature.
         let mut entries = signed(&fx, 8);
         entries[2].0 = inf;
-        assert_eq!(
-            curve.bls_batch_isolate(&fx.g, &fx.pk, &entries, &mut rng),
-            Err(vec![2])
-        );
-
-        // Prepared path agrees on the same degenerate input.
-        let neg_g_prep = curve.prepare(&curve.g1_neg(&fx.g));
-        let pk_prep = curve.prepare(&fx.pk);
-        assert_eq!(
-            curve.bls_batch_isolate_prepared(&neg_g_prep, &pk_prep, &entries, &mut rng),
-            Err(vec![2])
-        );
+        assert_eq!(isolate(&fx, &entries), vec![2]);
+        assert!(!textbook(&fx, &entries[2]));
     }
 
     #[test]
@@ -360,7 +267,6 @@ mod tests {
         // The 64-bit batching exponents must cost ~64 bits of scalar-mul
         // work, not a full-width walk (satellite op-counter guard).
         let curve = toy64();
-        let fx = fixture();
         let h = curve.hash_to_g1(b"batch-test", b"cost-probe");
 
         tre_obs::enable();
@@ -378,25 +284,25 @@ mod tests {
             "64-bit exponent ({small} fp muls) must cost well under half of a \
              full-width scalar ({wide} fp muls)"
         );
-        let _ = fx;
     }
 
     #[test]
     fn batch_agrees_with_per_entry_verification() {
         let curve = toy64();
         let fx = fixture();
-        let mut rng = rand::thread_rng();
         for n in [2usize, 5, 9] {
             let mut entries = signed(&fx, n);
-            assert!(curve.bls_batch_verify(&fx.g, &fx.pk, &entries, &mut rng));
-            // Tamper each position in turn; the batch must notice every one.
+            assert!(entries.iter().all(|e| textbook(&fx, e)));
+            assert!(batch(&fx, &entries));
+            // Tamper each position in turn; the batch must notice every
+            // one and bisection must name exactly the entry the textbook
+            // check rejects.
             for i in 0..n {
                 let orig = entries[i].1;
                 entries[i].1 = curve.g1_add(&orig, &fx.g);
-                assert!(
-                    !curve.bls_batch_verify(&fx.g, &fx.pk, &entries, &mut rng),
-                    "tamper at {i}/{n} must reject"
-                );
+                assert!(!batch(&fx, &entries), "tamper at {i}/{n} must reject");
+                let oracle: Vec<usize> = (0..n).filter(|&k| !textbook(&fx, &entries[k])).collect();
+                assert_eq!(isolate(&fx, &entries), oracle, "tamper at {i}/{n}");
                 entries[i].1 = orig;
             }
         }

@@ -35,7 +35,7 @@ mod pairing;
 mod params;
 mod precomp;
 
-pub use batch::EXPONENT_BITS as BATCH_EXPONENT_BITS;
+pub use batch::{bisect, EXPONENT_BITS as BATCH_EXPONENT_BITS};
 pub use curve::{Curve, DecodePointError, G1Affine};
 pub use fp::{Fp, Fp2, FpCtx};
 pub use pairing::{Gt, GtPrecomp, MillerPrecomp};

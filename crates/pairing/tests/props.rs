@@ -174,7 +174,8 @@ proptest! {
     #[test]
     fn batch_bls_agrees_with_sequential(rs in any::<[u64; 4]>(), n in 1usize..12) {
         // Batch verification accepts exactly the batches whose every entry
-        // the 2-pairing sequential check accepts.
+        // the 2-pairing sequential check accepts, and bisection names
+        // exactly the entries that check rejects.
         let c = toy64();
         let mut rng = rand::thread_rng();
         let s = {
@@ -183,19 +184,24 @@ proptest! {
         };
         let g = c.generator();
         let pk = c.g1_mul(&g, &s);
+        let (neg_g_prep, pk_prep) = (c.prepare(&c.g1_neg(&g)), c.prepare(&pk));
         let entries: Vec<_> = (0..n)
             .map(|i| {
                 let h = c.hash_to_g1(b"prop-batch", &[i as u8]);
                 (h, c.g1_mul(&h, &s))
             })
             .collect();
-        prop_assert!(c.bls_batch_verify(&g, &pk, &entries, &mut rng));
+        prop_assert!(c.bls_batch_check_prepared(&neg_g_prep, &pk_prep, &entries, &mut rng));
         let mut tampered = entries.clone();
         tampered[n / 2].1 = c.g1_add(&tampered[n / 2].1, &g);
-        prop_assert!(!c.bls_batch_verify(&g, &pk, &tampered, &mut rng));
-        prop_assert_eq!(
-            c.bls_batch_isolate(&g, &pk, &tampered, &mut rng),
-            Err(vec![n / 2])
-        );
+        prop_assert!(!c.bls_batch_check_prepared(&neg_g_prep, &pk_prep, &tampered, &mut rng));
+        let sequential: Vec<usize> = (0..n)
+            .filter(|&i| c.pairing(&pk, &tampered[i].0) != c.pairing(&g, &tampered[i].1))
+            .collect();
+        prop_assert_eq!(&sequential, &vec![n / 2]);
+        let named = tre_pairing::bisect(n, |r| {
+            c.bls_batch_check_prepared(&neg_g_prep, &pk_prep, &tampered[r], &mut rng)
+        });
+        prop_assert_eq!(named, sequential);
     }
 }

@@ -27,6 +27,15 @@ impl BatchVerdict {
     pub fn all_valid(&self) -> bool {
         self.invalid.is_empty()
     }
+
+    /// Splits `0..n` around the ascending rejected indices, in one pass.
+    fn from_invalid(n: usize, invalid: Vec<usize>) -> Self {
+        let mut rejected = invalid.iter().peekable();
+        let valid = (0..n)
+            .filter(|&i| rejected.next_if_eq(&&i).is_none())
+            .collect();
+        Self { valid, invalid }
+    }
 }
 
 /// A reusable batched verifier bound to one server key.
@@ -67,6 +76,11 @@ impl<'c, const L: usize> BatchVerifier<'c, L> {
         self.threads
     }
 
+    /// The curve every check runs on.
+    pub(crate) fn curve(&self) -> &'c Curve<L> {
+        self.curve
+    }
+
     /// The prepared key every check runs against — what a verifier's
     /// [`PreparedServerKey::forecast`] must be built from.
     pub(crate) fn key(&self) -> &PreparedServerKey<L> {
@@ -78,48 +92,26 @@ impl<'c, const L: usize> BatchVerifier<'c, L> {
     /// must have resolved duplicate/equivocating tags already (the
     /// client runtime does this by byte comparison before batching).
     pub fn verify(&self, updates: &[KeyUpdate<L>]) -> BatchVerdict {
-        verify_prepared(self.curve, &self.server_pk, updates, self.threads)
-    }
-
-    /// [`BatchVerifier::verify`] for a one-update burst whose tag was
-    /// forecast: [`KeyUpdate::verify_forecast`], one pairing lane on a
-    /// hit. Same verdict as `verify(&[update])`.
-    pub(crate) fn verify_forecast(
-        &self,
-        update: &KeyUpdate<L>,
-        forecast: &VerifyForecast<L>,
-    ) -> BatchVerdict {
-        let _span = tre_obs::span("client.batch_verify");
-        let ok = update.verify_forecast(self.curve, &self.server_pk, forecast);
-        let (valid, invalid) = if ok {
-            (vec![0], vec![])
-        } else {
-            (vec![], vec![0])
-        };
-        BatchVerdict { valid, invalid }
+        verify_burst(self.curve, &self.server_pk, updates, None, self.threads)
     }
 }
 
-/// [`BatchVerifier::verify`] against a key prepared elsewhere: a
-/// [`crate::ReceiverClient`] verifies off its session's prepared key
-/// instead of preparing a second copy per burst.
-pub(crate) fn verify_prepared<const L: usize>(
+/// The one burst check behind [`BatchVerifier::verify`], a relay's
+/// admission and a [`crate::ReceiverClient`]'s burst drain (which
+/// verifies off its session's prepared key instead of preparing a
+/// second copy): [`PreparedServerKey::verify_burst`] under a
+/// `client.batch_verify` span. A one-update burst whose tag was
+/// forecast under `key` costs one pairing lane.
+pub(crate) fn verify_burst<const L: usize>(
     curve: &Curve<L>,
     key: &PreparedServerKey<L>,
     updates: &[KeyUpdate<L>],
+    forecast: Option<&VerifyForecast<L>>,
     threads: usize,
 ) -> BatchVerdict {
     let _span = tre_obs::span("client.batch_verify");
-    let verdict = match KeyUpdate::batch_verify_isolate_prepared(curve, key, updates, threads) {
-        Ok(()) => BatchVerdict {
-            valid: (0..updates.len()).collect(),
-            invalid: Vec::new(),
-        },
-        Err(bad) => BatchVerdict {
-            valid: (0..updates.len()).filter(|i| !bad.contains(i)).collect(),
-            invalid: bad,
-        },
-    };
+    let invalid = key.verify_burst(curve, updates, forecast, threads);
+    let verdict = BatchVerdict::from_invalid(updates.len(), invalid);
     if tre_obs::is_enabled() {
         tre_obs::event(
             "client.batch_verified",
@@ -178,6 +170,30 @@ mod tests {
         assert_eq!(verdict.invalid, vec![2, 9]);
         assert_eq!(verdict.valid.len(), 14);
         assert!(!verdict.valid.contains(&2) && !verdict.valid.contains(&9));
+    }
+
+    #[test]
+    fn forecast_hit_is_one_lane_and_verdict_is_split_in_order() {
+        let curve = toy64();
+        let (server, mut updates) = world(5);
+        let verifier = BatchVerifier::new(curve, *server.public());
+        let forecast = verifier.key().forecast(curve, updates[0].tag());
+        tre_obs::enable();
+        let hit = verify_burst(curve, verifier.key(), &updates[..1], Some(&forecast), 1);
+        let trace = tre_obs::finish();
+        assert!(hit.all_valid());
+        assert_eq!(
+            trace.spans_named("client.batch_verify")[0].ops.pairings,
+            1,
+            "a forecast hit is one pairing lane"
+        );
+        for i in [0usize, 3, 4] {
+            updates[i] =
+                KeyUpdate::from_parts(updates[i].tag().clone(), curve.g1_double(updates[i].sig()));
+        }
+        let verdict = verifier.verify(&updates);
+        assert_eq!(verdict.invalid, vec![0, 3, 4]);
+        assert_eq!(verdict.valid, vec![1, 2]);
     }
 
     #[test]

@@ -354,7 +354,7 @@ impl<'c, const L: usize> ReceiverClient<'c, L> {
             let batch: Vec<KeyUpdate<L>> = fresh.iter().map(|&i| updates[i].clone()).collect();
             // Against the key the session prepared once at construction.
             let key = self.session.prepared_server();
-            let verdict = batch::verify_prepared(self.curve, key, &batch, self.threads);
+            let verdict = batch::verify_burst(self.curve, key, &batch, None, self.threads);
             for &k in &verdict.invalid {
                 outcomes[fresh[k]] = UpdateOutcome::Invalid;
             }

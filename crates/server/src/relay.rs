@@ -55,7 +55,7 @@ use tre_pairing::Curve;
 use tre_wire::Telemetry;
 
 use crate::archive::UpdateArchive;
-use crate::batch::BatchVerifier;
+use crate::batch::{verify_burst, BatchVerifier};
 use crate::clock::Granularity;
 use crate::evloop::{Broadcaster, ServeShared, Waker};
 use crate::feed::Feed;
@@ -375,8 +375,8 @@ impl<const L: usize> RelayCore<L> {
     /// what it cannot index). Epochs already archived, or repeated
     /// within the burst (catch-up overlap, upstream failover replays),
     /// are skipped *before* the pairing, so each epoch is verified
-    /// exactly once per relay: one [`BatchVerifier::verify`] per burst
-    /// of fresh epochs. A burst of one fresh epoch asks `forecast` for
+    /// exactly once per relay: one burst check per burst of fresh
+    /// epochs. A burst of one fresh epoch asks `forecast` for
     /// that epoch's [`VerifyForecast`] and, given one, verifies with one
     /// pairing lane.
     pub(crate) fn admit(
@@ -408,18 +408,20 @@ impl<const L: usize> RelayCore<L> {
             _ => None,
         };
         stats.verify_batches.fetch_add(1, Ordering::Relaxed);
-        let verdict = match &forecast {
-            Some(forecast) => {
-                stats.forecast_hits.fetch_add(1, Ordering::Relaxed);
-                verifier.verify_forecast(&fresh[0], forecast)
-            }
-            None => {
-                stats
-                    .forecast_misses
-                    .fetch_add(fresh.len() as u64, Ordering::Relaxed);
-                verifier.verify(&fresh)
-            }
-        };
+        if forecast.is_some() {
+            stats.forecast_hits.fetch_add(1, Ordering::Relaxed);
+        } else {
+            stats
+                .forecast_misses
+                .fetch_add(fresh.len() as u64, Ordering::Relaxed);
+        }
+        let verdict = verify_burst(
+            verifier.curve(),
+            verifier.key(),
+            &fresh,
+            forecast.as_ref(),
+            verifier.threads(),
+        );
         stats
             .updates_rejected
             .fetch_add(verdict.invalid.len() as u64, Ordering::Relaxed);
