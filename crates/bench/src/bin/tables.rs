@@ -1246,7 +1246,8 @@ fn e15() {
 
     // Burst-size sweep: the one verifier's small-exponent batch check
     // replaces the 2n pairings of per-update textbook verification with
-    // 2, regardless of n.
+    // 2, regardless of n. Every timed column is a median of
+    // PAIRED_REPEATS interleaved pairs.
     header(&[
         "burst n",
         "sequential pairings",
@@ -1265,20 +1266,22 @@ fn e15() {
             assert!(rejected(&batch, 1).is_empty());
         });
         let iters = if n >= 16 { 2 } else { 5 };
-        let seq_ms = time_ms(iters, || batch.iter().all(|u| u.verify(curve, &spk)));
-        let bat_ms = time_ms(iters, || rejected(&batch, 1));
+        let (seq_ms, bat_ms, speedup) = paired_ms(
+            iters,
+            || batch.iter().all(|u| u.verify(curve, &spk)),
+            || rejected(&batch, 1),
+        );
         row(&[
             format!("{n}"),
             format!("{seq_p}"),
             format!("{bat_p}"),
             format!("{seq_ms:.2}"),
             format!("{bat_ms:.2}"),
-            format!("{:.2}x", seq_ms / bat_ms.max(1e-9)),
+            format!("{speedup:.2}x"),
         ]);
         burst_rows.push(record! {
             "n": n, "iters": iters, "sequential_ms": seq_ms, "batched_ms": bat_ms,
-            "speedup": seq_ms / bat_ms.max(1e-9), "sequential_pairings": seq_p,
-            "batched_pairings": bat_p,
+            "speedup": speedup, "sequential_pairings": seq_p, "batched_pairings": bat_p,
         });
     }
     println!();
@@ -1313,14 +1316,19 @@ fn e15() {
     header(&["threads", "batch_verify(64) ms", "open_bulk(16) ms"]);
     let mut thread_rows = Vec::new();
     for t in [1usize, 2, 4] {
-        let v_ms = time_ms(2, || rejected(&batch64, t));
-        let d_ms = time_ms(2, || {
-            // Fresh session per call: open_bulk then verifies the
-            // update exactly once, like the old bulk path did.
-            Receiver::new(curve, spk, fx.user.clone())
-                .open_bulk(&update, &cts, t)
-                .unwrap()
-        });
+        // Both columns from one interleaved series, so a noisy stretch
+        // of the host slows both alike.
+        let (v_ms, d_ms, _) = paired_ms(
+            2,
+            || rejected(&batch64, t),
+            || {
+                // Fresh session per call: open_bulk then verifies the
+                // update and prepares its I_T exactly once.
+                Receiver::new(curve, spk, fx.user.clone())
+                    .open_bulk(&update, &cts, t)
+                    .unwrap()
+            },
+        );
         row(&[format!("{t}"), format!("{v_ms:.2}"), format!("{d_ms:.2}")]);
         thread_rows.push(record! { "threads": t, "batch_verify_ms": v_ms, "open_bulk_ms": d_ms });
     }
@@ -2320,7 +2328,8 @@ fn e19() {
 /// returns the median generic ms, the median prepared ms and the median
 /// per-pair speedup (generic / prepared). A loaded host slows both
 /// halves of a pair alike, so one noisy stretch cannot decide a
-/// wall-clock guard.
+/// wall-clock guard or a reported column. Any two workloads pair this
+/// way; E15 also pairs its verify and open columns.
 fn paired_ms<A, B>(
     iters: u32,
     mut generic: impl FnMut() -> A,

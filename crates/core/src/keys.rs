@@ -1,7 +1,7 @@
 //! Key material: time-server keys, user keys, and the self-authenticating
 //! time-bound key update `I_T = s·H1(T)` (§5.1 of the paper).
 
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use rand::RngCore;
 use tre_bigint::U256;
@@ -189,6 +189,11 @@ impl<const L: usize> ServerPublicKey<L> {
 /// verifier, [`PreparedServerKey::verify_burst`], by failover's verdict
 /// checks, and by [`SenderPrecomp::with_server`] (which reuses the `G` table instead
 /// of rebuilding it per receiver).
+///
+/// The three Miller preparations are built eagerly: every verification
+/// reads them. The two fixed-base tables are built on their first read
+/// ([`PreparedServerKey::g_table`], [`PreparedServerKey::s_g_table`]),
+/// so receivers and relays, which never read them, never pay for them.
 #[derive(Clone, Debug)]
 pub struct PreparedServerKey<const L: usize> {
     key: ServerPublicKey<L>,
@@ -196,25 +201,26 @@ pub struct PreparedServerKey<const L: usize> {
     /// `(h mod q)·sG`, the lane an uncleared `H1` candidate pairs with.
     h_s_g_prep: MillerPrecomp<L>,
     neg_g_prep: MillerPrecomp<L>,
-    g_table: G1Precomp<L>,
-    s_g_table: G1Precomp<L>,
+    g_table: OnceLock<G1Precomp<L>>,
+    s_g_table: OnceLock<G1Precomp<L>>,
 }
 
 impl<const L: usize> ServerPublicKey<L> {
-    /// Precomputes the prepared Miller coefficients and fixed-base
-    /// tables for this key. One-time cost roughly comparable to two
-    /// pairings; every subsequent prepared verification skips all
-    /// Miller-loop point arithmetic on both lanes.
+    /// Precomputes the prepared Miller coefficients for this key: three
+    /// preparations and one `g1_mul`, together about three pairings'
+    /// worth on toy64. Every subsequent prepared verification skips all
+    /// Miller-loop point arithmetic on both lanes. The fixed-base tables
+    /// are left to their first read; each costs about 2.5 pairings (40
+    /// windows on toy64).
     pub fn prepare(&self, curve: &Curve<L>) -> PreparedServerKey<L> {
         let _span = tre_obs::span("tre.prepare_server_key");
-        let s_g_table = G1Precomp::new(curve, &self.s_g);
         PreparedServerKey {
             key: *self,
             s_g_prep: curve.prepare(&self.s_g),
-            h_s_g_prep: curve.prepare(&s_g_table.mul(curve, curve.cofactor_mod_q())),
+            h_s_g_prep: curve.prepare(&curve.g1_mul(&self.s_g, curve.cofactor_mod_q())),
             neg_g_prep: curve.prepare(&curve.g1_neg(&self.g)),
-            g_table: G1Precomp::new(curve, &self.g),
-            s_g_table,
+            g_table: OnceLock::new(),
+            s_g_table: OnceLock::new(),
         }
     }
 }
@@ -235,15 +241,18 @@ impl<const L: usize> PreparedServerKey<L> {
         &self.neg_g_prep
     }
 
-    /// Fixed-base table for the generator `G`.
-    pub fn g_table(&self) -> &G1Precomp<L> {
-        &self.g_table
+    /// Fixed-base table for the generator `G`, built on the first call.
+    pub fn g_table(&self, curve: &Curve<L>) -> &G1Precomp<L> {
+        self.g_table
+            .get_or_init(|| G1Precomp::new(curve, &self.key.g))
     }
 
     /// Fixed-base table for `sG` (e.g. the `Σ e_i·s_iG` lane of batched
-    /// verdicts, where the 64-bit exponents walk only 16 windows).
-    pub fn s_g_table(&self) -> &G1Precomp<L> {
-        &self.s_g_table
+    /// verdicts, where the 64-bit exponents walk only 16 windows), built
+    /// on the first call.
+    pub fn s_g_table(&self, curve: &Curve<L>) -> &G1Precomp<L> {
+        self.s_g_table
+            .get_or_init(|| G1Precomp::new(curve, &self.key.s_g))
     }
 
     /// Forecasts `tag` against this key: the public half of the
@@ -743,7 +752,8 @@ impl<const L: usize> SenderPrecomp<L> {
     /// validation pairings replay the server key's prepared Miller
     /// coefficients and the `G` table is **reused** from the prepared
     /// key instead of being rebuilt — a hub encrypting to many
-    /// receivers under one server pays the generator table once.
+    /// receivers under one server pays the generator table once, at its
+    /// first call.
     ///
     /// # Errors
     /// Returns [`TreError::InvalidUserKey`] if the receiver key fails
@@ -755,7 +765,7 @@ impl<const L: usize> SenderPrecomp<L> {
     ) -> Result<Self, TreError> {
         let _span = tre_obs::span("tre.sender_precomp");
         user.validate_prepared(curve, server)?;
-        let g_table = server.g_table().clone();
+        let g_table = server.g_table(curve).clone();
         Ok(Self::build(curve, server.key(), user, g_table))
     }
 
@@ -1485,6 +1495,8 @@ mod tests {
         let server = ServerKeyPair::generate(curve, &mut rng);
         let user = UserKeyPair::generate(curve, server.public(), &mut rng);
         let prepared = server.public().prepare(curve);
+        // The table is built on first read; this test measures reuse.
+        prepared.g_table(curve);
 
         tre_obs::enable();
         let fresh = SenderPrecomp::new(curve, server.public(), user.public()).unwrap();
@@ -1521,6 +1533,56 @@ mod tests {
             SenderPrecomp::with_server(curve, &prepared, &bogus),
             Err(TreError::InvalidUserKey)
         ));
+    }
+
+    /// `f`'s result and the crypto ops it ran on this thread.
+    fn ops<R>(f: impl FnOnce() -> R) -> (R, tre_obs::CryptoOps) {
+        tre_obs::enable();
+        let r = f();
+        (r, tre_obs::finish().total_ops())
+    }
+
+    #[test]
+    fn prepare_builds_tables_on_first_read() {
+        let curve = toy64();
+        let mut rng = rand::thread_rng();
+        let server = ServerKeyPair::generate(curve, &mut rng);
+        let user = UserKeyPair::generate(curve, server.public(), &mut rng);
+        let pk = server.public();
+
+        // Eager: three Miller preparations and one g1_mul, no table.
+        let h_s_g = curve.g1_mul(pk.s_g(), curve.cofactor_mod_q());
+        let (_, eager) = ops(|| {
+            curve.g1_mul(pk.s_g(), curve.cofactor_mod_q());
+            for p in [*pk.s_g(), h_s_g, curve.g1_neg(pk.g())] {
+                curve.prepare(&p);
+            }
+        });
+        let (prepared, cost) = ops(|| pk.prepare(curve));
+        assert!(
+            cost.fp_muls <= eager.fp_muls,
+            "prepare spent {} fp muls; 3 preparations and 1 g1_mul cost {}",
+            cost.fp_muls,
+            eager.fp_muls
+        );
+        assert!(prepared.g_table.get().is_none() && prepared.s_g_table.get().is_none());
+
+        // Two hub sessions on one prepared key build the G table once.
+        let (_, table) = ops(|| G1Precomp::new(curve, pk.g()));
+        let (first, cost_first) =
+            ops(|| SenderPrecomp::with_server(curve, &prepared, user.public()).unwrap());
+        let (_, cost_second) =
+            ops(|| SenderPrecomp::with_server(curve, &prepared, user.public()).unwrap());
+        assert_eq!(cost_first.fp_muls, cost_second.fp_muls + table.fp_muls);
+        let r = curve.random_scalar(&mut rng);
+        assert_eq!(first.g_table().mul(curve, &r), curve.g1_mul(pk.g(), &r));
+
+        // The sG table, read once, matches the generic path.
+        assert!(prepared.s_g_table.get().is_none());
+        let (mul, _) = ops(|| prepared.s_g_table(curve).mul(curve, &r));
+        assert_eq!(mul, curve.g1_mul(pk.s_g(), &r));
+        let (_, reread) = ops(|| prepared.s_g_table(curve));
+        assert_eq!(reread, tre_obs::CryptoOps::default());
     }
 
     #[test]

@@ -12,10 +12,13 @@
 //!   whenever the tag differs from the previous message's (memo miss);
 //! * [`Receiver`] owns the user key pair and a verified-update cache, so
 //!   whether an update is trusted is internal state: the first sighting
-//!   of an update pays the 2-pairing verification, every open against
-//!   the cache pays exactly one pairing.
+//!   of an update pays the 2-pairing verification and nothing more. The
+//!   first open of a tag prepares its `I_T` (Miller coefficients) and
+//!   every open, first or later, pays exactly one prepared pairing. A
+//!   tag that is verified but never opened is never prepared.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use rand::RngCore;
 use tre_pairing::{Curve, MillerPrecomp};
@@ -96,31 +99,36 @@ impl<'c, const L: usize> Sender<'c, L> {
 /// sighting (and detects equivocation on later ones), after which
 /// [`Receiver::open`] decrypts with a single pairing and no caller-side
 /// "is this update trusted?" judgement.
+///
+/// Who pays for preparation, and when: [`Receiver::new`] prepares the
+/// server key's Miller coefficients (three preparations, no fixed-base
+/// table). Verifying or admitting an update prepares nothing. The first
+/// [`Receiver::open`] (or [`Receiver::open_bulk`]) of a tag prepares its
+/// `I_T` once; later opens of that tag, from this session or from any
+/// clone made after it, replay the preparation.
 #[derive(Clone, Debug)]
 pub struct Receiver<'c, const L: usize> {
     curve: &'c Curve<L>,
     server: PreparedServerKey<L>,
     keys: UserKeyPair<L>,
-    verified: HashMap<ReleaseTag, KeyUpdate<L>>,
-    /// Prepared Miller coefficients for each cached update's signature
-    /// `I_T` — by Type-1 symmetry `ê(U, I_T) = ê(I_T, U)`, so every
-    /// open of an epoch replays them against the ciphertext's fresh
-    /// `U`. Kept in lockstep with `verified`.
-    prepared_sigs: HashMap<ReleaseTag, MillerPrecomp<L>>,
+    /// Each verified update with the Miller coefficients of its
+    /// signature `I_T`, built at the tag's first open. By Type-1
+    /// symmetry `ê(U, I_T) = ê(I_T, U)`, so every open of an epoch
+    /// replays them against the ciphertext's fresh `U`.
+    verified: HashMap<ReleaseTag, (KeyUpdate<L>, OnceLock<MillerPrecomp<L>>)>,
 }
 
 impl<'c, const L: usize> Receiver<'c, L> {
     /// Opens a receiving session for an existing key pair bound to
     /// `server`. The server key is prepared once here (Miller
-    /// coefficients for `sG` and `−G`), so every later update
-    /// verification skips its Miller-loop point arithmetic.
+    /// coefficients for `sG`, `(h mod q)·sG` and `−G`), so every later
+    /// update verification skips its Miller-loop point arithmetic.
     pub fn new(curve: &'c Curve<L>, server: ServerPublicKey<L>, keys: UserKeyPair<L>) -> Self {
         Self {
             curve,
             server: server.prepare(curve),
             keys,
             verified: HashMap::new(),
-            prepared_sigs: HashMap::new(),
         }
     }
 
@@ -158,7 +166,7 @@ impl<'c, const L: usize> Receiver<'c, L> {
 
     /// The verified update cached for `tag`, if any.
     pub fn cached_update(&self, tag: &ReleaseTag) -> Option<&KeyUpdate<L>> {
-        self.verified.get(tag)
+        self.verified.get(tag).map(|(update, _)| update)
     }
 
     /// Number of verified updates held in the cache.
@@ -167,7 +175,8 @@ impl<'c, const L: usize> Receiver<'c, L> {
     }
 
     /// Ingests a key update from an untrusted source: verifies it
-    /// against the server key (2 pairings) and caches it.
+    /// against the server key (2 pairings) and caches it. The update's
+    /// `I_T` is prepared later, at the tag's first open.
     ///
     /// Returns `Ok(true)` if the update was fresh and admitted,
     /// `Ok(false)` if a byte-identical update was already cached (the
@@ -180,12 +189,8 @@ impl<'c, const L: usize> Receiver<'c, L> {
     /// * [`TreError::InvalidUpdate`] if self-authentication fails (the
     ///   update is not cached).
     pub fn observe_update(&mut self, update: KeyUpdate<L>) -> Result<bool, TreError> {
-        if let Some(known) = self.verified.get(update.tag()) {
-            return if *known == update {
-                Ok(false)
-            } else {
-                Err(TreError::Equivocation)
-            };
+        if self.is_cached(&update)? {
+            return Ok(false);
         }
         let rejected = self
             .server
@@ -193,9 +198,7 @@ impl<'c, const L: usize> Receiver<'c, L> {
         if !rejected.is_empty() {
             return Err(TreError::InvalidUpdate);
         }
-        self.prepared_sigs
-            .insert(update.tag().clone(), self.curve.prepare(update.sig()));
-        self.verified.insert(update.tag().clone(), update);
+        self.cache(update);
         Ok(true)
     }
 
@@ -212,31 +215,49 @@ impl<'c, const L: usize> Receiver<'c, L> {
     /// Returns [`TreError::Equivocation`] if a different update is
     /// already cached for the same tag.
     pub fn admit_verified(&mut self, update: KeyUpdate<L>) -> Result<bool, TreError> {
-        if let Some(known) = self.verified.get(update.tag()) {
-            return if *known == update {
-                Ok(false)
-            } else {
-                Err(TreError::Equivocation)
-            };
+        if self.is_cached(&update)? {
+            return Ok(false);
         }
-        self.prepared_sigs
-            .insert(update.tag().clone(), self.curve.prepare(update.sig()));
-        self.verified.insert(update.tag().clone(), update);
+        self.cache(update);
         Ok(true)
     }
 
-    /// Opens a ciphertext against the verified-update cache: one pairing,
-    /// no re-verification.
+    /// Whether a byte-identical update is already cached for `update`'s
+    /// tag.
+    ///
+    /// # Errors
+    /// Returns [`TreError::Equivocation`] if a different one is.
+    fn is_cached(&self, update: &KeyUpdate<L>) -> Result<bool, TreError> {
+        match self.verified.get(update.tag()) {
+            None => Ok(false),
+            Some((known, _)) if known == update => Ok(true),
+            Some(_) => Err(TreError::Equivocation),
+        }
+    }
+
+    /// Caches a verified update, unprepared.
+    fn cache(&mut self, update: KeyUpdate<L>) {
+        self.verified
+            .insert(update.tag().clone(), (update, OnceLock::new()));
+    }
+
+    /// The prepared `I_T` for `tag`, prepared here on the tag's first
+    /// open.
+    fn prepared_sig(&self, tag: &ReleaseTag) -> Result<&MillerPrecomp<L>, TreError> {
+        let (update, prep) = self.verified.get(tag).ok_or(TreError::MissingUpdate)?;
+        Ok(prep.get_or_init(|| self.curve.prepare(update.sig())))
+    }
+
+    /// Opens a ciphertext against the verified-update cache: one prepared
+    /// pairing, no re-verification. The tag's first open also prepares
+    /// its `I_T`.
     ///
     /// # Errors
     /// Returns [`TreError::MissingUpdate`] if no verified update for the
     /// ciphertext's tag has been observed — the release instant has not
     /// arrived (or its broadcast was missed).
     pub fn open(&self, ct: &Ciphertext<L>) -> Result<Vec<u8>, TreError> {
-        let prep = self
-            .prepared_sigs
-            .get(ct.tag())
-            .ok_or(TreError::MissingUpdate)?;
+        let prep = self.prepared_sig(ct.tag())?;
         Ok(decrypt_trusted_prepared_impl(
             self.curve, &self.keys, prep, ct,
         ))
@@ -263,9 +284,10 @@ impl<'c, const L: usize> Receiver<'c, L> {
     }
 
     /// Opens many ciphertexts locked to the **same tag**: the update is
-    /// verified once through the cache, then the per-ciphertext work
-    /// (one pairing each) fans out over `threads` workers (`0` = auto,
-    /// `1` = inline). Results are in input order for any thread count.
+    /// verified once through the cache and its `I_T` prepared once, then
+    /// the per-ciphertext work (one prepared pairing each) fans out over
+    /// `threads` workers (`0` = auto, `1` = inline). Results are in input
+    /// order for any thread count.
     ///
     /// # Errors
     /// Any [`Receiver::observe_update`] error, plus
@@ -282,7 +304,7 @@ impl<'c, const L: usize> Receiver<'c, L> {
         if cts.iter().any(|ct| ct.tag() != update.tag()) {
             return Err(TreError::UpdateTagMismatch);
         }
-        let prep = &self.prepared_sigs[update.tag()];
+        let prep = self.prepared_sig(update.tag())?;
         let keys = &self.keys;
         let curve = self.curve;
         Ok(tre_par::par_map(cts, threads, |ct| {
@@ -295,6 +317,7 @@ impl<'c, const L: usize> Receiver<'c, L> {
 mod tests {
     use super::*;
     use crate::keys::ServerKeyPair;
+    use tre_obs::CryptoOps;
     use tre_pairing::toy64;
 
     fn world() -> (ServerKeyPair<8>, Receiver<'static, 8>) {
@@ -433,6 +456,173 @@ mod tests {
         );
     }
 
+    /// `f`'s result and the crypto ops it ran on this thread.
+    fn ops<R>(f: impl FnOnce() -> R) -> (R, CryptoOps) {
+        tre_obs::enable();
+        let r = f();
+        (r, tre_obs::finish().total_ops())
+    }
+
+    /// The sum of two op counts.
+    fn plus(mut a: CryptoOps, b: &CryptoOps) -> CryptoOps {
+        a.absorb(b);
+        a
+    }
+
+    /// Whether the session has prepared `tag`'s `I_T`.
+    fn is_prepared(receiver: &Receiver<'_, 8>, tag: &ReleaseTag) -> bool {
+        receiver.verified[tag].1.get().is_some()
+    }
+
+    #[test]
+    fn verifying_and_admitting_prepare_nothing() {
+        let curve = toy64();
+        let (server, mut receiver) = world();
+        let tag = ReleaseTag::time("t");
+        let update = server.issue_update(curve, &tag);
+        let (_, burst) = ops(|| {
+            receiver
+                .prepared_server()
+                .verify_burst(curve, std::slice::from_ref(&update), None, 1)
+        });
+        let (fresh, observed) = ops(|| receiver.observe_update(update.clone()).unwrap());
+        assert!(fresh);
+        assert_eq!(observed, burst, "observe_update costs one verify_burst");
+        let (fresh, again) = ops(|| receiver.observe_update(update.clone()).unwrap());
+        assert!(!fresh);
+        assert_eq!(again, CryptoOps::default(), "a duplicate costs nothing");
+        assert!(!is_prepared(&receiver, &tag));
+
+        let mut other = Receiver::new(curve, *server.public(), receiver.key_pair().clone());
+        let (fresh, admitted) = ops(|| other.admit_verified(update.clone()).unwrap());
+        assert!(fresh);
+        assert_eq!(admitted, CryptoOps::default(), "admission costs nothing");
+        assert!(!is_prepared(&other, &tag));
+    }
+
+    #[test]
+    fn unopened_tag_is_never_prepared() {
+        let curve = toy64();
+        let mut rng = rand::thread_rng();
+        let (server, mut receiver) = world();
+        let sender = Sender::new(curve, server.public(), receiver.public_key()).unwrap();
+        let (opened, idle) = (ReleaseTag::time("opened"), ReleaseTag::time("idle"));
+        for tag in [&opened, &idle] {
+            receiver
+                .observe_update(server.issue_update(curve, tag))
+                .unwrap();
+        }
+        let ct = sender.encrypt(&opened, b"m", &mut rng);
+        assert_eq!(receiver.open(&ct).unwrap(), b"m");
+        assert!(is_prepared(&receiver, &opened));
+        assert!(!is_prepared(&receiver, &idle));
+    }
+
+    #[test]
+    fn first_open_prepares_and_later_opens_replay() {
+        let curve = toy64();
+        let mut rng = rand::thread_rng();
+        let (server, mut receiver) = world();
+        let sender = Sender::new(curve, server.public(), receiver.public_key()).unwrap();
+        let tag = ReleaseTag::time("t");
+        let update = server.issue_update(curve, &tag);
+        let cts: Vec<_> = (0..4u8)
+            .map(|i| sender.encrypt(&tag, &[i], &mut rng))
+            .collect();
+        receiver.observe_update(update.clone()).unwrap();
+
+        let (prep, preparation) = ops(|| curve.prepare(update.sig()));
+        for (i, ct) in cts.iter().enumerate() {
+            let (_, pairing) =
+                ops(|| decrypt_trusted_prepared_impl(curve, receiver.key_pair(), &prep, ct));
+            assert_eq!(pairing.pairings, 1);
+            let (pt, open) = ops(|| receiver.open(ct).unwrap());
+            assert_eq!(pt, [i as u8]);
+            let want = if i == 0 {
+                plus(preparation, &pairing)
+            } else {
+                pairing
+            };
+            assert_eq!(open, want, "open #{}", i + 1);
+        }
+    }
+
+    #[test]
+    fn open_bulk_prepares_once_before_fanning_out() {
+        let curve = toy64();
+        let mut rng = rand::thread_rng();
+        let (server, receiver) = world();
+        let sender = Sender::new(curve, server.public(), receiver.public_key()).unwrap();
+        let tag = ReleaseTag::time("t");
+        let update = server.issue_update(curve, &tag);
+        let cts: Vec<_> = (0..16u8)
+            .map(|i| sender.encrypt(&tag, &[i], &mut rng))
+            .collect();
+        let prep = curve.prepare(update.sig());
+        let (_, preparation) = ops(|| curve.prepare(update.sig()));
+        let (_, all_opens) = ops(|| {
+            for ct in &cts {
+                decrypt_trusted_prepared_impl(curve, receiver.key_pair(), &prep, ct);
+            }
+        });
+        for threads in [1usize, 4] {
+            let mut fresh = Receiver::new(curve, *server.public(), receiver.key_pair().clone());
+            fresh.observe_update(update.clone()).unwrap();
+            let (pts, bulk) = ops(|| fresh.open_bulk(&update, &cts, threads).unwrap());
+            assert!(pts.iter().zip(0u8..).all(|(pt, i)| pt == &[i]));
+            // Op counters are per thread: the calling thread pays the one
+            // preparation, plus every open when the map runs inline.
+            let inline = plus(preparation, &all_opens);
+            assert!(
+                bulk == inline || (threads > 1 && bulk == preparation),
+                "threads={threads}: {bulk:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn new_session_builds_no_fixed_base_table() {
+        let curve = toy64();
+        let (server, receiver) = world();
+        let pk = *server.public();
+        let h_s_g = curve.g1_mul(pk.s_g(), curve.cofactor_mod_q());
+        let (_, eager) = ops(|| {
+            curve.g1_mul(pk.s_g(), curve.cofactor_mod_q());
+            for p in [*pk.s_g(), h_s_g, curve.g1_neg(pk.g())] {
+                curve.prepare(&p);
+            }
+        });
+        let (_, new) = ops(|| Receiver::new(curve, pk, receiver.key_pair().clone()));
+        assert!(
+            new.fp_muls <= eager.fp_muls,
+            "Receiver::new spent {} fp muls; 3 preparations and 1 g1_mul cost {}",
+            new.fp_muls,
+            eager.fp_muls
+        );
+    }
+
+    #[test]
+    fn clones_open_before_and_after_the_original_prepares() {
+        fn shareable<T: Clone + Send + Sync>() {}
+        shareable::<Receiver<'static, 8>>();
+        let curve = toy64();
+        let mut rng = rand::thread_rng();
+        let (server, mut receiver) = world();
+        let sender = Sender::new(curve, server.public(), receiver.public_key()).unwrap();
+        let tag = ReleaseTag::time("t");
+        let ct = sender.encrypt(&tag, b"m", &mut rng);
+        receiver
+            .observe_update(server.issue_update(curve, &tag))
+            .unwrap();
+        let early = receiver.clone();
+        assert_eq!(early.open(&ct).unwrap(), b"m");
+        assert!(!is_prepared(&receiver, &tag), "clones prepare apart");
+        assert_eq!(receiver.open(&ct).unwrap(), b"m");
+        let late = receiver.clone();
+        assert!(is_prepared(&late, &tag), "a clone keeps the preparation");
+        assert_eq!(late.open(&ct).unwrap(), b"m");
+    }
+
     /// The textbook §5.1 decryption `V ⊕ H2(ê(U, I_T)^a)` with the
     /// generic pairing.
     fn textbook_decrypt(
@@ -456,6 +646,8 @@ mod tests {
         let ct = sender.encrypt(&tag, b"m", &mut rng);
         let update = server.issue_update(curve, &tag);
         receiver.observe_update(update.clone()).unwrap();
+        // The first open prepares `I_T`; the measured one is cached.
+        receiver.open(&ct).unwrap();
 
         tre_obs::enable();
         let via_open = receiver.open(&ct).unwrap();

@@ -296,7 +296,7 @@ impl<const L: usize> Curve<L> {
     /// cross-checking; [`crate::G1Precomp::mul`] is the fixed-base path.
     /// All three compute the same group operation and are pinned together
     /// by the `scalar_mul_paths_agree` property test (random scalars plus
-    /// the edge scalars 0, 1, q−1).
+    /// the edge scalars 0, 1, q−1 and the unreduced q+5 and 2²⁵⁵+3).
     ///
     /// **None of them is constant-time**: iteration count and memory
     /// access pattern depend on the scalar (this workspace is explicitly

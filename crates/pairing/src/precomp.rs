@@ -26,20 +26,27 @@ const W: u32 = 4;
 /// ```
 #[derive(Clone, Debug)]
 pub struct G1Precomp<const L: usize> {
+    /// The point `P` the table multiplies, kept for scalars wider than
+    /// the table covers.
+    base: G1Affine<L>,
     /// `table[i][d-1] = d · 2^(W·i) · P` for `d in 1..2^W`.
     table: Vec<Vec<G1Affine<L>>>,
 }
 
 impl<const L: usize> G1Precomp<L> {
-    /// Builds the table for `base` (covers full 256-bit scalars).
+    /// Builds the table for `base`, covering scalars as wide as the
+    /// group order `q` (160 bits on toy64, so 40 windows rather than the
+    /// 64 a full 256-bit scalar would need).
     ///
-    /// Cost: ~`(2^W − 1) · 256/W` group additions plus one shared batch
-    /// normalization — amortized after a handful of multiplications.
+    /// Cost: ~`(2^W − 1) · bits(q)/W` group additions plus one shared
+    /// batch normalization — amortized after a handful of
+    /// multiplications.
     pub fn new(curve: &Curve<L>, base: &G1Affine<L>) -> Self {
-        let windows = (U256::BITS / W) as usize;
+        let windows = curve.order().bits().div_ceil(W) as usize;
         let per_window = (1usize << W) - 1;
         if base.is_infinity() {
             return Self {
+                base: *base,
                 table: vec![vec![*base; per_window]; windows],
             };
         }
@@ -62,7 +69,7 @@ impl<const L: usize> G1Precomp<L> {
         }
         let flat = curve.batch_normalize(&jacs);
         let table = flat.chunks(per_window).map(|c| c.to_vec()).collect();
-        Self { table }
+        Self { base: *base, table }
     }
 
     /// Fixed-base multiplication `k·P` — one mixed addition per non-zero
@@ -70,13 +77,18 @@ impl<const L: usize> G1Precomp<L> {
     ///
     /// Walks only the windows covering `k.bits()`, so small exponents (the
     /// 64-bit coefficients of batched verification equations) pay for 16
-    /// windows, not 64.
+    /// windows, not 40. A scalar wider than the table (`k ≥ 2^(W·windows)`,
+    /// never a reduced scalar) falls back to [`Curve::g1_mul`] on the
+    /// base, so the two paths agree for every `k`.
     pub fn mul(&self, curve: &Curve<L>, k: &U256) -> G1Affine<L> {
+        let live_windows = k.bits().div_ceil(W) as usize;
+        if live_windows > self.table.len() {
+            return curve.g1_mul(&self.base, k);
+        }
         tre_obs::record_scalar_mul();
         let ctx = curve.fp();
         let mut acc = crate::curve::G1Jac::infinity(ctx);
         let mask = (1u64 << W) - 1;
-        let live_windows = (k.bits().div_ceil(W) as usize).min(self.table.len());
         for (i, window) in self.table[..live_windows].iter().enumerate() {
             let shift = (i as u32) * W;
             let limb = k.limbs()[(shift / 64) as usize];
@@ -111,8 +123,20 @@ mod tests {
     }
 
     #[test]
+    fn table_is_sized_to_the_scalar_field() {
+        // toy64's q has 160 bits: 40 windows, not the 64 a 256-bit
+        // scalar would need.
+        let curve = toy64();
+        let table = G1Precomp::new(curve, &curve.generator());
+        assert_eq!(table.table.len(), 40);
+        assert_eq!(table.table.len(), curve.order().bits().div_ceil(W) as usize);
+        // Wider scalars (the generic fallback) are pinned by the
+        // `scalar_mul_paths_agree` property test.
+    }
+
+    #[test]
     fn small_exponent_skips_high_windows() {
-        // A 64-bit batch exponent touches 16 windows, not all 64 — the
+        // A 64-bit batch exponent touches 16 windows, not all 40 — the
         // fp-mul count must reflect that (satellite op-counter guard).
         let curve = toy64();
         let table = G1Precomp::new(curve, &curve.generator());

@@ -164,7 +164,11 @@ proptest! {
         let p = c.g1_mul(&c.generator(), &scalar(rp));
         let table = tre_pairing::G1Precomp::new(c, &p);
         let q_minus_1 = c.order().wrapping_sub(&U256::ONE);
-        for k in [scalar(ra), U256::ZERO, U256::ONE, q_minus_1] {
+        // Unreduced scalars too: q + 5 still fits the table's q-sized
+        // windows, 2^255 + 3 is wider and takes the generic fallback.
+        let q_plus_5 = c.order().wrapping_add(&U256::from_u64(5));
+        let wide = U256::from_limbs([3, 0, 0, 1 << 63]);
+        for k in [scalar(ra), U256::ZERO, U256::ONE, q_minus_1, q_plus_5, wide] {
             let fast = c.g1_mul(&p, &k);
             prop_assert_eq!(c.g1_mul_binary(&p, &k), fast);
             prop_assert_eq!(table.mul(c, &k), fast);

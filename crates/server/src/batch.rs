@@ -138,6 +138,27 @@ mod tests {
     }
 
     #[test]
+    fn new_builds_no_fixed_base_table() {
+        let curve = toy64();
+        let (server, _) = world(0);
+        let pk = *server.public();
+        let h_s_g = curve.g1_mul(pk.s_g(), curve.cofactor_mod_q());
+        tre_obs::enable();
+        curve.g1_mul(pk.s_g(), curve.cofactor_mod_q());
+        for p in [*pk.s_g(), h_s_g, curve.g1_neg(pk.g())] {
+            curve.prepare(&p);
+        }
+        let eager = tre_obs::finish().total_ops().fp_muls;
+        tre_obs::enable();
+        let _verifier = BatchVerifier::new(curve, pk);
+        let new = tre_obs::finish().total_ops().fp_muls;
+        assert!(
+            new <= eager,
+            "BatchVerifier::new spent {new} fp muls; 3 preparations and 1 g1_mul cost {eager}"
+        );
+    }
+
+    #[test]
     fn clean_burst_is_two_pairings() {
         let curve = toy64();
         let (server, updates) = world(32);
