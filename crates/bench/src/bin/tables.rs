@@ -932,13 +932,26 @@ fn e14() {
     runs.extend((1..E14_REPEATS).map(|_| e14_workload(curve, &fx, &mut rng()).0));
     let trace = &runs[0];
 
-    let phases = [
-        "phase.encrypt",
-        "phase.broadcast",
-        "phase.verify",
-        "phase.decrypt",
-        "phase.archive_recovery",
-    ];
+    // Every run's per-phase op counts are pinned: the tags are fixed and
+    // every path is deterministic, so a change to the send, receive or
+    // admission path that alters its crypto work fails here.
+    for trace in &runs {
+        for (name, want) in E14_OPS {
+            let ops = trace.spans_named(name)[0].ops;
+            let got = [
+                ops.pairings,
+                ops.scalar_mults,
+                ops.h2c_iters,
+                ops.sym_bytes,
+                ops.hash_bytes,
+            ];
+            assert_eq!(
+                got, want,
+                "{name}: pairings, scalar mults, h2c iters, sym bytes, hash bytes"
+            );
+        }
+    }
+    let phases = E14_OPS.map(|(name, _)| name);
     header(&[
         "phase",
         "pairings",
@@ -1084,6 +1097,16 @@ fn e14() {
 
 /// Runs of the E14 sim workload behind the median wall-ms column.
 const E14_REPEATS: usize = 5;
+
+/// E14's phases with their op counts on toy64: pairings, scalar mults,
+/// h2c iterations, sym bytes and hash bytes.
+const E14_OPS: [(&str, [u64; 5]); 5] = [
+    ("phase.encrypt", [4, 2, 5, 0, 1344]),
+    ("phase.broadcast", [0, 6, 7, 0, 1344]),
+    ("phase.verify", [6, 0, 7, 0, 1344]),
+    ("phase.decrypt", [2, 0, 0, 0, 384]),
+    ("phase.archive_recovery", [6, 11, 16, 0, 3456]),
+];
 
 /// One traced run of the E14 sim workload — encrypt, broadcast, verify,
 /// decrypt and archive recovery, one span per phase — returning the

@@ -36,6 +36,8 @@
 //! * [`session`] — the [`Sender`]/[`Receiver`] session API: key
 //!   validation and update verification happen once and become state;
 //!   it is the only way to seal and open the basic scheme of [`tre`].
+//! * [`admission`] — the one admission rule for key updates, which the
+//!   receiver and `tre-server`'s client and relay all call.
 //!
 //! ## Quickstart
 //!
@@ -62,6 +64,7 @@
 //! # Ok::<(), tre_core::TreError>(())
 //! ```
 
+pub mod admission;
 pub mod committee;
 pub mod error;
 pub mod failover;
@@ -80,6 +83,7 @@ pub mod tag;
 pub mod threshold;
 pub mod tre;
 
+pub use admission::Admission;
 pub use committee::{
     aggregate_shares, dealer_setup, dealer_setup_with_generator, verify_and_aggregate,
     verify_share_batch, CommitteeMember, CommitteeRoster, MemberVerdict, ShareFault,

@@ -23,6 +23,7 @@ use std::sync::OnceLock;
 use rand::RngCore;
 use tre_pairing::{Curve, MillerPrecomp};
 
+use crate::admission::{screen, Admission};
 use crate::error::TreError;
 use crate::keys::{
     KeyUpdate, PreparedServerKey, SenderPrecomp, ServerPublicKey, UserKeyPair, UserPublicKey,
@@ -174,9 +175,9 @@ impl<'c, const L: usize> Receiver<'c, L> {
         self.verified.len()
     }
 
-    /// Ingests a key update from an untrusted source: verifies it
-    /// against the server key (2 pairings) and caches it. The update's
-    /// `I_T` is prepared later, at the tag's first open.
+    /// Ingests a key update from an untrusted source: admits it as a
+    /// burst of one (see [`Receiver::observe_burst`]) and caches it. The
+    /// update's `I_T` is prepared later, at the tag's first open.
     ///
     /// Returns `Ok(true)` if the update was fresh and admitted,
     /// `Ok(false)` if a byte-identical update was already cached (the
@@ -189,23 +190,29 @@ impl<'c, const L: usize> Receiver<'c, L> {
     /// * [`TreError::InvalidUpdate`] if self-authentication fails (the
     ///   update is not cached).
     pub fn observe_update(&mut self, update: KeyUpdate<L>) -> Result<bool, TreError> {
-        if self.is_cached(&update)? {
-            return Ok(false);
+        let verdict = self.admit(std::slice::from_ref(&update), 1)[0];
+        self.settle(update, verdict)
+    }
+
+    /// Admits a burst of untrusted key updates against this session's
+    /// cache ([`PreparedServerKey::admit`], `threads` hash-to-curve
+    /// workers, `0` = auto), caches the `Fresh` ones unprepared, and
+    /// returns one verdict per update in input order.
+    pub fn observe_burst(&mut self, burst: &[KeyUpdate<L>], threads: usize) -> Vec<Admission> {
+        let verdicts = self.admit(burst, threads);
+        for (update, &verdict) in burst.iter().zip(&verdicts) {
+            if verdict == Admission::Fresh {
+                self.verified
+                    .insert(update.tag().clone(), (update.clone(), OnceLock::new()));
+            }
         }
-        let rejected = self
-            .server
-            .verify_burst(self.curve, std::slice::from_ref(&update), None, 1);
-        if !rejected.is_empty() {
-            return Err(TreError::InvalidUpdate);
-        }
-        self.cache(update);
-        Ok(true)
+        verdicts
     }
 
     /// Caches an update that was **already verified** out of band —
     /// e.g. by the small-exponent batch test, where per-update
     /// re-verification would defeat the 2-pairings-per-batch economics.
-    /// Only the duplicate/equivocation screening runs; no pairings.
+    /// Only the byte screen of the admission rule runs; no pairings.
     ///
     /// Correctness contract: `update` must have passed
     /// [`PreparedServerKey::verify_burst`] (or the textbook
@@ -215,30 +222,33 @@ impl<'c, const L: usize> Receiver<'c, L> {
     /// Returns [`TreError::Equivocation`] if a different update is
     /// already cached for the same tag.
     pub fn admit_verified(&mut self, update: KeyUpdate<L>) -> Result<bool, TreError> {
-        if self.is_cached(&update)? {
-            return Ok(false);
-        }
-        self.cache(update);
-        Ok(true)
+        let (verdicts, _) = screen(std::slice::from_ref(&update), |_| {
+            self.cached_update(update.tag())
+        });
+        self.settle(update, verdicts[0])
     }
 
-    /// Whether a byte-identical update is already cached for `update`'s
-    /// tag.
-    ///
-    /// # Errors
-    /// Returns [`TreError::Equivocation`] if a different one is.
-    fn is_cached(&self, update: &KeyUpdate<L>) -> Result<bool, TreError> {
-        match self.verified.get(update.tag()) {
-            None => Ok(false),
-            Some((known, _)) if known == update => Ok(true),
-            Some(_) => Err(TreError::Equivocation),
-        }
+    /// The admission rule's verdicts on `burst` against this session's
+    /// cache.
+    fn admit(&self, burst: &[KeyUpdate<L>], threads: usize) -> Vec<Admission> {
+        let known = |i: usize| self.cached_update(burst[i].tag());
+        self.server
+            .admit(self.curve, burst, known, |_| None, threads)
     }
 
-    /// Caches a verified update, unprepared.
-    fn cache(&mut self, update: KeyUpdate<L>) {
-        self.verified
-            .insert(update.tag().clone(), (update, OnceLock::new()));
+    /// Caches a `Fresh` update, unprepared, and reports `verdict` the way
+    /// [`Receiver::observe_update`] does.
+    fn settle(&mut self, update: KeyUpdate<L>, verdict: Admission) -> Result<bool, TreError> {
+        match verdict {
+            Admission::Fresh => {
+                self.verified
+                    .insert(update.tag().clone(), (update, OnceLock::new()));
+                Ok(true)
+            }
+            Admission::Duplicate => Ok(false),
+            Admission::Equivocation => Err(TreError::Equivocation),
+            Admission::Invalid => Err(TreError::InvalidUpdate),
+        }
     }
 
     /// The prepared `I_T` for `tag`, prepared here on the tag's first
@@ -317,6 +327,7 @@ impl<'c, const L: usize> Receiver<'c, L> {
 mod tests {
     use super::*;
     use crate::keys::ServerKeyPair;
+    use std::collections::HashMap;
     use tre_obs::CryptoOps;
     use tre_pairing::toy64;
 
@@ -403,6 +414,102 @@ mod tests {
             Err(TreError::InvalidUpdate)
         );
         assert!(receiver.cached_update(&tag).is_none());
+    }
+
+    /// An update signed with a random scalar: it fails verification.
+    fn forged(tag: &ReleaseTag) -> KeyUpdate<8> {
+        let curve = toy64();
+        let sig = curve.g1_mul(
+            &curve.generator(),
+            &curve.random_scalar(&mut rand::thread_rng()),
+        );
+        KeyUpdate::from_parts(tag.clone(), sig)
+    }
+
+    /// The admission rule restated from its definition: a known tag is
+    /// judged by byte equality; an unknown tag seen with two different
+    /// byte strings in the burst is an equivocation; otherwise the
+    /// textbook verify decides, and only the first valid copy is fresh.
+    fn oracle(
+        server: &ServerPublicKey<8>,
+        known: &HashMap<ReleaseTag, KeyUpdate<8>>,
+        burst: &[KeyUpdate<8>],
+    ) -> Vec<Admission> {
+        let curve = toy64();
+        let mut seen = Vec::new();
+        burst
+            .iter()
+            .map(|u| match known.get(u.tag()) {
+                Some(k) if k == u => Admission::Duplicate,
+                Some(_) => Admission::Equivocation,
+                None if burst.iter().any(|v| v.tag() == u.tag() && v != u) => {
+                    Admission::Equivocation
+                }
+                None if !u.verify(curve, server) => Admission::Invalid,
+                None if seen.contains(&u.tag()) => Admission::Duplicate,
+                None => {
+                    seen.push(u.tag());
+                    Admission::Fresh
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn observe_burst_matches_the_oracle_at_every_position() {
+        let curve = toy64();
+        let (server, base) = world();
+        let t = |name: &str| ReleaseTag::time(name);
+        let honest = |name: &str| server.issue_update(curve, &t(name));
+        // One or two burst entries per kind.
+        let kinds: Vec<Vec<KeyUpdate<8>>> = vec![
+            vec![honest("fresh")],
+            vec![honest("cached")],
+            vec![forged(&t("cached-conflict"))],
+            vec![honest("in-burst-duplicate"), honest("in-burst-duplicate")],
+            vec![
+                honest("in-burst-conflict"),
+                forged(&t("in-burst-conflict")),
+                honest("in-burst-conflict"),
+            ],
+            vec![forged(&t("forged"))],
+            vec![forged(&t("forged-twice")); 2],
+        ];
+        let mut known = HashMap::new();
+        for name in ["cached", "cached-conflict"] {
+            known.insert(t(name), honest(name));
+        }
+        let entries: Vec<KeyUpdate<8>> = kinds.into_iter().flatten().collect();
+        for reversed in [false, true] {
+            for shift in 0..entries.len() {
+                let mut burst = entries.clone();
+                if reversed {
+                    burst.reverse();
+                }
+                burst.rotate_left(shift);
+                let mut receiver = base.clone();
+                for update in known.values() {
+                    receiver.observe_update(update.clone()).unwrap();
+                }
+                let want = oracle(server.public(), &known, &burst);
+                assert_eq!(
+                    receiver.observe_burst(&burst, 1),
+                    want,
+                    "reversed={reversed} shift={shift}"
+                );
+                // Exactly the fresh updates joined the cache.
+                let mut cached = known.clone();
+                for (u, v) in burst.iter().zip(&want) {
+                    if *v == Admission::Fresh {
+                        cached.insert(u.tag().clone(), u.clone());
+                    }
+                }
+                assert_eq!(receiver.cached_updates(), cached.len());
+                for (tag, update) in &cached {
+                    assert_eq!(receiver.cached_update(tag), Some(update));
+                }
+            }
+        }
     }
 
     #[test]

@@ -270,15 +270,6 @@ impl<const L: usize> UpdateArchive<L> {
         found
     }
 
-    /// Whether `epoch` is archived: an index lookup, nothing is read
-    /// or decoded.
-    pub fn contains(&self, epoch: u64) -> bool {
-        match &self.backing {
-            Backing::Memory(map) => map.read().contains_key(&epoch),
-            Backing::Durable(d) => d.reader.contains(epoch),
-        }
-    }
-
     /// The most recent archived epoch.
     pub fn latest_epoch(&self) -> Option<u64> {
         match &self.backing {
@@ -437,7 +428,7 @@ mod tests {
         assert_eq!(archive.get(3), None);
         archive.publish(3, update(&server, 3));
         assert_eq!(archive.len(), 1);
-        assert!(archive.contains(3) && !archive.contains(2));
+        assert!(archive.get(3).is_some() && archive.get(2).is_none());
         assert!(archive.get(3).unwrap().verify(curve, server.public()));
         assert_eq!(archive.latest_epoch(), Some(3));
     }
@@ -509,7 +500,7 @@ mod tests {
         assert_eq!(report.records, 6);
         assert_eq!(report.latest_epoch, Some(5));
         assert_eq!(archive.latest_epoch(), Some(5));
-        assert!(archive.contains(5) && !archive.contains(6));
+        assert!(archive.get(5).is_some() && archive.get(6).is_none());
         for e in 0..6 {
             let u = archive.get(e).expect("replayed epoch present");
             assert!(u.verify(curve, server.public()), "replayed update verifies");

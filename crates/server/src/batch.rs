@@ -5,12 +5,17 @@
 //! by one costs 2 pairings each; the small-exponent batch test in
 //! `tre-core` costs 2 pairings per *batch*, with a bisection fall-back
 //! that still names the individual forgeries when a burst is poisoned.
-//! [`BatchVerifier`] is the client-side front-end: it owns the thread
-//! budget for the parallel hash-to-curve fan-out, attributes the pairing
-//! cost to a `client.batch_verify` span, and reports exactly which
-//! positions survived.
+//! [`BatchVerifier`] holds one prepared server key, attributes the
+//! pairing cost to a `client.batch_verify` span, and reports exactly
+//! which positions survived.
+//!
+//! Deciding *which* updates to verify is not done here. The one
+//! admission rule, [`PreparedServerKey::admit`] in `tre-core`, screens a
+//! burst by bytes (duplicates, equivocations) and verifies the rest in
+//! one burst check. The receiver session, [`crate::ReceiverClient`] and
+//! the relay's admission step (through this verifier's key) all call it.
 
-use tre_core::{KeyUpdate, PreparedServerKey, ServerPublicKey, VerifyForecast};
+use tre_core::{KeyUpdate, PreparedServerKey, ServerPublicKey};
 use tre_pairing::Curve;
 
 /// Which entries of one verified batch were accepted.
@@ -38,18 +43,12 @@ impl BatchVerdict {
     }
 }
 
-/// A reusable batched verifier bound to one server key.
-///
-/// `threads` controls the worker fan-out for the per-update
-/// hash-to-curve step (`0` = auto-detect, `1` = fully inline). The
-/// default is `1`: crypto-op counters are thread-local, so a
-/// deterministic, fully-attributed trace needs the work on the calling
-/// thread; bump it only for throughput runs where the trace totals may
-/// undercount worker-side ops.
+/// A reusable batched verifier bound to one server key. It runs inline
+/// on the calling thread: crypto-op counters are thread-local, so a
+/// deterministic, fully-attributed trace needs the work there.
 pub struct BatchVerifier<'c, const L: usize> {
     curve: &'c Curve<L>,
     server_pk: PreparedServerKey<L>,
-    threads: usize,
 }
 
 impl<'c, const L: usize> BatchVerifier<'c, L> {
@@ -61,19 +60,7 @@ impl<'c, const L: usize> BatchVerifier<'c, L> {
         Self {
             curve,
             server_pk: server_pk.prepare(curve),
-            threads: 1,
         }
-    }
-
-    /// Overrides the hash-to-curve worker count (builder style).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// The configured worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The curve every check runs on.
@@ -88,37 +75,22 @@ impl<'c, const L: usize> BatchVerifier<'c, L> {
     }
 
     /// Verifies a burst of updates: one 2-pairing batch check when the
-    /// burst is clean, bisection isolation when it is not. The caller
-    /// must have resolved duplicate/equivocating tags already (the
-    /// client runtime does this by byte comparison before batching).
+    /// burst is clean, bisection isolation when it is not, under a
+    /// `client.batch_verify` span. The caller must have resolved
+    /// duplicate/equivocating tags already; [`PreparedServerKey::admit`]
+    /// is the path that does both.
     pub fn verify(&self, updates: &[KeyUpdate<L>]) -> BatchVerdict {
-        verify_burst(self.curve, &self.server_pk, updates, None, self.threads)
+        let _span = tre_obs::span("client.batch_verify");
+        let invalid = self.server_pk.verify_burst(self.curve, updates, None, 1);
+        let verdict = BatchVerdict::from_invalid(updates.len(), invalid);
+        if tre_obs::is_enabled() {
+            tre_obs::event(
+                "client.batch_verified",
+                &format!("n={} invalid={}", updates.len(), verdict.invalid.len()),
+            );
+        }
+        verdict
     }
-}
-
-/// The one burst check behind [`BatchVerifier::verify`], a relay's
-/// admission and a [`crate::ReceiverClient`]'s burst drain (which
-/// verifies off its session's prepared key instead of preparing a
-/// second copy): [`PreparedServerKey::verify_burst`] under a
-/// `client.batch_verify` span. A one-update burst whose tag was
-/// forecast under `key` costs one pairing lane.
-pub(crate) fn verify_burst<const L: usize>(
-    curve: &Curve<L>,
-    key: &PreparedServerKey<L>,
-    updates: &[KeyUpdate<L>],
-    forecast: Option<&VerifyForecast<L>>,
-    threads: usize,
-) -> BatchVerdict {
-    let _span = tre_obs::span("client.batch_verify");
-    let invalid = key.verify_burst(curve, updates, forecast, threads);
-    let verdict = BatchVerdict::from_invalid(updates.len(), invalid);
-    if tre_obs::is_enabled() {
-        tre_obs::event(
-            "client.batch_verified",
-            &format!("n={} invalid={}", updates.len(), verdict.invalid.len()),
-        );
-    }
-    verdict
 }
 
 #[cfg(test)]
@@ -200,9 +172,15 @@ mod tests {
         let verifier = BatchVerifier::new(curve, *server.public());
         let forecast = verifier.key().forecast(curve, updates[0].tag());
         tre_obs::enable();
-        let hit = verify_burst(curve, verifier.key(), &updates[..1], Some(&forecast), 1);
+        let hit = verifier.key().admit(
+            curve,
+            &updates[..1],
+            |_| None::<KeyUpdate<8>>,
+            |_| Some(forecast),
+            1,
+        );
         let trace = tre_obs::finish();
-        assert!(hit.all_valid());
+        assert_eq!(hit, [tre_core::Admission::Fresh]);
         assert_eq!(
             trace.spans_named("client.batch_verify")[0].ops.pairings,
             1,

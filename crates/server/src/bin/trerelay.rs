@@ -206,10 +206,11 @@ fn main() {
     let stats = relay.stats();
     let serve = relay.serve_stats();
     println!(
-        "trerelay: done — {} epochs relayed, {} rejected, {} duplicates skipped, \
-         {} verify batches, {} downstream connections, {} evictions",
+        "trerelay: done — {} epochs relayed, {} rejected, {} equivocations, \
+         {} duplicates skipped, {} verify batches, {} downstream connections, {} evictions",
         stats.epochs_relayed.load(Ordering::Relaxed),
         stats.updates_rejected.load(Ordering::Relaxed),
+        stats.equivocations.load(Ordering::Relaxed),
         stats.duplicates_skipped.load(Ordering::Relaxed),
         stats.verify_batches.load(Ordering::Relaxed),
         serve.connections.load(Ordering::Relaxed),

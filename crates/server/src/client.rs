@@ -24,11 +24,12 @@
 
 use std::collections::{HashMap, HashSet};
 
-use tre_core::{tre, KeyUpdate, Receiver, ReleaseTag, ServerPublicKey, TreError, UserKeyPair};
+use tre_core::{
+    tre, Admission, KeyUpdate, Receiver, ReleaseTag, ServerPublicKey, TreError, UserKeyPair,
+};
 use tre_pairing::Curve;
 
 use crate::archive::UpdateArchive;
-use crate::batch;
 use crate::feed::Feed;
 use crate::metrics::ClientHealth;
 use crate::net::SubscriberId;
@@ -83,14 +84,15 @@ pub enum UpdateOutcome {
         /// Messages this update opened.
         opened: usize,
     },
-    /// Byte-identical to an already-held update (cached or earlier in the
-    /// same burst); skipped without crypto.
+    /// Byte-identical to an already-held update (cached, or earlier in
+    /// the same burst and verified); skipped without crypto.
     Duplicate,
     /// Conflicts with a different update for the same tag — Byzantine
     /// evidence. When the conflict is *within* the burst, every copy for
     /// that tag is rejected unverified (none can be trusted).
     Equivocation,
-    /// Failed batch self-authentication (isolated by bisection).
+    /// Failed batch self-authentication (isolated by bisection), or is
+    /// a copy of such an update within the burst.
     Invalid,
 }
 
@@ -120,7 +122,6 @@ pub struct BatchReport {
 /// pending queues, batch verification, archive recovery with backoff,
 /// health accounting, and quarantine.
 pub struct ReceiverClient<'c, const L: usize> {
-    curve: &'c Curve<L>,
     session: Receiver<'c, L>,
     pending: Vec<(tre::Ciphertext<L>, u64)>,
     opened: Vec<OpenedMessage>,
@@ -146,7 +147,6 @@ impl<'c, const L: usize> ReceiverClient<'c, L> {
     /// Creates a client for `keys` bound to `server_pk`.
     pub fn new(curve: &'c Curve<L>, server_pk: ServerPublicKey<L>, keys: UserKeyPair<L>) -> Self {
         Self {
-            curve,
             session: Receiver::new(curve, server_pk, keys),
             pending: Vec::new(),
             opened: Vec::new(),
@@ -223,10 +223,9 @@ impl<'c, const L: usize> ReceiverClient<'c, L> {
     }
 
     /// Feeds a key update (from broadcast or archive) received at
-    /// `delivered_at`. Exact duplicates of an already-verified update are
-    /// skipped without re-running pairing verification; fresh updates are
-    /// verified, remembered, and open every pending ciphertext they
-    /// unlock. Returns how many messages opened.
+    /// `delivered_at`, as a burst of one through
+    /// [`ReceiverClient::receive_updates`]. Returns how many messages
+    /// opened (0 for an exact duplicate of a held update).
     ///
     /// # Errors
     /// * [`TreError::InvalidUpdate`] if self-authentication fails;
@@ -238,34 +237,12 @@ impl<'c, const L: usize> ReceiverClient<'c, L> {
         update: KeyUpdate<L>,
         delivered_at: u64,
     ) -> Result<usize, TreError> {
-        self.health.updates_received += 1;
-        match self.session.observe_update(update.clone()) {
-            Ok(false) => {
-                self.health.duplicates_skipped += 1;
-                tre_obs::event("client.duplicate_skipped", "");
-                Ok(0)
-            }
-            Err(err @ TreError::Equivocation) => {
-                self.health.equivocations += 1;
-                self.health.invalid_streak = self.health.invalid_streak.saturating_add(1);
-                tre_obs::event("client.equivocation", "");
-                self.note_quarantine_transition();
-                Err(err)
-            }
-            Err(err) => {
-                self.health.rejected_updates += 1;
-                self.health.invalid_streak = self.health.invalid_streak.saturating_add(1);
-                tre_obs::event("client.update_rejected", "");
-                self.note_quarantine_transition();
-                Err(err)
-            }
-            Ok(true) => {
-                self.health.invalid_streak = 0;
-                self.health.accepted_updates += 1;
-                tre_obs::event("client.update_accepted", "");
-                self.trace_stage(update.tag(), Stage::Verified);
-                Ok(self.settle_update(&update, delivered_at))
-            }
+        let report = self.receive_updates(std::slice::from_ref(&update), delivered_at);
+        match report.outcomes[0] {
+            UpdateOutcome::Accepted { opened } => Ok(opened),
+            UpdateOutcome::Duplicate => Ok(0),
+            UpdateOutcome::Equivocation => Err(TreError::Equivocation),
+            UpdateOutcome::Invalid => Err(TreError::InvalidUpdate),
         }
     }
 
@@ -275,16 +252,10 @@ impl<'c, const L: usize> ReceiverClient<'c, L> {
     /// opened.
     fn settle_update(&mut self, update: &KeyUpdate<L>, delivered_at: u64) -> usize {
         if let Some(epoch) = epoch_hint(update.tag()) {
-            match self.highest_epoch {
-                Some(h) if epoch > h => {
-                    self.health.missed_epochs += epoch - h - 1;
-                    self.highest_epoch = Some(epoch);
-                }
-                None => {
-                    self.health.missed_epochs += epoch;
-                    self.highest_epoch = Some(epoch);
-                }
-                _ => {}
+            let next = self.highest_epoch.map_or(0, |h| h.saturating_add(1));
+            if epoch >= next {
+                self.health.missed_epochs += epoch - next;
+                self.highest_epoch = Some(epoch);
             }
         }
         self.retry.remove(update.tag());
@@ -299,111 +270,64 @@ impl<'c, const L: usize> ReceiverClient<'c, L> {
         self.opened.len() - before
     }
 
-    /// Burst-drain path: feeds a batch of updates delivered together at
-    /// `delivered_at`, verifying the fresh ones **in one batch** (2
-    /// pairings for a clean burst of any size, bisection isolation
-    /// otherwise) instead of 2 pairings each.
+    /// Burst-drain path: admits a batch of updates delivered together at
+    /// `delivered_at` through the session's admission rule
+    /// ([`Receiver::observe_burst`]: duplicates skipped and equivocations
+    /// rejected before any crypto, the fresh rest verified **in one
+    /// batch**), then opens every pending ciphertext a fresh update
+    /// unlocks.
     ///
-    /// Screening happens before any crypto, exactly as on the single
-    /// path: byte-identical copies of held or earlier-in-burst updates
-    /// are skipped; conflicting bytes for one tag — against the cache or
-    /// *within* the burst — are equivocation evidence and every copy of
-    /// that tag is rejected unverified. Health counters and the invalid
-    /// streak are updated in input order, so a burst leaves the same
-    /// quarantine state as the equivalent sequence of
-    /// [`ReceiverClient::receive_update`] calls.
+    /// Health counters and the invalid streak are updated in input order,
+    /// so a burst leaves the same state as the equivalent sequence of
+    /// [`ReceiverClient::receive_update`] calls, except when it holds two
+    /// different copies of one tag: the burst `[forged(T), honest(T)]`
+    /// counts two equivocations and ends with `invalid_streak = 2`, the
+    /// same two updates one at a time a rejection and an acceptance,
+    /// ending at 0.
     pub fn receive_updates(&mut self, updates: &[KeyUpdate<L>], delivered_at: u64) -> BatchReport {
         let _span = tre_obs::span("client.receive_updates");
         self.health.updates_received += updates.len() as u64;
-        // Phase 1: screening, no crypto. First fresh occurrence per tag is
-        // provisionally accepted; conflicts poison the tag retroactively.
-        let mut outcomes = vec![UpdateOutcome::Duplicate; updates.len()];
-        let mut first_of: HashMap<&ReleaseTag, usize> = HashMap::new();
-        let mut poisoned: HashSet<&ReleaseTag> = HashSet::new();
-        for (i, u) in updates.iter().enumerate() {
-            if let Some(known) = self.session.cached_update(u.tag()) {
-                outcomes[i] = if known == u {
-                    UpdateOutcome::Duplicate
-                } else {
-                    UpdateOutcome::Equivocation
-                };
-                continue;
-            }
-            if poisoned.contains(u.tag()) {
-                outcomes[i] = UpdateOutcome::Equivocation;
-                continue;
-            }
-            match first_of.get(u.tag()) {
-                None => {
-                    first_of.insert(u.tag(), i);
-                    outcomes[i] = UpdateOutcome::Accepted { opened: 0 };
-                }
-                Some(&j) if updates[j] == *u => outcomes[i] = UpdateOutcome::Duplicate,
-                Some(&j) => {
-                    poisoned.insert(u.tag());
-                    outcomes[j] = UpdateOutcome::Equivocation;
-                    outcomes[i] = UpdateOutcome::Equivocation;
-                }
-            }
-        }
-        // Phase 2: one batched verification over the survivors.
-        let fresh: Vec<usize> = (0..updates.len())
-            .filter(|&i| matches!(outcomes[i], UpdateOutcome::Accepted { .. }))
-            .collect();
-        if !fresh.is_empty() {
-            let batch: Vec<KeyUpdate<L>> = fresh.iter().map(|&i| updates[i].clone()).collect();
-            // Against the key the session prepared once at construction.
-            let key = self.session.prepared_server();
-            let verdict = batch::verify_burst(self.curve, key, &batch, None, self.threads);
-            for &k in &verdict.invalid {
-                outcomes[fresh[k]] = UpdateOutcome::Invalid;
-            }
-        }
-        // Phase 3: bookkeeping in input order — streak and quarantine
-        // semantics match sequential delivery.
-        let mut report = BatchReport {
-            outcomes: Vec::new(),
-            ..BatchReport::default()
-        };
-        for (i, u) in updates.iter().enumerate() {
-            match &mut outcomes[i] {
-                UpdateOutcome::Duplicate => {
+        let verdicts = self.session.observe_burst(updates, self.threads);
+        // Bookkeeping in input order — streak and quarantine semantics
+        // match sequential delivery.
+        let mut report = BatchReport::default();
+        for (u, verdict) in updates.iter().zip(verdicts) {
+            let outcome = match verdict {
+                Admission::Duplicate => {
                     self.health.duplicates_skipped += 1;
                     tre_obs::event("client.duplicate_skipped", "");
                     report.duplicates += 1;
+                    UpdateOutcome::Duplicate
                 }
-                UpdateOutcome::Equivocation => {
+                Admission::Equivocation => {
                     self.health.equivocations += 1;
                     self.health.invalid_streak = self.health.invalid_streak.saturating_add(1);
                     tre_obs::event("client.equivocation", "");
                     self.note_quarantine_transition();
                     report.equivocations += 1;
+                    UpdateOutcome::Equivocation
                 }
-                UpdateOutcome::Invalid => {
+                Admission::Invalid => {
                     self.health.rejected_updates += 1;
                     self.health.invalid_streak = self.health.invalid_streak.saturating_add(1);
                     tre_obs::event("client.update_rejected", "");
                     self.note_quarantine_transition();
                     report.rejected += 1;
+                    UpdateOutcome::Invalid
                 }
-                UpdateOutcome::Accepted { opened } => {
+                Admission::Fresh => {
                     self.health.invalid_streak = 0;
                     self.health.accepted_updates += 1;
                     tre_obs::event("client.update_accepted", "");
                     self.trace_stage(u.tag(), Stage::Verified);
-                    // Screening guaranteed this tag is fresh and
-                    // conflict-free, so the batch-verified admission
-                    // cannot be refused.
-                    self.session
-                        .admit_verified(u.clone())
-                        .expect("screened update conflicts with session cache");
-                    *opened = self.settle_update(u, delivered_at);
+                    let opened = self.settle_update(u, delivered_at);
                     report.accepted += 1;
-                    report.opened += *opened;
+                    report.opened += opened;
+                    UpdateOutcome::Accepted { opened }
                 }
-            }
+            };
+            report.outcomes.push(outcome);
         }
-        report.outcomes = outcomes;
         report
     }
 
@@ -449,25 +373,9 @@ impl<'c, const L: usize> ReceiverClient<'c, L> {
         lookup: impl Fn(&ReleaseTag) -> Option<u64>,
     ) -> usize {
         let _span = tre_obs::span("client.catch_up");
-        let mut waiting_tags: Vec<ReleaseTag> = Vec::new();
-        let mut waiting_set: HashSet<ReleaseTag> = HashSet::new();
-        for (ct, _) in &self.pending {
-            if !waiting_set.contains(ct.tag()) {
-                waiting_set.insert(ct.tag().clone());
-                waiting_tags.push(ct.tag().clone());
-            }
-        }
         // Gather: one archive fetch per due tag, no crypto yet.
         let mut fetched: Vec<KeyUpdate<L>> = Vec::new();
-        for tag in waiting_tags {
-            if self.session.cached_update(&tag).is_some() {
-                continue;
-            }
-            if let Some(state) = self.retry.get(&tag) {
-                if now < state.next_attempt_at {
-                    continue;
-                }
-            }
+        for tag in self.due_tags(now) {
             let Some(epoch) = lookup(&tag) else { continue };
             self.health.archive_attempts += 1;
             match archive.get(epoch) {
@@ -508,22 +416,28 @@ impl<'c, const L: usize> ReceiverClient<'c, L> {
     /// counted as a miss and backs off, exactly as if each fetch had
     /// returned nothing.
     pub fn archive_unreachable(&mut self, now: u64) {
-        let waiting_tags: Vec<ReleaseTag> = self
-            .pending
-            .iter()
-            .map(|(ct, _)| ct.tag().clone())
-            .filter(|t| self.session.cached_update(t).is_none())
-            .collect();
-        for tag in waiting_tags {
-            if let Some(state) = self.retry.get(&tag) {
-                if now < state.next_attempt_at {
-                    continue;
-                }
-            }
+        for tag in self.due_tags(now) {
             self.health.archive_attempts += 1;
             self.health.archive_misses += 1;
             self.note_archive_failure(tag, now);
         }
+    }
+
+    /// The tags of pending ciphertexts, each once and in arrival order,
+    /// whose update the session lacks and whose archive retry is due.
+    fn due_tags(&self, now: u64) -> Vec<ReleaseTag> {
+        let mut seen = HashSet::new();
+        self.pending
+            .iter()
+            .map(|(ct, _)| ct.tag())
+            .filter(|tag| seen.insert(*tag) && self.session.cached_update(tag).is_none())
+            .filter(|tag| {
+                self.retry
+                    .get(*tag)
+                    .is_none_or(|r| now >= r.next_attempt_at)
+            })
+            .cloned()
+            .collect()
     }
 
     /// Emits a trace event the moment the invalid streak crosses the
@@ -547,7 +461,7 @@ impl<'c, const L: usize> ReceiverClient<'c, L> {
         let delay = self
             .backoff
             .base
-            .saturating_shl(shift)
+            .saturating_mul(1 << shift)
             .clamp(self.backoff.base, self.backoff.max);
         state.next_attempt_at = now.saturating_add(delay);
     }
@@ -605,18 +519,6 @@ impl<'c, const L: usize> ReceiverClient<'c, L> {
     /// blocks archive recovery — that is the trusted fallback path.
     pub fn is_quarantined(&self) -> bool {
         self.quarantine_threshold > 0 && self.health.invalid_streak >= self.quarantine_threshold
-    }
-}
-
-/// `u64::checked_shl` that saturates instead of wrapping, as an extension
-/// shim (stable `saturating_shl` is not available on this toolchain).
-trait SaturatingShl {
-    fn saturating_shl(self, shift: u32) -> Self;
-}
-
-impl SaturatingShl for u64 {
-    fn saturating_shl(self, shift: u32) -> Self {
-        self.checked_shl(shift).unwrap_or(u64::MAX)
     }
 }
 
@@ -740,6 +642,83 @@ mod tests {
         );
     }
 
+    /// A burst with no two different copies of one tag leaves the same
+    /// outcomes, health counters, quarantine state and opened messages as
+    /// the same updates fed one at a time through `receive_update`.
+    #[test]
+    fn burst_equals_sequence_without_an_in_burst_conflict() {
+        let curve = toy64();
+        let mut rng = rand::thread_rng();
+        let (clock, mut server, base) = world();
+        let spk = *server.public_key();
+        let keys = base.session().key_pair().clone();
+        clock.advance(8);
+        let signed = server.poll();
+        let mut forged = |epoch: u64| {
+            let sig = curve.g1_mul(&curve.generator(), &curve.random_scalar(&mut rng));
+            KeyUpdate::from_parts(server.tag_for_epoch(epoch), sig)
+        };
+        // Epochs 0 and 1 are held before the burst; 2..=5 are fresh.
+        let kinds: Vec<Vec<KeyUpdate<8>>> = vec![
+            vec![signed[2].clone()],
+            vec![signed[0].clone()],
+            vec![forged(1)],
+            vec![signed[3].clone(), signed[3].clone()],
+            vec![forged(4)],
+            vec![forged(5); 2],
+        ];
+        for mask in 1u32..(1 << kinds.len()) {
+            let mut burst: Vec<KeyUpdate<8>> = (0..kinds.len())
+                .filter(|k| mask & (1 << k) != 0)
+                .flat_map(|k| kinds[k].clone())
+                .collect();
+            let shift = mask as usize % burst.len();
+            burst.rotate_left(shift);
+            let [mut batched, mut single] = [(); 2].map(|_| {
+                let mut c =
+                    ReceiverClient::new(curve, spk, keys.clone()).with_quarantine_threshold(2);
+                for epoch in 0..6 {
+                    let tag = server.tag_for_epoch(epoch);
+                    c.receive_ciphertext(seal(&spk, keys.public(), &tag, b"m"), 0);
+                }
+                for update in &signed[..2] {
+                    c.receive_update(update.clone(), 1).unwrap();
+                }
+                c
+            });
+            let report = batched.receive_updates(&burst, 2);
+            let results: Vec<Result<usize, TreError>> = burst
+                .iter()
+                .map(|u| single.receive_update(u.clone(), 2))
+                .collect();
+            for (outcome, result) in report.outcomes.iter().zip(&results) {
+                let want = match outcome {
+                    UpdateOutcome::Accepted { opened } => Ok(*opened),
+                    UpdateOutcome::Duplicate => Ok(0),
+                    UpdateOutcome::Equivocation => Err(TreError::Equivocation),
+                    UpdateOutcome::Invalid => Err(TreError::InvalidUpdate),
+                };
+                assert_eq!(&want, result, "mask={mask:#b}");
+            }
+            let counters = |c: &ReceiverClient<'_, 8>| {
+                let h = c.health();
+                (
+                    h.updates_received,
+                    h.duplicates_skipped,
+                    h.equivocations,
+                    h.rejected_updates,
+                    h.accepted_updates,
+                    h.invalid_streak,
+                    h.missed_epochs,
+                    c.is_quarantined(),
+                    c.pending_count(),
+                    c.opened().len(),
+                )
+            };
+            assert_eq!(counters(&batched), counters(&single), "mask={mask:#b}");
+        }
+    }
+
     #[test]
     fn forged_update_ignored() {
         let curve = toy64();
@@ -854,6 +833,27 @@ mod tests {
         let opened = client.catch_up(server.archive(), clock.now(), |t| g.epoch_of_tag(t));
         assert_eq!(opened, 1, "liveness: healed archive is retried");
         assert_eq!(client.health().recovered_from_archive, 1);
+    }
+
+    /// The retry delay doubles up to `max` and stays there: a shift that
+    /// overflows `u64` saturates rather than wrapping back to a short delay.
+    #[test]
+    fn archive_backoff_saturates_instead_of_wrapping() {
+        let (_clock, server, client) = world();
+        let mut client = client.with_backoff(BackoffConfig {
+            base: 1 << 40,
+            max: u64::MAX,
+        });
+        let tag = server.tag_for_epoch(1);
+        let delays: Vec<u64> = (0..40)
+            .map(|_| {
+                client.note_archive_failure(tag.clone(), 0);
+                client.retry[&tag].next_attempt_at
+            })
+            .collect();
+        assert!(delays.windows(2).all(|w| w[0] <= w[1]), "{delays:?}");
+        assert_eq!(delays[23], 1 << 63);
+        assert_eq!(delays.last(), Some(&u64::MAX));
     }
 
     #[test]

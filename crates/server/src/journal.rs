@@ -435,15 +435,6 @@ impl JournalReader {
         self.index.read().epochs.last().map(|(e, _)| *e)
     }
 
-    /// Whether `epoch` is indexed.
-    pub fn contains(&self, epoch: u64) -> bool {
-        let index = self.index.read();
-        index
-            .epochs
-            .binary_search_by_key(&epoch, |(e, _)| *e)
-            .is_ok()
-    }
-
     /// Epochs absent between the oldest and the newest indexed epoch.
     pub fn missing_epochs(&self) -> Vec<u64> {
         holes(self.index.read().epochs.iter().map(|(e, _)| *e))

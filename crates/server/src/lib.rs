@@ -13,13 +13,16 @@
 //! * [`BroadcastNet`] — a broadcast channel with configurable latency,
 //!   jitter, and loss (deterministic under a fixed seed);
 //! * [`ReceiverClient`] — a resilient receiver endpoint: queues
-//!   ciphertexts, deduplicates and verifies updates, detects equivocation,
-//!   catches up from the archive with bounded exponential backoff, and
-//!   exposes [`ClientHealth`] metrics;
+//!   ciphertexts, admits updates through its `tre_core::Receiver`
+//!   session, catches up from the archive with bounded exponential
+//!   backoff, and exposes [`ClientHealth`] metrics;
 //! * [`BatchVerifier`] — small-exponent batch verification of update
 //!   bursts (2 pairings per clean batch instead of 2 per update, with
-//!   bisection isolation of forgeries) behind the client's burst-drain
-//!   and catch-up paths;
+//!   bisection isolation of forgeries) on one prepared server key. The
+//!   client and the relay both admit updates through one rule,
+//!   `tre_core::PreparedServerKey::admit` (duplicates skipped and
+//!   equivocations rejected by bytes before any pairing, the fresh rest
+//!   verified in one burst check), and keep only their own bookkeeping;
 //! * [`ChaosSim`] / [`FaultPlan`] — the one simulated world: clock,
 //!   crash-recoverable server, the [`BroadcastNet`] channel model and
 //!   receiver clients, with deterministic fault injection (server
@@ -41,8 +44,8 @@
 //!   `tre-wire` framing — O(shards) threads, not O(subscribers)) and
 //!   its subscriber feed;
 //! * [`Relay`] — the untrusted fan-out tier (`trerelay`): cold-starts
-//!   from a [`SupervisedFeed`] upstream via archive catch-up, verifies
-//!   each epoch exactly once with the prepared-pairing batch path, and
+//!   from a [`SupervisedFeed`] upstream via archive catch-up, admits
+//!   each epoch exactly once through the admission rule, and
 //!   re-serves downstream through the same event loop with the
 //!   `Telemetry` hop counter incremented per tree level;
 //! * [`Journal`] — the durable append-only update log behind

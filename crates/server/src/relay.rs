@@ -25,15 +25,15 @@
 //!   socket, a shutdown wake fd, and the supervisor's nearest deadline
 //!   ([`SupervisedFeed::next_deadline`]), never on a fixed timer;
 //! * **verify once**: the admission step ([`RelayCore`], sans-IO, also
-//!   what [`crate::RelayTreeSim`] runs per simulated relay) checks every
-//!   *new* epoch through the prepared-pairing [`BatchVerifier`] exactly
-//!   once per relay and archives it — the
-//!   per-burst cost is 2 pairings regardless of burst size, or 1 when
-//!   the burst is the one epoch an idle-priority worker forecast while
-//!   the upstream was quiet (`ê(sG, H1(T))` precomputed, public values
-//!   only) — and duplicates of archived epochs (catch-up overlap,
-//!   upstream failover replays) are dropped *before* the pairing, never
-//!   verified twice;
+//!   what [`crate::RelayTreeSim`] runs per simulated relay) runs every
+//!   receiver's admission rule (`tre_core::PreparedServerKey::admit`)
+//!   against the relay's archive: duplicates (catch-up overlap, upstream
+//!   failover replays) are dropped and conflicting copies counted as
+//!   equivocations *before* the pairing, and each *new* epoch is
+//!   verified once on the prepared root key and archived — 2 pairings
+//!   per burst of any size, or 1 when the burst is the one epoch an
+//!   idle-priority worker forecast while the upstream was quiet
+//!   (`ê(sG, H1(T))` precomputed, public values only);
 //! * **downstream**: the same sharded readiness event loop `tred`
 //!   serves through ([`crate::evloop`]), re-serving verified updates —
 //!   live and via archive catch-up — to `O(100k)` subscribers on
@@ -50,12 +50,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use tre_core::{KeyUpdate, ServerPublicKey, VerifyForecast};
+use tre_core::{Admission, KeyUpdate, ServerPublicKey, VerifyForecast};
 use tre_pairing::Curve;
 use tre_wire::Telemetry;
 
 use crate::archive::UpdateArchive;
-use crate::batch::{verify_burst, BatchVerifier};
+use crate::batch::BatchVerifier;
 use crate::clock::Granularity;
 use crate::evloop::{Broadcaster, ServeShared, Waker};
 use crate::feed::Feed;
@@ -109,6 +109,9 @@ tre_obs::metrics! {
         /// Updates skipped as duplicates of an already-relayed epoch
         /// (catch-up overlap, upstream failover) — never re-verified.
         pub duplicates_skipped: AtomicU64,
+        /// Updates conflicting with the archived or an in-burst copy of
+        /// their epoch: never verified, archived or relayed.
+        pub equivocations: AtomicU64,
         /// Untagged updates (no epoch under the relay's granularity)
         /// dropped: the relay cannot dedupe or archive what it cannot
         /// index, so it refuses to forward it.
@@ -354,15 +357,16 @@ impl<const L: usize> Relay<L> {
 }
 
 /// A relay's admission step, with no sockets, threads or clocks: drop
-/// what cannot be indexed or was already admitted, verify each fresh
-/// epoch once, archive the valid ones. The `trerelay` pump runs it on
-/// every upstream burst and [`crate::RelayTreeSim`] on every simulated
-/// relay, so the protocol the simulator measures is the daemon's.
+/// what cannot be indexed, admit the rest through the one admission rule
+/// ([`tre_core::PreparedServerKey::admit`]) against the archive, archive
+/// the fresh epochs. The `trerelay` pump runs it on every upstream burst
+/// and [`crate::RelayTreeSim`] on every simulated relay, so the protocol
+/// the simulator measures is the daemon's.
 pub(crate) struct RelayCore<const L: usize> {
     /// Maps update tags to epochs (dedup and archive index).
     pub(crate) granularity: Granularity,
-    /// The verified updates admitted so far: the dedup set, and what the
-    /// relay serves downstream catch-ups from.
+    /// The verified updates admitted so far: what each update is screened
+    /// against, and what the relay serves downstream catch-ups from.
     pub(crate) archive: Arc<UpdateArchive<L>>,
     pub(crate) stats: Arc<RelayStats>,
 }
@@ -372,13 +376,10 @@ impl<const L: usize> RelayCore<L> {
     /// `(epoch, update)` in burst order.
     ///
     /// Untagged updates are dropped (the relay cannot dedupe or archive
-    /// what it cannot index). Epochs already archived, or repeated
-    /// within the burst (catch-up overlap, upstream failover replays),
-    /// are skipped *before* the pairing, so each epoch is verified
-    /// exactly once per relay: one burst check per burst of fresh
-    /// epochs. A burst of one fresh epoch asks `forecast` for
-    /// that epoch's [`VerifyForecast`] and, given one, verifies with one
-    /// pairing lane.
+    /// what it cannot index); the rest are screened against the archived
+    /// update for their epoch, so each epoch is verified exactly once per
+    /// relay. A burst of one fresh epoch asks `forecast` for that epoch's
+    /// [`VerifyForecast`] and, given one, verifies with one pairing lane.
     pub(crate) fn admit(
         &self,
         verifier: &BatchVerifier<'_, L>,
@@ -386,56 +387,53 @@ impl<const L: usize> RelayCore<L> {
         forecast: impl FnOnce(u64) -> Option<VerifyForecast<L>>,
     ) -> Vec<(u64, KeyUpdate<L>)> {
         let stats = &self.stats;
-        let mut epochs = Vec::new();
-        let mut fresh = Vec::new();
+        let (mut epochs, mut burst) = (Vec::new(), Vec::new());
         for (_, update) in deliveries {
             let Some(epoch) = self.granularity.epoch_of_tag(update.tag()) else {
                 stats.untagged_dropped.fetch_add(1, Ordering::Relaxed);
                 continue;
             };
-            if self.archive.contains(epoch) || epochs.contains(&epoch) {
-                stats.duplicates_skipped.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
             epochs.push(epoch);
-            fresh.push(update);
+            burst.push(update);
         }
-        if fresh.is_empty() {
-            return Vec::new();
-        }
-        let forecast = match epochs[..] {
-            [epoch] => forecast(epoch),
-            _ => None,
-        };
-        stats.verify_batches.fetch_add(1, Ordering::Relaxed);
-        if forecast.is_some() {
-            stats.forecast_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            stats
-                .forecast_misses
-                .fetch_add(fresh.len() as u64, Ordering::Relaxed);
-        }
-        let verdict = verify_burst(
+        let verdicts = verifier.key().admit(
             verifier.curve(),
-            verifier.key(),
-            &fresh,
-            forecast.as_ref(),
-            verifier.threads(),
+            &burst,
+            |i| self.archive.get(epochs[i]),
+            |fresh| {
+                stats.verify_batches.fetch_add(1, Ordering::Relaxed);
+                let forecast = match fresh {
+                    [i] => forecast(epochs[*i]),
+                    _ => None,
+                };
+                let counter = match forecast {
+                    Some(_) => &stats.forecast_hits,
+                    None => &stats.forecast_misses,
+                };
+                counter.fetch_add(fresh.len() as u64, Ordering::Relaxed);
+                forecast
+            },
+            1,
         );
-        stats
-            .updates_rejected
-            .fetch_add(verdict.invalid.len() as u64, Ordering::Relaxed);
-        for &i in &verdict.invalid {
-            tre_obs::event("relay.rejected", &format!("epoch={}", epochs[i]));
+        let mut admitted = Vec::new();
+        for ((epoch, update), verdict) in epochs.into_iter().zip(burst).zip(verdicts) {
+            let (counter, event) = match verdict {
+                Admission::Fresh => {
+                    self.archive.publish(epoch, update.clone());
+                    admitted.push((epoch, update));
+                    continue;
+                }
+                Admission::Duplicate => {
+                    stats.duplicates_skipped.fetch_add(1, Ordering::Relaxed);
+                    continue;
+                }
+                Admission::Equivocation => (&stats.equivocations, "relay.equivocation"),
+                Admission::Invalid => (&stats.updates_rejected, "relay.rejected"),
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+            tre_obs::event(event, &format!("epoch={epoch}"));
         }
-        verdict
-            .valid
-            .iter()
-            .map(|&i| {
-                self.archive.publish(epochs[i], fresh[i].clone());
-                (epochs[i], fresh[i].clone())
-            })
-            .collect()
+        admitted
     }
 }
 
@@ -704,5 +702,71 @@ mod tests {
         assert_eq!(stats.verify_batches.load(Ordering::Relaxed), 2);
         assert_eq!(stats.forecast_hits.load(Ordering::Relaxed), 1);
         assert_eq!(stats.forecast_misses.load(Ordering::Relaxed), 1);
+    }
+
+    /// Conflicting copies of an epoch, against the archive or within one
+    /// burst, are equivocations: counted, never verified, never archived.
+    /// An in-burst conflict does not poison the epoch: a later honest
+    /// copy is still admitted.
+    #[test]
+    fn conflicting_copies_are_counted_and_never_archived() {
+        let curve = toy64();
+        let mut rng = rand::thread_rng();
+        let keys = ServerKeyPair::generate(curve, &mut rng);
+        let verifier = BatchVerifier::new(curve, *keys.public());
+        let core = RelayCore {
+            granularity: Granularity::Seconds,
+            archive: Arc::new(UpdateArchive::new()),
+            stats: Arc::default(),
+        };
+        let tag = |e: u64| Granularity::Seconds.tag_for_epoch(e);
+        let honest = |e: u64| keys.issue_update(curve, &tag(e));
+        let mut forged = |e: u64| {
+            let sig = curve.g1_mul(&curve.generator(), &curve.random_scalar(&mut rng));
+            KeyUpdate::from_parts(tag(e), sig)
+        };
+        let (forged_1, forged_2, forged_3) = (forged(1), forged(2), forged(3));
+        let admit = |burst: Vec<KeyUpdate<8>>| {
+            tre_obs::enable();
+            let admitted = core.admit(
+                &verifier,
+                burst.into_iter().map(|u| (0, u)).collect(),
+                |_| None,
+            );
+            let pairings = tre_obs::finish().total_ops().pairings;
+            (
+                admitted.into_iter().map(|(e, _)| e).collect::<Vec<_>>(),
+                pairings,
+            )
+        };
+
+        assert_eq!(admit(vec![honest(1)]), (vec![1], 2));
+        assert_eq!(
+            admit(vec![forged_1, honest(1)]),
+            (vec![], 0),
+            "against the archive: one equivocation, one duplicate, no pairing"
+        );
+        assert_eq!(
+            admit(vec![honest(2), forged_2, honest(2)]),
+            (vec![], 0),
+            "within a burst: every copy of the epoch, none verified"
+        );
+        assert_eq!(core.archive.get(2), None);
+        assert_eq!(admit(vec![honest(2)]), (vec![2], 2), "a later honest copy");
+        assert_eq!(
+            admit(vec![forged_3]),
+            (vec![], 2),
+            "a lone forgery is verified"
+        );
+
+        assert_eq!(core.archive.get(1), Some(honest(1)));
+        assert_eq!(core.archive.get(2), Some(honest(2)));
+        assert_eq!(core.archive.get(3), None);
+        assert_eq!(core.archive.len(), 2, "nothing unverified is archived");
+        let stats = &core.stats;
+        assert_eq!(stats.equivocations.load(Ordering::Relaxed), 4);
+        assert_eq!(stats.duplicates_skipped.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.updates_rejected.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.verify_batches.load(Ordering::Relaxed), 3);
     }
 }
