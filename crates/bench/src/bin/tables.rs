@@ -21,9 +21,9 @@ use tre_core::{fo, hybrid, insulated::EpochKey, multi_server, react, server_chan
 use tre_core::{KeyUpdate, Receiver, ReleaseTag, Sender, ServerKeyPair, UserKeyPair};
 use tre_pairing::{mid96, toy64, Curve, Fp2, G1Affine};
 use tre_server::{
-    BroadcastNet, CatchUpConfig, ChaosProxy, ChaosSim, Fault, FaultPlan, Feed, FsyncPolicy,
-    Granularity, JournalConfig, NetConfig, ReceiverClient, SimClock, Stage, SupervisedFeed,
-    SupervisorConfig, TcpFeed, TimeServer, TraceSink, Tred, TredConfig, UpdateArchive,
+    CatchUpConfig, ChaosProxy, ChaosSim, Fault, FaultPlan, Feed, FsyncPolicy, Granularity,
+    JournalConfig, NetConfig, ReceiverClient, SimClock, Stage, SupervisedFeed, SupervisorConfig,
+    TcpFeed, TimeServer, TraceSink, Tred, TredConfig, UpdateArchive,
 };
 
 /// Canonical body-encoding size of one key update (what the size tables
@@ -266,40 +266,30 @@ fn e4() {
         }
     }
     // TRE: error bounded by update delivery latency+jitter, independent of
-    // machine speed and start time. Simulate 200 receivers on a
-    // millisecond-resolution clock.
-    let curve = toy64();
-    let clock = SimClock::new();
-    let mut net: BroadcastNet<8> = BroadcastNet::new(
-        clock.clone(),
-        NetConfig {
-            base_latency: 20,
-            jitter: 60,
-            loss_prob: 0.0,
-        },
-        4,
-    );
-    let subs: Vec<_> = (0..200).map(|_| net.subscribe()).collect();
-    let fx = Fixture::new(curve);
-    let mut server = TimeServer::new(
-        curve,
-        fx.server.clone(),
-        clock.clone(),
-        Granularity::Custom(2_000),
-    );
-    server.poll(); // epoch 0
-    clock.set(2_000); // the 2.0s release instant (ms ticks)
-    for u in server.poll() {
-        let b = update_body_len(curve, &u);
-        net.broadcast(&u, b);
+    // machine speed and start time. 200 receivers, each holding one
+    // message sealed to the 2.0s epoch, on a millisecond-resolution clock.
+    let net = NetConfig {
+        base_latency: 20,
+        jitter: 60,
+        loss_prob: 0.0,
+    };
+    let mut sim: ChaosSim<'_, 8> =
+        ChaosSim::new(toy64(), Granularity::Custom(2_000), FaultPlan::new(), 4).with_net(net);
+    for c in 0..200 {
+        sim.add_client();
+        sim.send_for_epoch(c, 1, format!("e4-{c}").as_bytes());
     }
-    clock.set(2_100);
-    let mut worst = 0u64;
-    for s in subs {
-        for (at, _) in net.poll(s) {
-            worst = worst.max(at - 2_000);
-        }
-    }
+    sim.run(2_100);
+    // Every receiver opens exactly once, none before the release instant.
+    sim.check_invariants().assert_ok();
+    let worst = (0..200)
+        .map(|c| sim.client(c).opened()[0].opened_at - 2_000)
+        .max()
+        .unwrap();
+    assert!(
+        worst <= net.base_latency + net.jitter,
+        "E4: worst open +{worst} ms exceeds latency + jitter"
+    );
     println!("\nTRE (200 receivers, 20 ms latency + ≤60 ms jitter broadcast):");
     println!("  every receiver can open within +{worst} ms of the absolute release instant,");
     println!("  independent of machine speed and of when it starts decrypting; the");
@@ -903,6 +893,8 @@ fn e13() {
                 format!("VIOLATED {:?}", report.liveness_violations)
             },
         ]);
+        // The row above shows the violation; the run fails on it.
+        report.assert_ok();
     }
     println!("\n(Every schedule is replayed deterministically under its seed; safety holds");
     println!("throughout, and liveness is restored once connectivity returns — the");
@@ -927,7 +919,7 @@ fn e14() {
     // The first run feeds the counter table and the metrics snapshot; the
     // wall-ms column is the per-phase median over all runs, since one
     // run's phase timings vary by over 50% on a shared host.
-    let (trace, server, net, client) = e14_workload(curve, &fx, &mut r);
+    let (trace, server, client) = e14_workload(curve, &fx, &mut r);
     let mut runs = vec![trace];
     runs.extend((1..E14_REPEATS).map(|_| e14_workload(curve, &fx, &mut rng()).0));
     let trace = &runs[0];
@@ -993,11 +985,42 @@ fn e14() {
     }
     println!();
 
-    // Unified metrics exposition: client health + channel stats + server
-    // broadcast count through the one shared registry.
+    // Seeded chaos run under tracing: the JSONL dump (logical sequence
+    // numbers only, no wall times) is byte-identical for the same seed.
+    let chaos_trace = |seed: u64| {
+        tre_obs::enable();
+        let plan = FaultPlan::new()
+            .at(
+                1,
+                Fault::DuplicateStorm {
+                    client: 0,
+                    copies: 2,
+                    for_ticks: 6,
+                },
+            )
+            .at(2, Fault::ServerCrash { down_for: 3 })
+            .at(
+                7,
+                Fault::Corrupt {
+                    client: 0,
+                    for_ticks: 2,
+                },
+            );
+        let mut sim: ChaosSim<'_, 8> = ChaosSim::new(curve, g, plan, seed);
+        let c = sim.add_client();
+        sim.send_for_epoch(c, 3, b"e14 chaos");
+        sim.run(10);
+        sim.settle(80);
+        (tre_obs::finish(), sim.net_stats())
+    };
+    let (t1, chaos_net) = chaos_trace(1414);
+    let (t2, _) = chaos_trace(1414);
+
+    // Unified metrics exposition: client health, the chaos run's channel
+    // stats and the server broadcast count through the one shared registry.
     let mut registry = tre_obs::Registry::new();
     client.health().export_into(&mut registry, "tre_client");
-    net.stats().export_into(&mut registry, "tre_net");
+    chaos_net.export_into(&mut registry, "tre_net");
     registry.counter_set("tre_server_broadcasts", server.broadcast_count());
 
     // The live daemon joins the same exposition: an in-process `tred` on
@@ -1044,36 +1067,6 @@ fn e14() {
     print!("{}", registry.render_prometheus());
     println!("```\n");
 
-    // Seeded chaos run under tracing: the JSONL dump (logical sequence
-    // numbers only, no wall times) is byte-identical for the same seed.
-    let chaos_trace = |seed: u64| {
-        tre_obs::enable();
-        let plan = FaultPlan::new()
-            .at(
-                1,
-                Fault::DuplicateStorm {
-                    client: 0,
-                    copies: 2,
-                    for_ticks: 6,
-                },
-            )
-            .at(2, Fault::ServerCrash { down_for: 3 })
-            .at(
-                7,
-                Fault::Corrupt {
-                    client: 0,
-                    for_ticks: 2,
-                },
-            );
-        let mut sim: ChaosSim<'_, 8> = ChaosSim::new(curve, g, plan, seed);
-        let c = sim.add_client();
-        sim.send_for_epoch(c, 3, b"e14 chaos");
-        sim.run(10);
-        sim.settle(80);
-        tre_obs::finish()
-    };
-    let t1 = chaos_trace(1414);
-    let t2 = chaos_trace(1414);
     let reproducible = t1.to_jsonl() == t2.to_jsonl();
     assert!(reproducible, "same seed must dump a byte-identical trace");
     println!(
@@ -1110,24 +1103,18 @@ const E14_OPS: [(&str, [u64; 5]); 5] = [
 
 /// One traced run of the E14 sim workload — encrypt, broadcast, verify,
 /// decrypt and archive recovery, one span per phase — returning the
-/// trace and the server, channel and client it ran on.
+/// trace and the server and client it ran on. The server's updates go
+/// straight to the client: the phases cost crypto, not a channel.
 fn e14_workload<'c>(
     curve: &'c Curve<8>,
     fx: &Fixture<8>,
     r: &mut rand::rngs::StdRng,
-) -> (
-    tre_obs::Trace,
-    TimeServer<'c, 8>,
-    BroadcastNet<8>,
-    ReceiverClient<'c, 8>,
-) {
+) -> (tre_obs::Trace, TimeServer<'c, 8>, ReceiverClient<'c, 8>) {
     let spk = *fx.server.public();
     let g = Granularity::Seconds;
     tre_obs::enable();
     let clock = SimClock::new();
     let mut server = TimeServer::new(curve, fx.server.clone(), clock.clone(), g);
-    let mut net: BroadcastNet<8> = BroadcastNet::new(clock.clone(), NetConfig::default(), 14);
-    let sub = net.subscribe();
     let mut client = ReceiverClient::new(curve, spk, fx.user.clone());
 
     // Encrypt: two messages locked to epochs 1 and 2. The session open
@@ -1140,22 +1127,20 @@ fn e14_workload<'c>(
             .map(|&e| sender.encrypt(&g.tag_for_epoch(e), b"e14 payload", r))
             .collect()
     };
-    // Broadcast: the server signs epochs 0..=2 and puts them on the air.
-    {
+    // Broadcast: the server signs epochs 0..=2.
+    let updates = {
         let _p = tre_obs::span("phase.broadcast");
         clock.advance(2);
-        for u in server.poll() {
-            let bytes = update_body_len(curve, &u);
-            net.broadcast(&u, bytes);
-        }
-    }
-    // Verify: the client consumes the updates while nothing is pending, so
-    // this phase isolates the two-pairing self-authentication cost.
+        server.poll()
+    };
+    // Verify: the client consumes the updates one by one a tick later
+    // while nothing is pending, so this phase isolates the two-pairing
+    // self-authentication cost.
     {
         let _p = tre_obs::span("phase.verify");
         clock.advance(1);
-        for (at, u) in net.poll(sub) {
-            let _ = client.receive_update(u, at);
+        for u in updates {
+            let _ = client.receive_update(u, clock.now());
         }
     }
     // Decrypt: the ciphertexts arrive after their updates are cached, so
@@ -1186,7 +1171,7 @@ fn e14_workload<'c>(
         3,
         "workload opens all three messages"
     );
-    (trace, server, net, client)
+    (trace, server, client)
 }
 
 /// E11 (extension): the §6 future-work cover-tree scheme — missing-update
@@ -1568,8 +1553,8 @@ fn e18_assert_conserved(sink: &TraceSink, epoch: u64, section: &str) {
     );
 }
 
-/// The E18 sim rig: `subs` subscribers on the deterministic broadcast
-/// channel (zero modeled latency — the table measures the *software*
+/// The E18 sim rig: `subs` subscribers handed each published update
+/// directly (no modeled channel — the table measures the *software*
 /// pipeline), each holding one sealed message; the last subscriber
 /// holds one per epoch so every epoch's final delivery comes from the
 /// client that also verifies last, keeping the latest-delivery stamps
@@ -1586,15 +1571,6 @@ fn e18_sim(
     let spk = *server.public_key();
     let sink = TraceSink::new();
     server.set_trace_sink(sink.clone());
-    let mut net: BroadcastNet<8> = BroadcastNet::new(
-        clock.clone(),
-        NetConfig {
-            base_latency: 0,
-            jitter: 0,
-            loss_prob: 0.0,
-        },
-        18,
-    );
 
     let g = Granularity::Seconds;
     let mut clients = Vec::with_capacity(subs);
@@ -1615,35 +1591,28 @@ fn e18_sim(
             );
             client.receive_ciphertext(ct, 0);
         }
-        let sub = net.subscribe();
-        clients.push((client, sub));
+        clients.push(client);
     }
 
-    // One epoch per tick: publish → broadcast → deliver to every
-    // subscriber (epoch 0 is due at boot, so the first tick skips the
-    // clock advance).
+    // One epoch per tick: publish → deliver to every subscriber (epoch 0
+    // is due at boot, so the first tick skips the clock advance).
     for tick in 0..epochs {
         if tick > 0 {
             clock.advance(1);
         }
-        for update in server.poll() {
-            let epoch = g.epoch_of_tag(update.tag()).expect("canonical epoch tag");
-            net.broadcast(&update, update_body_len(curve, &update));
+        let updates = server.poll();
+        let published: Vec<u64> = updates
+            .iter()
+            .map(|u| g.epoch_of_tag(u.tag()).expect("canonical epoch tag"))
+            .collect();
+        for &epoch in &published {
             sink.record_now(epoch, Stage::Broadcast);
         }
-        for (client, sub) in clients.iter_mut() {
-            let arrived = net.poll(*sub);
-            if arrived.is_empty() {
-                continue;
+        for client in clients.iter_mut() {
+            for &epoch in &published {
+                sink.record_now(epoch, Stage::FirstByte);
             }
-            for (_, update) in &arrived {
-                if let Some(epoch) = g.epoch_of_tag(update.tag()) {
-                    sink.record_now(epoch, Stage::FirstByte);
-                }
-            }
-            let delivered_at = arrived[0].0;
-            let batch: Vec<KeyUpdate<8>> = arrived.into_iter().map(|(_, u)| u).collect();
-            client.receive_updates(&batch, delivered_at);
+            client.receive_updates(&updates, clock.now());
         }
     }
 
@@ -1651,7 +1620,7 @@ fn e18_sim(
         e18_assert_conserved(&sink, epoch, "sim");
     }
     assert!(
-        clients.iter().all(|(c, _)| c.pending_count() == 0),
+        clients.iter().all(|c| c.pending_count() == 0),
         "every sim subscriber decrypted its sealed message"
     );
     sink.stage_histograms()

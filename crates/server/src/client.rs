@@ -30,9 +30,8 @@ use tre_core::{
 use tre_pairing::Curve;
 
 use crate::archive::UpdateArchive;
-use crate::feed::Feed;
+use crate::feed::{Feed, SubscriberId};
 use crate::metrics::ClientHealth;
-use crate::net::SubscriberId;
 use crate::telemetry::{Stage, TraceSink};
 
 /// A message successfully opened by the client.
@@ -335,8 +334,8 @@ impl<'c, const L: usize> ReceiverClient<'c, L> {
     /// and feeds it through the burst-drain path: updates sharing a
     /// delivery stamp arrived together and are verified as one batch (2
     /// pairings per group instead of 2 each). This is the single receive
-    /// loop for every feed — the simulated [`crate::BroadcastNet`], the
-    /// live [`crate::TcpFeed`], a [`crate::SupervisedFeed`], or a
+    /// loop for every feed — the [`crate::ChaosSim`] channel, the live
+    /// [`crate::TcpFeed`], a [`crate::SupervisedFeed`], or a
     /// [`crate::CommitteeFeed`]. Returns how many messages opened.
     pub fn pump(&mut self, feed: &mut impl Feed<L>, id: SubscriberId) -> usize {
         let mut deliveries = feed.poll(id).into_iter().peekable();

@@ -32,9 +32,8 @@ use tre_core::{aggregate_shares, verify_share_batch, KeyUpdate, TreError};
 use tre_pairing::Curve;
 
 use crate::clock::{Granularity, SimClock};
-use crate::feed::Feed;
+use crate::feed::{Feed, SubscriberId};
 use crate::metrics::LatencyHistogram;
-use crate::net::SubscriberId;
 use crate::supervised::{SupervisedFeed, SupervisorConfig};
 use crate::tcp::TcpFeed;
 

@@ -16,11 +16,11 @@
 //! and seed reproduce the same delivery schedule, corruption bytes, and
 //! client metrics, tick for tick.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use tre_core::{KeyUpdate, Sender, ServerKeyPair, UserKeyPair};
 use tre_pairing::Curve;
 use tre_wire::Wire;
@@ -28,8 +28,125 @@ use tre_wire::Wire;
 use crate::archive::UpdateArchive;
 use crate::client::ReceiverClient;
 use crate::clock::{Granularity, SimClock};
-use crate::net::{BroadcastNet, NetConfig, NetStats, SubscriberId};
+use crate::feed::{Feed, SubscriberId};
 use crate::server::TimeServer;
+
+/// Delivery characteristics of the [`ChaosSim`] broadcast channel. The
+/// paper's footnote 1 rests on the small key update arriving within a
+/// bounded jitter; experiment E4 measures release precision against
+/// `base_latency + jitter`.
+#[derive(Debug, Clone, Copy)]
+pub struct NetConfig {
+    /// Fixed propagation delay (clock ticks).
+    pub base_latency: u64,
+    /// Maximum extra random delay (uniform in `0..=jitter`, clock ticks).
+    pub jitter: u64,
+    /// Per-subscriber probability a broadcast is lost.
+    pub loss_prob: f64,
+}
+
+impl Default for NetConfig {
+    fn default() -> Self {
+        Self {
+            base_latency: 1,
+            jitter: 0,
+            loss_prob: 0.0,
+        }
+    }
+}
+
+tre_obs::metrics! {
+    /// Aggregate channel statistics (for the scalability experiment E2).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct NetStats {
+        /// Number of broadcast operations the server performed.
+        pub broadcasts: u64,
+        /// Payload bytes the server put on the air — one copy per broadcast,
+        /// independent of subscriber count (the paper's scalability claim).
+        pub broadcast_bytes: u64,
+        /// Bytes that would have been sent under per-user unicast (Mont et
+        /// al.-style individual delivery): `payload × subscribers`.
+        pub unicast_equivalent_bytes: u64,
+        /// Deliveries dropped by the loss model.
+        pub lost: u64,
+    }
+}
+
+/// The simulated broadcast channel: one sender, one mailbox per
+/// subscriber. A mailbox is keyed on `(deliver_at, seq)` with `seq`
+/// unique per delivery, so same-tick deliveries keep their send order.
+struct Channel<const L: usize> {
+    config: NetConfig,
+    clock: SimClock,
+    rng: StdRng,
+    mailboxes: Vec<BTreeMap<(u64, u64), KeyUpdate<L>>>,
+    seq: u64,
+    stats: NetStats,
+}
+
+impl<const L: usize> Channel<L> {
+    fn new(clock: SimClock, config: NetConfig, seed: u64) -> Self {
+        Self {
+            config,
+            clock,
+            rng: StdRng::seed_from_u64(seed),
+            mailboxes: Vec::new(),
+            seq: 0,
+            stats: NetStats::default(),
+        }
+    }
+
+    /// Counts one broadcast of `payload_bytes`: one copy on the air,
+    /// one per subscriber under unicast.
+    fn count_broadcast(&mut self, payload_bytes: usize) {
+        self.stats.broadcasts += 1;
+        self.stats.broadcast_bytes += payload_bytes as u64;
+        self.stats.unicast_equivalent_bytes += payload_bytes as u64 * self.mailboxes.len() as u64;
+    }
+
+    /// The channel model's draw for one subscriber's copy of a broadcast
+    /// sent now: its delivery tick, or `None` when the copy is lost
+    /// (counted in [`NetStats::lost`]). The default config (no jitter,
+    /// no loss) draws nothing from the RNG.
+    fn draw(&mut self, id: SubscriberId) -> Option<u64> {
+        if self.config.loss_prob > 0.0 && self.rng.gen::<f64>() < self.config.loss_prob {
+            self.stats.lost += 1;
+            if tre_obs::is_enabled() {
+                tre_obs::event("net.dropped", &format!("subscriber={}", id.index()));
+            }
+            return None;
+        }
+        let jitter = if self.config.jitter > 0 {
+            self.rng.next_u64() % (self.config.jitter + 1)
+        } else {
+            0
+        };
+        Some(self.clock.now() + self.config.base_latency + jitter)
+    }
+
+    /// Queues one delivery in `id`'s mailbox, bypassing the model: the
+    /// hook for drawn copies and for the fault layer's injections.
+    fn deliver_to(&mut self, id: SubscriberId, update: KeyUpdate<L>, deliver_at: u64) {
+        self.mailboxes[id.index()].insert((deliver_at, self.seq), update);
+        self.seq += 1;
+    }
+}
+
+impl<const L: usize> Feed<L> for Channel<L> {
+    fn subscribe(&mut self) -> SubscriberId {
+        self.mailboxes.push(BTreeMap::new());
+        SubscriberId::new(self.mailboxes.len() - 1)
+    }
+
+    fn poll(&mut self, id: SubscriberId) -> Vec<(u64, KeyUpdate<L>)> {
+        let mailbox = &mut self.mailboxes[id.index()];
+        let later = mailbox.split_off(&(self.clock.now() + 1, 0));
+        std::mem::replace(mailbox, later)
+            .into_iter()
+            .map(|((at, _), update)| (at, update))
+            .collect()
+    }
+}
 
 /// One fault, scoped to a server, a client, or the archive. Client indices
 /// are the order of [`ChaosSim::add_client`] calls.
@@ -410,7 +527,7 @@ pub struct ChaosSim<'c, const L: usize> {
     byz_keys: ServerKeyPair<L>,
     archive: Arc<UpdateArchive<L>>,
     server: Option<TimeServer<'c, L>>,
-    net: BroadcastNet<L>,
+    channel: Channel<L>,
     clients: Vec<(ReceiverClient<'c, L>, SubscriberId)>,
     injector: FaultInjector,
     rng: StdRng,
@@ -432,7 +549,7 @@ impl<'c, const L: usize> ChaosSim<'c, L> {
         let byz_keys = ServerKeyPair::generate(curve, &mut rng);
         let server = TimeServer::new(curve, keys.clone(), clock.clone(), granularity);
         let archive = server.archive_handle();
-        let net = BroadcastNet::new(clock.clone(), NetConfig::default(), seed ^ 0x5EED);
+        let channel = Channel::new(clock.clone(), NetConfig::default(), seed ^ 0x5EED);
         Self {
             curve,
             clock,
@@ -441,7 +558,7 @@ impl<'c, const L: usize> ChaosSim<'c, L> {
             byz_keys,
             archive,
             server: Some(server),
-            net,
+            channel,
             clients: Vec::new(),
             injector: FaultInjector::new(plan),
             rng,
@@ -457,7 +574,7 @@ impl<'c, const L: usize> ChaosSim<'c, L> {
     /// each client's copy of a broadcast takes `config`'s latency, jitter
     /// and loss draw before the fault windows apply.
     pub fn with_net(mut self, config: NetConfig) -> Self {
-        self.net.config = config;
+        self.channel.config = config;
         self
     }
 
@@ -467,7 +584,7 @@ impl<'c, const L: usize> ChaosSim<'c, L> {
         let spk = *self.keys.public();
         let keys = UserKeyPair::generate(self.curve, &spk, &mut self.rng);
         let client = ReceiverClient::new(self.curve, spk, keys);
-        let sub = self.net.subscribe();
+        let sub = self.channel.subscribe();
         self.clients.push((client, sub));
         self.clients.len() - 1
     }
@@ -529,17 +646,16 @@ impl<'c, const L: usize> ChaosSim<'c, L> {
             // On-air size is the framed wire encoding: what the TCP
             // transport actually ships.
             let bytes = update.wire_bytes(self.curve).len();
-            self.net.count_broadcast(bytes);
+            self.channel.count_broadcast(bytes);
             self.route(now, update);
         }
 
+        // The production receive loop: one admitted burst per (client,
+        // delivery stamp). Invalid and equivocating updates land in the
+        // client's health counters; the runtime keeps going.
         let mut opened = 0;
         for (client, sub) in &mut self.clients {
-            for (at, update) in self.net.poll(*sub) {
-                // Errors (invalid / equivocating updates) are recorded in
-                // the client's health counters; the runtime keeps going.
-                opened += client.receive_update(update, at).unwrap_or(0);
-            }
+            opened += client.pump(&mut self.channel, *sub);
         }
         opened
     }
@@ -550,7 +666,7 @@ impl<'c, const L: usize> ChaosSim<'c, L> {
     fn route(&mut self, now: u64, update: &KeyUpdate<L>) {
         for idx in 0..self.clients.len() {
             let sub = self.clients[idx].1;
-            let Some(on_air) = self.net.draw(sub) else {
+            let Some(on_air) = self.channel.draw(sub) else {
                 continue;
             };
             let w = self.injector.windows(idx, now);
@@ -572,10 +688,10 @@ impl<'c, const L: usize> ChaosSim<'c, L> {
             } else {
                 update.clone()
             };
-            self.net.deliver_to(sub, delivered.clone(), deliver_at);
+            self.channel.deliver_to(sub, delivered.clone(), deliver_at);
             for copy in 0..w.duplicate_copies {
                 self.deliveries_injected += 1;
-                self.net
+                self.channel
                     .deliver_to(sub, delivered.clone(), deliver_at + u64::from(copy) % 2);
             }
             if w.equivocating {
@@ -584,7 +700,7 @@ impl<'c, const L: usize> ChaosSim<'c, L> {
                 // verified one — deterministic equivocation evidence.
                 self.deliveries_injected += 1;
                 let conflicting = KeyUpdate::from_parts(update.tag().clone(), self.random_point());
-                self.net.deliver_to(sub, conflicting, deliver_at + 1);
+                self.channel.deliver_to(sub, conflicting, deliver_at + 1);
             }
             if let Some(ahead) = w.forging {
                 // An impostor (different key) signs a future epoch's tag,
@@ -594,7 +710,7 @@ impl<'c, const L: usize> ChaosSim<'c, L> {
                 let forged = self
                     .byz_keys
                     .issue_update(self.curve, &self.granularity.tag_for_epoch(future));
-                self.net.deliver_to(sub, forged, deliver_at);
+                self.channel.deliver_to(sub, forged, deliver_at);
             }
         }
     }
@@ -725,14 +841,173 @@ impl<'c, const L: usize> ChaosSim<'c, L> {
 
     /// Broadcast-channel statistics: one broadcast per published update.
     pub fn net_stats(&self) -> NetStats {
-        self.net.stats()
+        self.channel.stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+    use tre_core::ReleaseTag;
     use tre_pairing::toy64;
+
+    fn channel(config: NetConfig, seed: u64) -> (SimClock, Channel<8>) {
+        let clock = SimClock::new();
+        (clock.clone(), Channel::new(clock, config, seed))
+    }
+
+    /// What [`ChaosSim::tick`] does with a published update, minus the
+    /// fault windows.
+    fn broadcast(ch: &mut Channel<8>, update: &KeyUpdate<8>, bytes: usize) {
+        ch.count_broadcast(bytes);
+        for i in 0..ch.mailboxes.len() {
+            let id = SubscriberId::new(i);
+            if let Some(at) = ch.draw(id) {
+                ch.deliver_to(id, update.clone(), at);
+            }
+        }
+    }
+
+    fn updates(n: usize) -> Vec<KeyUpdate<8>> {
+        let curve = toy64();
+        let server = ServerKeyPair::generate(curve, &mut StdRng::seed_from_u64(5));
+        (0..n)
+            .map(|i| server.issue_update(curve, &ReleaseTag::time(format!("t{i}"))))
+            .collect()
+    }
+
+    #[test]
+    fn channel_delivers_after_latency_in_send_order() {
+        let latency = NetConfig {
+            base_latency: 5,
+            ..NetConfig::default()
+        };
+        let (clock, mut ch) = channel(latency, 1);
+        let a = ch.subscribe();
+        let us = updates(4);
+        broadcast(&mut ch, &us[0], 64);
+        clock.advance(1);
+        for u in &us[1..] {
+            broadcast(&mut ch, u, 64);
+        }
+        clock.advance(3);
+        assert!(ch.poll(a).is_empty(), "not before the base latency");
+        clock.advance(1);
+        assert_eq!(ch.poll(a), vec![(5, us[0].clone())]);
+        clock.advance(1);
+        let same_tick: Vec<_> = us[1..].iter().map(|u| (6, u.clone())).collect();
+        assert_eq!(ch.poll(a), same_tick, "ties on deliver_at keep send order");
+        assert!(ch.poll(a).is_empty(), "drained");
+    }
+
+    #[test]
+    fn channel_jitter_within_bound_and_deterministic() {
+        let cfg = NetConfig {
+            base_latency: 10,
+            jitter: 7,
+            loss_prob: 0.0,
+        };
+        let u = &updates(1)[0];
+        let run = |seed| {
+            let (clock, mut ch) = channel(cfg, seed);
+            let subs: Vec<_> = (0..20).map(|_| ch.subscribe()).collect();
+            broadcast(&mut ch, u, 64);
+            clock.advance(17);
+            subs.iter().map(|&s| ch.poll(s)[0].0).collect::<Vec<_>>()
+        };
+        let times = run(42);
+        for &t in &times {
+            assert!((10..=17).contains(&t), "delivery at {t} outside bound");
+        }
+        assert_eq!(times, run(42), "same seed, same schedule");
+        assert_ne!(times, run(43), "different seed, different jitter");
+    }
+
+    #[test]
+    fn channel_broadcast_bytes_independent_of_subscribers() {
+        let (_, mut ch) = channel(NetConfig::default(), 3);
+        for _ in 0..100 {
+            ch.subscribe();
+        }
+        broadcast(&mut ch, &updates(1)[0], 64);
+        let stats = ch.stats;
+        assert_eq!(stats.broadcasts, 1);
+        assert_eq!(stats.broadcast_bytes, 64, "one copy on the air");
+        assert_eq!(stats.unicast_equivalent_bytes, 100 * 64);
+    }
+
+    #[test]
+    fn channel_injection_bypasses_the_model() {
+        let dark = NetConfig {
+            loss_prob: 1.0,
+            ..NetConfig::default()
+        };
+        let (clock, mut ch) = channel(dark, 9);
+        let (a, b) = (ch.subscribe(), ch.subscribe());
+        let u = updates(1).remove(0);
+        broadcast(&mut ch, &u, 64);
+        assert_eq!(ch.stats.lost, 2, "every drawn copy lost and counted");
+        ch.deliver_to(a, u.clone(), 2);
+        clock.advance(2);
+        assert_eq!(ch.poll(a), vec![(2, u)]);
+        assert!(ch.poll(b).is_empty(), "injection is per-subscriber");
+        assert_eq!(ch.stats.broadcasts, 1, "injections are not broadcasts");
+    }
+
+    /// Generic over the trait, including the defaulted lifecycle
+    /// methods of an always-up in-process feed.
+    #[test]
+    fn channel_is_a_feed() {
+        fn drain_all<F: Feed<8>>(f: &mut F, id: SubscriberId) -> Vec<KeyUpdate<8>> {
+            assert!(f.is_connected(id), "sim feeds are never down");
+            f.request_catch_up(id, 0, 0).unwrap();
+            f.poll(id).into_iter().map(|(_, u)| u).collect()
+        }
+        let (clock, mut ch) = channel(NetConfig::default(), 5);
+        let id = Feed::subscribe(&mut ch);
+        let u = updates(1).remove(0);
+        broadcast(&mut ch, &u, 64);
+        clock.advance(1);
+        assert_eq!(drain_all(&mut ch, id), vec![u]);
+    }
+
+    /// Epochs a `Reorder` window lands on one delivery stamp arrive
+    /// together, so the client admits them as one burst: one
+    /// `client.batch_verify` span of 2 pairings per (client, stamp), not
+    /// one per update.
+    #[test]
+    fn reordered_epochs_sharing_a_stamp_verify_as_one_burst() {
+        let curve = toy64();
+        let plan = FaultPlan::new().at(
+            1,
+            Fault::Reorder {
+                client: 0,
+                max_extra: 4,
+                for_ticks: 10,
+            },
+        );
+        let mut sim: ChaosSim<'_, 8> = ChaosSim::new(curve, Granularity::Seconds, plan, 27);
+        let c = sim.add_client();
+        sim.send_for_epoch(c, 4, b"reordered");
+        tre_obs::enable();
+        let mut stamps = BTreeSet::new();
+        for _ in 0..14 {
+            sim.tick();
+            // A routed copy is due at least one tick later, so every
+            // stamp is still queued after the tick that routed it.
+            stamps.extend(sim.channel.mailboxes[0].keys().map(|&(at, _)| at));
+        }
+        let trace = tre_obs::finish();
+        let now = sim.clock().now();
+        let bursts = stamps.iter().filter(|&&at| at <= now).count();
+        let accepted = sim.client(c).health().accepted_updates as usize;
+        assert!(bursts < accepted, "{bursts} stamps for {accepted} updates");
+        let spans = trace.spans_named("client.batch_verify");
+        assert_eq!(spans.len(), bursts, "one verify per (client, stamp)");
+        assert!(spans.iter().all(|s| s.ops.pairings == 2));
+        sim.check_invariants().assert_ok();
+    }
 
     #[test]
     fn control_run_without_faults_is_clean() {

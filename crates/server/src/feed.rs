@@ -1,25 +1,19 @@
 //! The unified subscription surface: the [`Feed`] trait and its
 //! builder front-ends.
 //!
-//! The first transport abstraction (`Transport`, PR 4) modeled only
-//! `subscribe`/`poll` — enough for a client draining a lossless
-//! simulated channel, but not for the relay tier: a relay cold-starts
-//! by catching up an archive range, and both relays and resilient
-//! clients manage connection lifecycle (is the link up? drop it,
-//! re-dial it). [`Feed`] is the redesigned surface every update source
-//! implements — [`crate::BroadcastNet`] (simulation),
-//! [`crate::TcpFeed`] (one daemon), [`crate::SupervisedFeed`]
-//! (reconnect supervision + gap repair), and [`crate::CommitteeFeed`]
-//! (t-of-n aggregation) — so [`crate::ReceiverClient::pump`] and the
-//! relay's upstream pump are written once against it. The old
-//! `Transport` trait survived one release as a deprecated shim and has
-//! since been removed.
+//! [`Feed`] is the surface every update source implements — the
+//! [`crate::ChaosSim`] channel, [`crate::TcpFeed`] (one daemon),
+//! [`crate::SupervisedFeed`] (reconnect supervision + gap repair), and
+//! [`crate::CommitteeFeed`] (t-of-n aggregation) — so
+//! [`crate::ReceiverClient::pump`] and the relay's upstream pump are
+//! written once against it. Beyond `subscribe`/`poll` it covers what a
+//! relay needs: catching up an archive range on cold start, and the
+//! connection lifecycle (is the link up? drop it, re-dial it).
 //!
 //! The builder functions realize the `Feed::tcp(addr)`-style
 //! construction surface (Rust puts traits and types in one namespace,
 //! so the entry points live here as `feed::tcp(..)` and
-//! `feed::committee(..)`; the simulated channel is
-//! [`crate::BroadcastNet::new`]):
+//! `feed::committee(..)`):
 //!
 //! ```no_run
 //! # use tre_server::{feed, Granularity, SupervisorConfig};
@@ -39,10 +33,23 @@ use tre_pairing::Curve;
 
 use crate::clock::{Granularity, SimClock};
 use crate::committee::{CollectorConfig, CommitteeFeed};
-use crate::net::{BroadcastNet, SubscriberId};
 use crate::supervised::{SupervisedFeed, SupervisorConfig};
 use crate::tcp::TcpFeed;
 use crate::telemetry::TraceSink;
+
+/// Handle identifying a subscriber on a [`Feed`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SubscriberId(usize);
+
+impl SubscriberId {
+    pub(crate) fn new(index: usize) -> Self {
+        Self(index)
+    }
+
+    pub(crate) fn index(self) -> usize {
+        self.0
+    }
+}
 
 /// A source of broadcast key updates with per-subscriber delivery,
 /// catch-up ranges, and connection lifecycle.
@@ -93,16 +100,6 @@ pub trait Feed<const L: usize> {
     /// [`TreError::Io`] if the dial or handshake fails.
     fn reconnect(&mut self, _id: SubscriberId) -> Result<(), TreError> {
         Ok(())
-    }
-}
-
-impl<const L: usize> Feed<L> for BroadcastNet<L> {
-    fn subscribe(&mut self) -> SubscriberId {
-        BroadcastNet::subscribe(self)
-    }
-
-    fn poll(&mut self, id: SubscriberId) -> Vec<(u64, KeyUpdate<L>)> {
-        BroadcastNet::poll(self, id)
     }
 }
 
@@ -237,35 +234,5 @@ impl<const L: usize> SupervisedBuilder<L> {
             supervised.set_cold_start_from(epoch);
         }
         supervised
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::net::NetConfig;
-    use tre_core::{ReleaseTag, ServerKeyPair};
-    use tre_pairing::toy64;
-
-    /// Generic over the trait — proves dynamic-free polymorphic use,
-    /// including the defaulted lifecycle methods.
-    fn drain_all<const L: usize, F: Feed<L>>(f: &mut F, id: SubscriberId) -> Vec<KeyUpdate<L>> {
-        assert!(f.is_connected(id), "sim feeds are never down");
-        f.request_catch_up(id, 0, 0).unwrap();
-        f.poll(id).into_iter().map(|(_, u)| u).collect()
-    }
-
-    #[test]
-    fn broadcast_net_is_a_feed() {
-        let curve = toy64();
-        let mut rng = rand::thread_rng();
-        let clock = SimClock::new();
-        let mut net: BroadcastNet<8> = BroadcastNet::new(clock.clone(), NetConfig::default(), 5);
-        let id = Feed::subscribe(&mut net);
-        let server = ServerKeyPair::generate(curve, &mut rng);
-        let u = server.issue_update(curve, &ReleaseTag::time("t"));
-        net.broadcast(&u, 64);
-        clock.advance(1);
-        assert_eq!(drain_all(&mut net, id), vec![u]);
     }
 }

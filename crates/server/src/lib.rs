@@ -10,8 +10,6 @@
 //!   once, refuses future epochs, holds zero user state;
 //! * [`UpdateArchive`] — the public list of past updates, enabling
 //!   missed-broadcast recovery;
-//! * [`BroadcastNet`] — a broadcast channel with configurable latency,
-//!   jitter, and loss (deterministic under a fixed seed);
 //! * [`ReceiverClient`] — a resilient receiver endpoint: queues
 //!   ciphertexts, admits updates through its `tre_core::Receiver`
 //!   session, catches up from the archive with bounded exponential
@@ -24,20 +22,22 @@
 //!   equivocations rejected by bytes before any pairing, the fresh rest
 //!   verified in one burst check), and keep only their own bookkeeping;
 //! * [`ChaosSim`] / [`FaultPlan`] — the one simulated world: clock,
-//!   crash-recoverable server, the [`BroadcastNet`] channel model and
-//!   receiver clients, with deterministic fault injection (server
-//!   crash/restart, partitions, duplicate storms, reordering, corruption,
-//!   Byzantine equivocation/forgery, archive outages) and safety and
-//!   liveness invariant checking (experiment E13); an empty plan is the
-//!   plain world;
+//!   crash-recoverable server, a broadcast channel with seeded latency,
+//!   jitter and loss ([`NetConfig`]), and receiver clients drained
+//!   through [`ReceiverClient::pump`] like every live feed, with
+//!   deterministic fault injection (server crash/restart, partitions,
+//!   duplicate storms, reordering, corruption, Byzantine
+//!   equivocation/forgery, archive outages) and safety and liveness
+//!   invariant checking (experiment E13); an empty plan is the plain
+//!   world;
 //! * [`RelayTreeSim`] — a million-subscriber relay tree (experiment E20)
 //!   whose relays run the `trerelay` admission step and whose wires are
 //!   a seeded latency model;
 //! * [`Feed`] — the unified subscription surface ([`feed`] has the
-//!   TCP and committee builder entry points) that [`BroadcastNet`], [`TcpFeed`],
-//!   [`SupervisedFeed`], [`CommitteeFeed`], and the relay upstream all
-//!   implement, so [`ReceiverClient::pump`] and [`Relay`] are written
-//!   once against it;
+//!   TCP and committee builder entry points) that the [`ChaosSim`]
+//!   channel, [`TcpFeed`], [`SupervisedFeed`], [`CommitteeFeed`], and
+//!   the relay upstream all implement, so [`ReceiverClient::pump`] and
+//!   [`Relay`] are written once against it;
 //! * [`Tred`] / [`TcpFeed`] — the real TCP broadcast daemon (sharded
 //!   readiness-polling event loop, bounded per-subscriber write queues,
 //!   slow-subscriber eviction, archive catch-up over the versioned
@@ -104,7 +104,6 @@ pub mod feed;
 mod forecast;
 mod journal;
 mod metrics;
-mod net;
 mod relay;
 mod server;
 mod sim;
@@ -121,14 +120,13 @@ pub use client::{
 };
 pub use clock::{Granularity, SimClock};
 pub use committee::{CollectorConfig, CommitteeFeed, CommitteeStats, ShareCollector};
-pub use faults::{ChaosSim, Fault, FaultEvent, FaultPlan, InvariantReport};
-pub use feed::Feed;
+pub use faults::{ChaosSim, Fault, FaultEvent, FaultPlan, InvariantReport, NetConfig, NetStats};
+pub use feed::{Feed, SubscriberId};
 pub use journal::{
     FsyncPolicy, Journal, JournalConfig, JournalReader, JournalStats, ReplayReport,
     RECORD_HEADER_LEN, RECORD_MAGIC, RECORD_TRAILER_LEN,
 };
 pub use metrics::{ClientHealth, LatencyHistogram};
-pub use net::{BroadcastNet, NetConfig, NetStats, SubscriberId};
 pub use relay::{Relay, RelayConfig, RelayExporter, RelayStats};
 pub use server::{FutureEpochError, TimeServer};
 pub use sim::{DeliveryReport, FanoutShape, RelayTreeSim};

@@ -448,7 +448,7 @@ fn pump_once<const L: usize>(
     verifier: &BatchVerifier<'static, L>,
     forecaster: &mut Forecaster<VerifyForecast<L>>,
     upstream: &mut SupervisedFeed<L>,
-    sub: crate::net::SubscriberId,
+    sub: crate::feed::SubscriberId,
     handle: &crate::evloop::BroadcastHandle<L>,
 ) {
     let deliveries = Feed::poll(upstream, sub);

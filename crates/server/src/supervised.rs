@@ -20,8 +20,7 @@ use tre_wire::Telemetry;
 
 use crate::clock::Granularity;
 use crate::evloop::Waker;
-use crate::feed::Feed;
-use crate::net::SubscriberId;
+use crate::feed::{Feed, SubscriberId};
 use crate::tcp::TcpFeed;
 use crate::telemetry::TraceSink;
 

@@ -20,7 +20,7 @@
 //! [`Hello`] handshake, decodes the frame stream incrementally with
 //! [`tre_wire::peek_frame`], and implements [`Feed`] so a
 //! [`crate::ReceiverClient`] pumps updates from it exactly as from the
-//! simulated [`crate::BroadcastNet`].
+//! simulated [`crate::ChaosSim`] channel.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -39,9 +39,8 @@ use tre_wire::{
 use crate::archive::UpdateArchive;
 use crate::clock::SimClock;
 use crate::evloop::{poll_timeout_ms, sys, Broadcaster, ServeShared, Waker};
-use crate::feed::Feed;
+use crate::feed::{Feed, SubscriberId};
 use crate::forecast::Forecaster;
-use crate::net::SubscriberId;
 use crate::server::TimeServer;
 use crate::telemetry::{HealthSnapshot, Stage, TelemetrySnapshot, TraceSink};
 
@@ -525,7 +524,7 @@ impl<const L: usize> FeedConn<L> {
 /// A TCP subscriber feed: the client-side [`Feed`] over a running
 /// [`Tred`] (or relay) daemon. Each [`Feed::subscribe`] call opens its
 /// own connection (so one feed can model several independent
-/// subscribers, mirroring [`crate::BroadcastNet`]);
+/// subscribers, as the [`crate::ChaosSim`] channel does);
 /// [`TcpFeed::disconnect`] / [`TcpFeed::reconnect`] model receiver
 /// downtime, and [`TcpFeed::request_catch_up`] asks the daemon to
 /// replay missed archived epochs into the normal update stream. Extra

@@ -4,71 +4,50 @@
 //! longer depends on network delivery times, only on the (tiny, bounded-
 //! jitter) key update broadcast.
 //!
-//! Runs the full simulation: clock, passive server, broadcast network with
-//! latency/jitter, and receiver clients on three continents.
+//! Runs the full simulation world: clock, passive server, broadcast
+//! channel with latency/jitter, and receiver clients on three continents.
 //!
 //! ```text
 //! cargo run --example programming_contest
 //! ```
 
 use tre::prelude::*;
-use tre::server::{BroadcastNet, NetConfig};
+use tre::server::{ChaosSim, FaultPlan, NetConfig};
 
 fn main() -> Result<(), TreError> {
     let curve = tre::pairing::toy64();
-    let mut rng = rand::thread_rng();
+    let granularity = Granularity::Seconds;
 
-    let clock = SimClock::new();
-    let server_keys = ServerKeyPair::generate(curve, &mut rng);
-    let server_pk = *server_keys.public();
-    let mut time_server = TimeServer::new(curve, server_keys, clock.clone(), Granularity::Seconds);
-
-    // The key-update channel: 1-tick base latency, up to 2 ticks of jitter.
-    let mut net = BroadcastNet::new(
-        clock.clone(),
-        NetConfig {
+    // The simulated world: clock, passive server and the key-update
+    // channel — 1-tick base latency, up to 2 ticks of jitter.
+    let mut world: ChaosSim<'_, 8> = ChaosSim::new(curve, granularity, FaultPlan::new(), 2026)
+        .with_net(NetConfig {
             base_latency: 1,
             jitter: 2,
             loss_prob: 0.0,
-        },
-        2026,
-    );
+        });
 
     // Teams in three places; the big problem-set download takes wildly
     // different times to reach them (5..=40 ticks) — that's fine.
     let team_names = ["team-tokyo", "team-berlin", "team-toronto"];
     let download_delay = [5u64, 17, 40];
-    let mut teams: Vec<ReceiverClient<8>> = team_names
-        .iter()
-        .map(|_| {
-            let keys = UserKeyPair::generate(curve, &server_pk, &mut rng);
-            ReceiverClient::new(curve, server_pk, keys)
-        })
-        .collect();
-    let subs: Vec<_> = teams.iter().map(|_| net.subscribe()).collect();
+    let teams: Vec<usize> = team_names.iter().map(|_| world.add_client()).collect();
 
     // Contest starts at t = 60. Problems are encrypted to that instant and
     // shipped immediately.
     let start_epoch = 60;
-    let start_tag = time_server.tag_for_epoch(start_epoch);
+    let start_tag = granularity.tag_for_epoch(start_epoch);
     println!("contest starts at epoch {start_epoch}; shipping problems now (t=0)");
     let problems = b"Problem A: prove P != NP. Problem B: parse HTML with regex.";
-    let cts: Vec<_> = teams
-        .iter()
-        .map(|t| {
-            Sender::new(curve, &server_pk, t.public_key())
-                .map(|s| s.encrypt(&start_tag, problems, &mut rng))
-        })
-        .collect::<Result<_, _>>()?;
 
     // Simulate tick by tick.
     let mut delivered = [false; 3];
-    for _ in 0..=65 {
-        let now = clock.now();
+    while world.clock().now() <= 65 {
+        let now = world.clock().now();
         // Problem set arrives at each team when its download finishes.
-        for i in 0..teams.len() {
+        for (i, &team) in teams.iter().enumerate() {
             if !delivered[i] && now >= download_delay[i] {
-                teams[i].receive_ciphertext(cts[i].clone(), now);
+                world.send_for_epoch(team, start_epoch, problems);
                 delivered[i] = true;
                 println!(
                     "t={now:>2}: {} finished downloading (cannot open yet)",
@@ -76,22 +55,15 @@ fn main() -> Result<(), TreError> {
                 );
             }
         }
-        // Server broadcasts new epochs; the net delays them per team.
-        for update in time_server.poll() {
-            let bytes = update.wire_bytes(curve).len();
-            net.broadcast(&update, bytes);
-        }
-        for (i, sub) in subs.iter().enumerate() {
-            for (at, update) in net.poll(*sub) {
-                let _ = teams[i].receive_update(update, at);
-            }
-        }
-        clock.advance(1);
+        // The server broadcasts new epochs; the channel delays them per
+        // team, and each team drains its deliveries.
+        world.tick();
     }
 
     println!("\n-- results --");
-    for (i, team) in teams.iter().enumerate() {
-        let opened = team
+    for (i, &team) in teams.iter().enumerate() {
+        let opened = world
+            .client(team)
             .opened()
             .iter()
             .find(|m| m.tag == start_tag)
@@ -105,6 +77,7 @@ fn main() -> Result<(), TreError> {
         assert!(skew <= 3, "and nobody is later than latency+jitter");
         assert_eq!(opened.plaintext, problems);
     }
+    world.check_invariants().assert_ok();
     println!("\nfairness: release skew bounded by the 3-tick update jitter,");
     println!("even though downloads differed by 35 ticks.");
     Ok(())

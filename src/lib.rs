@@ -17,7 +17,7 @@
 //! | [`pairing`] | Gap-DH group, Tate pairing, hash-to-curve |
 //! | [`sym`] | ChaCha20-Poly1305 DEM |
 //! | [`core`] | the paper's schemes (TRE, ID-TRE, FO, REACT, hybrid, policy locks, key insulation, multi-server) |
-//! | [`server`] | passive time server, broadcast net, archive, clients, the `tred` TCP daemon |
+//! | [`server`] | passive time server, simulated world, archive, clients, the `tred` TCP daemon |
 //! | [`wire`] | the versioned wire framing every network object ships in |
 //! | [`baselines`] | RSW puzzle, May escrow, Rivest servers, per-user IBE, PKE+IBE |
 //! | [`obs`] | metrics registry, span tracing, crypto cost accounting |

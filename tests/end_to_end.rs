@@ -3,7 +3,7 @@
 
 use tre::core::{fo, hybrid, react};
 use tre::prelude::*;
-use tre::server::{BroadcastNet, NetConfig};
+use tre::server::{ChaosSim, FaultPlan, NetConfig};
 
 type Curve8 = &'static tre::pairing::CurveToy64;
 
@@ -53,64 +53,37 @@ fn all_four_schemes_roundtrip_same_setup() {
 #[test]
 fn full_simulation_with_lossy_network_and_archive_recovery() {
     let curve = curve();
-    let mut rng = rand::thread_rng();
-    let clock = SimClock::new();
-    let skeys = ServerKeyPair::generate(curve, &mut rng);
-    let spk = *skeys.public();
-    let mut server = TimeServer::new(curve, skeys, clock.clone(), Granularity::Seconds);
     // Heavy loss: 40% of deliveries drop.
-    let mut net: BroadcastNet<8> = BroadcastNet::new(
-        clock.clone(),
-        NetConfig {
-            base_latency: 1,
-            jitter: 1,
-            loss_prob: 0.4,
-        },
-        99,
-    );
+    let lossy = NetConfig {
+        base_latency: 1,
+        jitter: 1,
+        loss_prob: 0.4,
+    };
+    let mut sim: ChaosSim<'_, 8> =
+        ChaosSim::new(curve, Granularity::Seconds, FaultPlan::new(), 101).with_net(lossy);
     let n_clients = 4;
-    let mut clients: Vec<ReceiverClient<8>> = (0..n_clients)
-        .map(|_| ReceiverClient::new(curve, spk, UserKeyPair::generate(curve, &spk, &mut rng)))
-        .collect();
-    let subs: Vec<_> = clients.iter().map(|_| net.subscribe()).collect();
-
     // Each client gets a message locked to epoch 3.
-    let tag = server.tag_for_epoch(3);
-    for (i, c) in clients.iter_mut().enumerate() {
-        let ct = Sender::new(curve, &spk, c.public_key()).unwrap().encrypt(
-            &tag,
-            format!("payload-{i}").as_bytes(),
-            &mut rng,
-        );
-        c.receive_ciphertext(ct, 0);
+    for i in 0..n_clients {
+        sim.add_client();
+        sim.send_for_epoch(i, 3, format!("payload-{i}").as_bytes());
     }
 
     // Run 8 ticks of simulation.
-    for _ in 0..8 {
-        for u in server.poll() {
-            let bytes = u.wire_bytes(curve).len();
-            net.broadcast(&u, bytes);
-        }
-        for (i, sub) in subs.iter().enumerate() {
-            for (at, u) in net.poll(*sub) {
-                let _ = clients[i].receive_update(u, at);
-            }
-        }
-        clock.advance(1);
-    }
+    sim.run(8);
+    assert!(sim.net_stats().lost > 0, "the channel dropped copies");
 
-    // Some clients may have lost the epoch-3 broadcast; everyone catches up
-    // from the public archive.
-    for c in clients.iter_mut() {
-        if c.pending_count() > 0 {
-            let opened = c.catch_up(server.archive(), clock.now(), |tag| {
-                let s = String::from_utf8_lossy(tag.value()).to_string();
-                s.rsplit('/').next().and_then(|n| n.parse().ok())
-            });
-            assert!(opened > 0, "archive recovery must succeed");
-        }
-    }
-    for (i, c) in clients.iter().enumerate() {
+    // Under this seed some clients lost the epoch-3 broadcast; everyone
+    // catches up from the public archive.
+    let pending = (0..n_clients)
+        .filter(|&i| sim.client(i).pending_count() > 0)
+        .count();
+    assert!(pending > 0, "the archive path is exercised");
+    let recovered = sim.catch_up();
+    assert_eq!(recovered, pending, "archive recovery must succeed");
+    sim.check_invariants().assert_ok();
+    let tag = Granularity::Seconds.tag_for_epoch(3);
+    for i in 0..n_clients {
+        let c = sim.client(i);
         assert_eq!(c.pending_count(), 0);
         let m = c.opened().iter().find(|m| m.tag == tag).unwrap();
         assert_eq!(m.plaintext, format!("payload-{i}").as_bytes());
