@@ -1053,13 +1053,29 @@ fn e14() {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         live_clock.advance(3);
-        let mut live_updates = 0usize;
-        while live_updates < 3 && std::time::Instant::now() < deadline {
-            live_updates += feed.poll(live_sub).len();
+        // Epoch 3 is the ticker's last broadcast, and it counts an epoch's
+        // forecast hit or miss before broadcasting it: once epoch 3
+        // arrives, every ticker counter is final.
+        let last = g.tag_for_epoch(3);
+        let mut got_last = false;
+        while !got_last && std::time::Instant::now() < deadline {
+            got_last = feed.poll(live_sub).iter().any(|(_, u)| *u.tag() == last);
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
+        assert!(got_last, "the live daemon delivered epoch 3");
         tred.export_into(&mut registry, "tre_tred");
         tred.shutdown();
+        // Whether the idle forecast worker hashed epoch 1's tag before the
+        // clock jumped is a race, so the hit/miss split varies between
+        // runs; every broadcast epoch is one or the other.
+        let hits = registry.counter("tre_tred_forecast_hits");
+        let misses = registry.counter("tre_tred_forecast_misses");
+        let broadcasts = registry.counter("tre_tred_broadcasts");
+        assert_eq!(
+            hits + misses,
+            broadcasts,
+            "every signed epoch is a forecast hit or miss"
+        );
     }
 
     println!("Prometheus exposition snapshot:\n");
@@ -1226,6 +1242,11 @@ fn e11() {
     println!("leaf range has passed.)\n");
 }
 
+/// `F_p` multiplications E15's 64-update burst verify may spend: the
+/// ceiling `tre-server`'s `tests/batch.rs` asserts on a 64-update
+/// catch-up (~34,000 measured plus 15% headroom).
+const E15_BURST_64_FP_MUL_CEILING: u64 = 39_000;
+
 /// E15: batch verification and the parallel crypto pipeline — the
 /// broadcast hot path under burst delivery (PR 3 tentpole).
 fn e15() {
@@ -1246,20 +1267,24 @@ fn e15() {
     // The one verifier: the indices of a burst it rejects.
     let rejected =
         |burst: &[KeyUpdate<8>], threads: usize| prep_key.verify_burst(curve, burst, None, threads);
-    let pairings_of = |f: &dyn Fn()| -> u64 {
+    let ops_of = |f: &dyn Fn()| -> tre_obs::CryptoOps {
         tre_obs::enable();
         f();
-        tre_obs::finish().total_ops().pairings
+        tre_obs::finish().total_ops()
     };
+    let pairings_of = |f: &dyn Fn()| ops_of(f).pairings;
 
     // Burst-size sweep: the one verifier's small-exponent batch check
     // replaces the 2n pairings of per-update textbook verification with
-    // 2, regardless of n. Every timed column is a median of
-    // PAIRED_REPEATS interleaved pairs.
+    // 2, regardless of n; its combine is one multi-scalar multiplication
+    // per side, counted as one scalar multiplication per term. Every
+    // timed column is a median of PAIRED_REPEATS interleaved pairs.
     header(&[
         "burst n",
         "sequential pairings",
         "batched pairings",
+        "batched Fp muls",
+        "batched scalar mults",
         "sequential ms",
         "batched ms",
         "speedup",
@@ -1270,9 +1295,17 @@ fn e15() {
         let seq_p = pairings_of(&|| {
             assert!(batch.iter().all(|u| u.verify(curve, &spk)));
         });
-        let bat_p = pairings_of(&|| {
+        let bat = ops_of(&|| {
             assert!(rejected(&batch, 1).is_empty());
         });
+        let bat_p = bat.pairings;
+        if n == 64 {
+            assert!(
+                bat.fp_muls <= E15_BURST_64_FP_MUL_CEILING,
+                "a 64-update burst verify spent {} Fp muls (ceiling {E15_BURST_64_FP_MUL_CEILING})",
+                bat.fp_muls
+            );
+        }
         let iters = if n >= 16 { 2 } else { 5 };
         let (seq_ms, bat_ms, speedup) = paired_ms(
             iters,
@@ -1283,6 +1316,8 @@ fn e15() {
             format!("{n}"),
             format!("{seq_p}"),
             format!("{bat_p}"),
+            format!("{}", bat.fp_muls),
+            format!("{}", bat.scalar_mults),
             format!("{seq_ms:.2}"),
             format!("{bat_ms:.2}"),
             format!("{speedup:.2}x"),
@@ -1290,6 +1325,7 @@ fn e15() {
         burst_rows.push(record! {
             "n": n, "iters": iters, "sequential_ms": seq_ms, "batched_ms": bat_ms,
             "speedup": speedup, "sequential_pairings": seq_p, "batched_pairings": bat_p,
+            "batched_fp_muls": bat.fp_muls, "batched_scalar_mults": bat.scalar_mults,
         });
     }
     println!();

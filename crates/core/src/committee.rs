@@ -491,10 +491,10 @@ fn lagrange_at_zero<const L: usize>(curve: &Curve<L>, xs: &[u32], a: u32) -> Opt
 
 /// Exponent-Lagrange aggregation: reconstructs the full update
 /// `I_T = s·H1(T)` from the first `k` *verified* shares (distinct
-/// members), as `Σ λ_i·(s_i·H1(T))`. Costs `k` scalar multiplications
-/// in G1 and **zero pairings** — verify the result against
-/// [`CommitteeRoster::public`] only if the inputs were not already
-/// verified with [`verify_share_batch`].
+/// members), as `Σ λ_i·(s_i·H1(T))`: one [`Curve::g1_msm`] over `k`
+/// terms (counted as `k` scalar multiplications) and **zero pairings**
+/// — verify the result against [`CommitteeRoster::public`] only if the
+/// inputs were not already verified with [`verify_share_batch`].
 ///
 /// # Errors
 /// * [`TreError::ArityMismatch`] with fewer than `k` shares;
@@ -524,12 +524,13 @@ pub fn aggregate_shares<const L: usize>(
     if chosen.iter().any(|(_, share)| share.tag() != tag) {
         return Err(TreError::UpdateTagMismatch);
     }
-    let mut sig = G1Affine::infinity(curve.fp());
-    for (member, share) in chosen {
-        let lambda = lagrange_at_zero(curve, &xs, *member)
-            .ok_or(TreError::Malformed("committee share index"))?;
-        sig = curve.g1_add(&sig, &curve.g1_mul(share.sig(), &lambda));
-    }
+    let lambdas = xs
+        .iter()
+        .map(|&member| lagrange_at_zero(curve, &xs, member))
+        .collect::<Option<Vec<_>>>()
+        .ok_or(TreError::Malformed("committee share index"))?;
+    let sigs: Vec<G1Affine<L>> = chosen.iter().map(|(_, share)| *share.sig()).collect();
+    let sig = curve.g1_msm(&sigs, &lambdas);
     if tre_obs::is_enabled() {
         tre_obs::event("committee.aggregated", &format!("from_k={k}"));
     }

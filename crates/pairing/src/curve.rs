@@ -325,17 +325,56 @@ impl<const L: usize> Curve<L> {
     /// `k·P` in Jacobian coordinates from the width-[`G1_WNAF_WIDTH`]
     /// wNAF digits of `k`, for a non-identity `P`.
     fn wnaf_mul(&self, p: &G1Affine<L>, digits: &[i8]) -> G1Jac<L> {
-        let table = self.odd_multiples(p);
+        let table = self.batch_normalize(&self.odd_multiples(p));
         let mut acc = G1Jac::infinity(&self.fp);
         for &d in digits.iter().rev() {
-            acc = self.jac_double(&acc);
-            if d > 0 {
-                acc = self.jac_add_affine(&acc, &table[(d as usize - 1) / 2]);
-            } else if d < 0 {
-                acc = self.jac_add_affine(&acc, &self.g1_neg(&table[((-d) as usize - 1) / 2]));
-            }
+            acc = self.add_digit(&self.jac_double(&acc), &table, d);
         }
         acc
+    }
+
+    /// Multi-scalar multiplication `Σ kᵢ·Pᵢ` (Straus interleaving over
+    /// width-4 wNAF digits): every term's odd multiples are
+    /// batch-normalized to affine with one shared inversion, one doubling
+    /// chain runs over the longest digit string adding each term's
+    /// digits as mixed additions, and the sum is normalized once.
+    /// Identity points and zero scalars contribute nothing. Records one
+    /// scalar multiplication per term, as the `Σ g1_mul` it equals.
+    ///
+    /// **Variable-time**, like [`Curve::g1_mul`].
+    ///
+    /// # Panics
+    /// Panics if `points` and `scalars` differ in length.
+    pub fn g1_msm(&self, points: &[G1Affine<L>], scalars: &[U256]) -> G1Affine<L> {
+        assert_eq!(points.len(), scalars.len(), "one scalar per point");
+        let mut jacs = Vec::with_capacity(points.len() * G1_ODD_MULTIPLES);
+        let mut digits = Vec::with_capacity(points.len());
+        for (p, k) in points.iter().zip(scalars) {
+            tre_obs::record_scalar_mul();
+            if !p.inf && !k.is_zero() {
+                jacs.extend(self.odd_multiples(p));
+                digits.push(wnaf_digits(k, G1_WNAF_WIDTH));
+            }
+        }
+        let tables = self.batch_normalize(&jacs);
+        let len = digits.iter().map(Vec::len).max().unwrap_or(0);
+        let mut acc = G1Jac::infinity(&self.fp);
+        for i in (0..len).rev() {
+            acc = self.jac_double(&acc);
+            for (term, table) in digits.iter().zip(tables.chunks_exact(G1_ODD_MULTIPLES)) {
+                acc = self.add_digit(&acc, table, term.get(i).copied().unwrap_or(0));
+            }
+        }
+        self.jac_to_affine(&acc)
+    }
+
+    /// `acc + d·P` for one wNAF digit `d`, off `P`'s odd-multiple table.
+    fn add_digit(&self, acc: &G1Jac<L>, table: &[G1Affine<L>], d: i8) -> G1Jac<L> {
+        if d == 0 {
+            return *acc;
+        }
+        let entry = table[(d.unsigned_abs() as usize - 1) / 2];
+        self.jac_add_affine(acc, &if d > 0 { entry } else { self.g1_neg(&entry) })
     }
 
     /// Plain binary double-and-add — the **reference path**, kept for the
@@ -361,23 +400,17 @@ impl<const L: usize> Curve<L> {
     }
 
     /// The odd multiples `[P, 3P, …]` a width-[`G1_WNAF_WIDTH`] digit
-    /// can name, as affine points (one shared inversion via batch
-    /// normalization).
-    fn odd_multiples(&self, p: &G1Affine<L>) -> [G1Affine<L>; G1_ODD_MULTIPLES] {
-        let one = G1Jac {
-            x: p.x,
-            y: p.y,
-            z: self.fp.one(),
-        };
+    /// can name, in Jacobian coordinates, for a non-identity `P`. Callers
+    /// normalize them with [`Curve::batch_normalize`], one inversion per
+    /// batch of tables.
+    fn odd_multiples(&self, p: &G1Affine<L>) -> [G1Jac<L>; G1_ODD_MULTIPLES] {
+        let one = G1Jac::from_affine(p, &self.fp);
         let two_p = self.jac_double(&one);
-        let mut jacs = Vec::with_capacity(G1_ODD_MULTIPLES);
-        jacs.push(one);
+        let mut jacs = [one; G1_ODD_MULTIPLES];
         for i in 1..G1_ODD_MULTIPLES {
-            let prev: G1Jac<L> = jacs[i - 1];
-            jacs.push(self.jac_add(&prev, &two_p));
+            jacs[i] = self.jac_add(&jacs[i - 1], &two_p);
         }
-        let normalized = self.batch_normalize(&jacs);
-        normalized.try_into().expect("one point per odd multiple")
+        jacs
     }
 
     /// Full Jacobian + Jacobian addition (add-2007-bl).
@@ -424,10 +457,8 @@ impl<const L: usize> Curve<L> {
     }
 
     /// Converts a batch of Jacobian points to affine with a single shared
-    /// inversion.
-    ///
-    /// # Panics
-    /// Panics if any input is the point at infinity (internal use only).
+    /// inversion; infinities (an odd multiple of a low-order point) pass
+    /// through as infinity.
     pub(crate) fn batch_normalize(&self, points: &[G1Jac<L>]) -> Vec<G1Affine<L>> {
         let ctx = &self.fp;
         // Infinities (z = 0) are passed through; substitute 1 so the batch

@@ -1,12 +1,21 @@
 //! Property-based tests for field and group algebra on `toy64`.
 
 use proptest::prelude::*;
-use tre_bigint::U256;
-use tre_pairing::{toy64, Fp2};
+use rand::rngs::StdRng;
+use rand::{RngCore, SeedableRng};
+use tre_bigint::{Uint, U256};
+use tre_pairing::{toy64, Fp2, G1Affine};
 
 fn scalar(raw: [u64; 4]) -> U256 {
     let c = toy64();
     U256::from_limbs(raw).rem(c.order())
+}
+
+/// The point of `toy64` with compressed x-coordinate `x` (tag 2).
+fn point_at_x(x: &Uint<8>) -> Option<G1Affine<8>> {
+    let mut bytes = vec![2];
+    bytes.extend_from_slice(&x.to_be_bytes());
+    toy64().g1_from_bytes(&bytes).ok()
 }
 
 proptest! {
@@ -173,6 +182,69 @@ proptest! {
             prop_assert_eq!(c.g1_mul_binary(&p, &k), fast);
             prop_assert_eq!(table.mul(c, &k), fast);
         }
+    }
+
+    #[test]
+    fn g1_msm_matches_sum_of_muls(seed in any::<u64>()) {
+        // The Straus combine equals Σ g1_mul folded with g1_add at every
+        // size, over identity points, P/−P pairs that cancel, the order-2
+        // point (0, 0), an order-4 point, an uncleared H1 candidate, and
+        // the scalars 0, 1, 2⁶⁴−1 and q−1 among random ones of unequal
+        // bit lengths; it counts one scalar multiplication per term.
+        let c = toy64();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let inf = G1Affine::infinity(c.fp());
+        let two_torsion = point_at_x(&Uint::ZERO).unwrap();
+        let minus_one = c.fp().modulus().wrapping_sub(&Uint::ONE);
+        let four_torsion = point_at_x(&Uint::ONE).or_else(|| point_at_x(&minus_one)).unwrap();
+        prop_assert_eq!(c.g1_double(&four_torsion), two_torsion);
+        let candidate = c.h1_candidate(b"prop-msm", &seed.to_be_bytes());
+        let special = [inf, two_torsion, four_torsion, candidate];
+        let edge = [
+            U256::ZERO,
+            U256::ONE,
+            U256::from_u64(u64::MAX),
+            c.order().wrapping_sub(&U256::ONE),
+        ];
+        let pick = |rng: &mut StdRng, n: usize| (rng.next_u64() % n as u64) as usize;
+        for n in [0usize, 1, 2, 3, 17, 64] {
+            let (mut points, mut scalars) = (Vec::with_capacity(n), Vec::with_capacity(n));
+            for i in 0..n {
+                let (p, k) = if i % 4 == 3 {
+                    // The previous term negated under the same scalar.
+                    (c.g1_neg(&points[i - 1]), scalars[i - 1])
+                } else {
+                    let p = match pick(&mut rng, 3) {
+                        0 => special[pick(&mut rng, special.len())],
+                        _ => c.g1_mul(&c.generator(), &U256::from_u64(rng.next_u64())),
+                    };
+                    let k = match pick(&mut rng, 3) {
+                        0 => edge[pick(&mut rng, edge.len())],
+                        _ => {
+                            let raw = U256::from_limbs([0; 4].map(|_: u64| rng.next_u64()));
+                            raw.shr_vartime(pick(&mut rng, 256) as u32)
+                        }
+                    };
+                    (p, k)
+                };
+                points.push(p);
+                scalars.push(k);
+            }
+            let want = points
+                .iter()
+                .zip(&scalars)
+                .fold(inf, |acc, (p, k)| c.g1_add(&acc, &c.g1_mul(p, k)));
+            tre_obs::enable();
+            let got = c.g1_msm(&points, &scalars);
+            let ops = tre_obs::finish().total_ops();
+            prop_assert!(got == want, "n = {n}: msm {got:?} != oracle {want:?}");
+            prop_assert_eq!(ops.scalar_mults, n as u64);
+            prop_assert!(c.is_on_curve(&got));
+        }
+        // A sum of cancelling pairs is the identity.
+        let p = c.g1_mul(&c.generator(), &U256::from_u64(rng.next_u64()));
+        let k = U256::from_u64(rng.next_u64());
+        prop_assert!(c.g1_msm(&[p, c.g1_neg(&p), two_torsion, two_torsion], &[k, k, k, k]).is_infinity());
     }
 
     #[test]

@@ -8,11 +8,18 @@
 //!    conflicting pair ever reaches the linear combination;
 //! 3. the hermetic counter guard: catching up on 64 archived updates
 //!    spends at most 4 verification pairings (the sequential path spends
-//!    128).
+//!    128), 128 scalar multiplications and at most
+//!    [`BURST_64_FP_MUL_CEILING`] `F_p` multiplications.
 
 use tre_core::{KeyUpdate, ReleaseTag, Sender, ServerKeyPair, UserKeyPair};
 use tre_pairing::toy64;
 use tre_server::{Granularity, ReceiverClient, SimClock, TimeServer, UpdateOutcome};
+
+/// `F_p` multiplications a 64-update burst verify may spend: the
+/// measured ~34,000 of the multi-scalar combine plus 15% headroom; a
+/// per-term combine spends ~104,000. E15 asserts the same ceiling on its
+/// 64-update row.
+const BURST_64_FP_MUL_CEILING: u64 = 39_000;
 
 fn forged(tag: &ReleaseTag) -> KeyUpdate<8> {
     let curve = toy64();
@@ -128,14 +135,23 @@ fn catch_up_over_64_archived_updates_spends_at_most_4_verification_pairings() {
     assert_eq!(client.health().recovered_from_archive, 64);
 
     // The guard: verification cost is bounded by the batch, not by N.
-    let verify_pairings: u64 = trace
-        .spans_named("client.batch_verify")
-        .iter()
-        .map(|s| s.ops.pairings)
-        .sum();
+    let spans = trace.spans_named("client.batch_verify");
+    let verify_pairings: u64 = spans.iter().map(|s| s.ops.pairings).sum();
     assert!(
         verify_pairings <= 4,
         "batched catch-up spent {verify_pairings} verification pairings (sequential spends 128)"
+    );
+    // The combine is one multi-scalar multiplication per side, counted as
+    // one scalar multiplication per term: 2 × 64.
+    let scalar_mults: u64 = spans.iter().map(|s| s.ops.scalar_mults).sum();
+    assert_eq!(
+        scalar_mults, 128,
+        "one scalar multiplication per term per side"
+    );
+    let fp_muls: u64 = spans.iter().map(|s| s.ops.fp_muls).sum();
+    assert!(
+        fp_muls <= BURST_64_FP_MUL_CEILING,
+        "batched catch-up spent {fp_muls} F_p multiplications (ceiling {BURST_64_FP_MUL_CEILING})"
     );
     assert!(
         trace.spans_named("tre.verify").is_empty(),
