@@ -2266,10 +2266,12 @@ fn e19() {
     let fb = ctx.from_be_bytes_mod(&[0x3c; 64]);
     let (xa, xb) = (Fp2::new(fa, fb), Fp2::new(fb, fa));
     let gt = curve.pairing(&sg, &q);
+    let square = fa.square(ctx);
+    let wide = [0x5a; 80];
     let n = if quick { 1000 } else { 5000 };
     // (table name, JSON key, calls per timing, kernel)
     type Kernel<'a> = (&'a str, &'a str, u32, Box<dyn FnMut() + 'a>);
-    let mut kernels: [Kernel<'_>; 5] = [
+    let mut kernels: [Kernel<'_>; 9] = [
         (
             "Fp mul",
             "fp_mul",
@@ -2308,6 +2310,38 @@ fn e19() {
             n / 50,
             Box::new(|| {
                 black_box(curve.final_exponentiation(&black_box(xa)));
+            }),
+        ),
+        (
+            "Fp inversion",
+            "fp_inv",
+            n / 10,
+            Box::new(|| {
+                black_box(black_box(fa).invert(ctx));
+            }),
+        ),
+        (
+            "Fp square root",
+            "fp_sqrt",
+            n / 50,
+            Box::new(|| {
+                black_box(black_box(square).sqrt(ctx));
+            }),
+        ),
+        (
+            "Jacobi screen",
+            "fp_is_square",
+            n / 10,
+            Box::new(|| {
+                black_box(black_box(fa).is_square(ctx));
+            }),
+        ),
+        (
+            "wide reduction (80 bytes)",
+            "fp_from_bytes_80",
+            5 * n,
+            Box::new(|| {
+                black_box(ctx.from_be_bytes_mod(black_box(&wide)));
             }),
         ),
     ];

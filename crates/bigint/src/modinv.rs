@@ -36,7 +36,9 @@ pub fn mod_inverse<const L: usize>(a: &Uint<L>, m: &Uint<L>) -> Option<Uint<L>> 
     if m.is_even() || *m <= Uint::ONE {
         return None;
     }
-    let a = a.rem(m);
+    // Field inversions pass an already-reduced value: skip the
+    // bit-serial division for them.
+    let a = if a < m { *a } else { a.rem(m) };
     if a.is_zero() {
         return None;
     }

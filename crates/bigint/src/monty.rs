@@ -82,14 +82,12 @@ impl<const L: usize> MontyParams<L> {
         self.r
     }
 
-    /// Converts `x` (reduced automatically) into Montgomery form.
+    /// Converts `x` (reduced automatically) into Montgomery form with one
+    /// CIOS product `x·R²·R^{-1}` and no division first: the product
+    /// behind [`Self::mul`] needs only its second factor, here
+    /// `R² mod m`, to be below `m`.
     pub fn to_monty(&self, x: &Uint<L>) -> Uint<L> {
-        let x = if *x >= self.modulus {
-            x.rem(&self.modulus)
-        } else {
-            *x
-        };
-        self.mul(&x, &self.r2)
+        self.cios(x, &self.r2)
     }
 
     /// Converts out of Montgomery form back to the plain representative.
@@ -107,6 +105,16 @@ impl<const L: usize> MontyParams<L> {
     /// (Koç–Acar–Kaliski bound), so a single conditional subtract suffices.
     pub fn mul(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
         debug_assert!(a < &self.modulus && b < &self.modulus);
+        self.cios(a, b)
+    }
+
+    /// The fused CIOS product behind [`Self::mul`], for any `L`-limb `a`
+    /// and `b < m`: after round `i` the accumulator is below
+    /// `(a mod 2^(64(i+1)))·b / 2^(64(i+1)) + m < b + m < 2m`, so the
+    /// bound that lets one conditional subtract finish holds for an
+    /// unreduced `a` too.
+    fn cios(&self, a: &Uint<L>, b: &Uint<L>) -> Uint<L> {
+        debug_assert!(b < &self.modulus);
         // The accumulator's low L limbs, plus its top limb (at most 1).
         let mut t = [0u64; L];
         let mut top = 0u64;

@@ -181,7 +181,7 @@ fn verdicts_hold<const L: usize>(
     if let [i] = idxs {
         let u = updates[*i].as_ref().expect("candidate present");
         let p = &servers[*i];
-        return curve.bls_verify_one_prepared(p.neg_g_prep(), p.s_g_prep(), h, u.sig());
+        return curve.bls_verify_one_prepared(p.neg_g_prep(), p.s_g_prep(curve), h, u.sig());
     }
     let mut lhs = G1Affine::infinity(curve.fp());
     let mut lanes = Vec::with_capacity(idxs.len());

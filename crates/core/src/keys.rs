@@ -190,14 +190,19 @@ impl<const L: usize> ServerPublicKey<L> {
 /// checks, and by [`SenderPrecomp::with_server`] (which reuses the `G` table instead
 /// of rebuilding it per receiver).
 ///
-/// The three Miller preparations are built eagerly: every verification
-/// reads them. The two fixed-base tables are built on their first read
-/// ([`PreparedServerKey::g_table`], [`PreparedServerKey::s_g_table`]),
-/// so receivers and relays, which never read them, never pay for them.
+/// The `(h mod q)·sG` and `−G` preparations are built eagerly: every
+/// verification reads them. The `sG` preparation and the two fixed-base
+/// tables are built on their first read ([`PreparedServerKey::s_g_prep`],
+/// [`PreparedServerKey::g_table`], [`PreparedServerKey::s_g_table`]), so
+/// receivers and relays, which read them only on rare paths or never,
+/// do not pay for them up front.
 #[derive(Clone, Debug)]
 pub struct PreparedServerKey<const L: usize> {
     key: ServerPublicKey<L>,
-    s_g_prep: MillerPrecomp<L>,
+    /// `sG` itself: read only by the `h`-torsion recheck, the forecast
+    /// fallback, [`UserPublicKey::validate_prepared`] and failover's
+    /// single-server verdict.
+    s_g_prep: OnceLock<MillerPrecomp<L>>,
     /// `(h mod q)·sG`, the lane an uncleared `H1` candidate pairs with.
     h_s_g_prep: MillerPrecomp<L>,
     neg_g_prep: MillerPrecomp<L>,
@@ -206,17 +211,18 @@ pub struct PreparedServerKey<const L: usize> {
 }
 
 impl<const L: usize> ServerPublicKey<L> {
-    /// Precomputes the prepared Miller coefficients for this key: three
-    /// preparations and one `g1_mul`, together about three pairings'
-    /// worth on toy64. Every subsequent prepared verification skips all
-    /// Miller-loop point arithmetic on both lanes. The fixed-base tables
-    /// are left to their first read; each costs about 2.5 pairings (40
-    /// windows on toy64).
+    /// Precomputes the prepared Miller coefficients the verification
+    /// equation reads: two preparations (`(h mod q)·sG` and `−G`) and one
+    /// `g1_mul`, together about two generic pairings' worth on toy64.
+    /// Every subsequent prepared verification skips all Miller-loop point
+    /// arithmetic on both lanes. The `sG` preparation and the fixed-base
+    /// tables are left to their first read; a table costs a little more
+    /// than one generic pairing (41 signed windows on toy64).
     pub fn prepare(&self, curve: &Curve<L>) -> PreparedServerKey<L> {
         let _span = tre_obs::span("tre.prepare_server_key");
         PreparedServerKey {
             key: *self,
-            s_g_prep: curve.prepare(&self.s_g),
+            s_g_prep: OnceLock::new(),
             h_s_g_prep: curve.prepare(&curve.g1_mul(&self.s_g, curve.cofactor_mod_q())),
             neg_g_prep: curve.prepare(&curve.g1_neg(&self.g)),
             g_table: OnceLock::new(),
@@ -231,9 +237,10 @@ impl<const L: usize> PreparedServerKey<L> {
         &self.key
     }
 
-    /// Prepared Miller coefficients for first argument `sG`.
-    pub fn s_g_prep(&self) -> &MillerPrecomp<L> {
-        &self.s_g_prep
+    /// Prepared Miller coefficients for first argument `sG`, built on the
+    /// first call.
+    pub fn s_g_prep(&self, curve: &Curve<L>) -> &MillerPrecomp<L> {
+        self.s_g_prep.get_or_init(|| curve.prepare(&self.key.s_g))
     }
 
     /// Prepared Miller coefficients for first argument `−G`.
@@ -265,7 +272,7 @@ impl<const L: usize> PreparedServerKey<L> {
     pub fn forecast(&self, curve: &Curve<L>, tag: &ReleaseTag) -> VerifyForecast<L> {
         let mut y = curve.pairing_prepared(&self.h_s_g_prep, &h1_candidate(curve, tag));
         if y.is_one(curve) {
-            y = curve.pairing_prepared(&self.s_g_prep, &h1(curve, tag));
+            y = curve.pairing_prepared(self.s_g_prep(curve), &h1(curve, tag));
         }
         VerifyForecast {
             tag: tag.clone(),
@@ -356,7 +363,7 @@ impl<const L: usize> PreparedServerKey<L> {
         is_h_torsion(curve, p)
             && curve.bls_verify_one_prepared(
                 &self.neg_g_prep,
-                &self.s_g_prep,
+                self.s_g_prep(curve),
                 &h1(curve, &update.tag),
                 &update.sig,
             )
@@ -601,7 +608,7 @@ impl<const L: usize> UserPublicKey<L> {
         let ok = curve
             .multi_pairing_mixed(
                 &[
-                    (server.s_g_prep(), self.a_g),
+                    (server.s_g_prep(curve), self.a_g),
                     (server.neg_g_prep(), self.a_s_g),
                 ],
                 &[],
@@ -691,10 +698,10 @@ impl<const L: usize> KeyUpdate<L> {
     }
 }
 
-/// Cached sender-side state for one `(server, receiver)` pair: the user
-/// key is validated **once** (2 pairings), a fixed-base windowed table
-/// is built for the ephemeral point `U = r·G`, and the receiver point
-/// `asG` is prepared for the pairing.
+/// Cached sender-side state for one `(server, receiver)` pair: the
+/// receiver point `asG` is prepared for the pairing, the user key is
+/// validated **once** (2 pairing lanes), and a fixed-base windowed table
+/// is built for the ephemeral point `U = r·G`.
 ///
 /// Sealing uses bilinearity: `K = ê(r·asG, H1(T)) = ê(asG, P)^(r·h)`
 /// for `H1(T) = h·P`, and the base `g_T = ê(asG, P)` depends only on the
@@ -731,8 +738,15 @@ impl<const L: usize> Clone for SenderPrecomp<L> {
 }
 
 impl<const L: usize> SenderPrecomp<L> {
-    /// Validates `user` against `server` (the §5.1 pairing check, once),
-    /// builds the `G` table and prepares `asG`.
+    /// Prepares `asG`, validates `user` against `server` (the §5.1
+    /// pairing check, once) and builds the `G` table.
+    ///
+    /// The check `ê(aG, sG) = ê(G, asG)` runs as the one product
+    /// `ê(asG, −G) · ê(aG, sG) = 1` (Type-1 symmetry on the subgroup
+    /// points a [`UserPublicKey`] holds): a lane off the `asG`
+    /// preparation that seals need anyway and one generic lane, sharing
+    /// one squaring chain and one final exponentiation. Its verdict is
+    /// [`UserPublicKey::validate`]'s.
     ///
     /// # Errors
     /// Returns [`TreError::InvalidUserKey`] if the receiver key fails
@@ -743,9 +757,24 @@ impl<const L: usize> SenderPrecomp<L> {
         user: &UserPublicKey<L>,
     ) -> Result<Self, TreError> {
         let _span = tre_obs::span("tre.sender_precomp");
-        user.validate(curve, server)?;
+        if user.a_g.is_infinity() || user.a_s_g.is_infinity() {
+            return Err(TreError::InvalidUserKey);
+        }
+        let a_s_g_prep = curve.prepare(&user.a_s_g);
+        let ok = {
+            let _span = tre_obs::span("tre.validate_user_key");
+            curve
+                .multi_pairing_mixed(
+                    &[(&a_s_g_prep, curve.g1_neg(server.g()))],
+                    &[(user.a_g, server.s_g)],
+                )
+                .is_one(curve)
+        };
+        if !ok {
+            return Err(TreError::InvalidUserKey);
+        }
         let g_table = G1Precomp::new(curve, server.g());
-        Ok(Self::build(curve, server, user, g_table))
+        Ok(Self::build(server, user, g_table, a_s_g_prep))
     }
 
     /// [`SenderPrecomp::new`] against a [`PreparedServerKey`]: the
@@ -766,20 +795,25 @@ impl<const L: usize> SenderPrecomp<L> {
         let _span = tre_obs::span("tre.sender_precomp");
         user.validate_prepared(curve, server)?;
         let g_table = server.g_table(curve).clone();
-        Ok(Self::build(curve, server.key(), user, g_table))
+        Ok(Self::build(
+            server.key(),
+            user,
+            g_table,
+            curve.prepare(user.a_s_g()),
+        ))
     }
 
     fn build(
-        curve: &Curve<L>,
         server: &ServerPublicKey<L>,
         user: &UserPublicKey<L>,
         g_table: G1Precomp<L>,
+        a_s_g_prep: MillerPrecomp<L>,
     ) -> Self {
         Self {
             server: *server,
             user: *user,
             g_table,
-            a_s_g_prep: curve.prepare(user.a_s_g()),
+            a_s_g_prep,
             tag_memo: Mutex::new(None),
         }
     }
@@ -1550,22 +1584,32 @@ mod tests {
         let user = UserKeyPair::generate(curve, server.public(), &mut rng);
         let pk = server.public();
 
-        // Eager: three Miller preparations and one g1_mul, no table.
+        // Eager: two Miller preparations and one g1_mul, no table and no
+        // sG preparation.
         let h_s_g = curve.g1_mul(pk.s_g(), curve.cofactor_mod_q());
         let (_, eager) = ops(|| {
             curve.g1_mul(pk.s_g(), curve.cofactor_mod_q());
-            for p in [*pk.s_g(), h_s_g, curve.g1_neg(pk.g())] {
+            for p in [h_s_g, curve.g1_neg(pk.g())] {
                 curve.prepare(&p);
             }
         });
         let (prepared, cost) = ops(|| pk.prepare(curve));
         assert!(
             cost.fp_muls <= eager.fp_muls,
-            "prepare spent {} fp muls; 3 preparations and 1 g1_mul cost {}",
+            "prepare spent {} fp muls; 2 preparations and 1 g1_mul cost {}",
             cost.fp_muls,
             eager.fp_muls
         );
         assert!(prepared.g_table.get().is_none() && prepared.s_g_table.get().is_none());
+        assert!(prepared.s_g_prep.get().is_none());
+
+        // The sG preparation is built at its first read, and only then.
+        let (_, s_g_cost) = ops(|| curve.prepare(pk.s_g()));
+        let (s_g_prep, first) = ops(|| prepared.s_g_prep(curve).clone());
+        assert_eq!(s_g_prep, curve.prepare(pk.s_g()));
+        assert_eq!(first.fp_muls, s_g_cost.fp_muls);
+        let (_, reread) = ops(|| prepared.s_g_prep(curve));
+        assert_eq!(reread, tre_obs::CryptoOps::default());
 
         // Two hub sessions on one prepared key build the G table once.
         let (_, table) = ops(|| G1Precomp::new(curve, pk.g()));
@@ -1583,6 +1627,48 @@ mod tests {
         assert_eq!(mul, curve.g1_mul(pk.s_g(), &r));
         let (_, reread) = ops(|| prepared.s_g_table(curve));
         assert_eq!(reread, tre_obs::CryptoOps::default());
+    }
+
+    #[test]
+    fn sender_precomp_verdict_matches_validate() {
+        let curve = toy64();
+        let mut rng = rand::thread_rng();
+        let server = ServerKeyPair::generate(curve, &mut rng);
+        let foreign = ServerKeyPair::generate(curve, &mut rng);
+        let user = UserKeyPair::generate(curve, server.public(), &mut rng);
+        let (a_g, a_s_g) = (*user.public().a_g(), *user.public().a_s_g());
+        let g = *server.public().g();
+        let random = || curve.g1_mul(&g, &curve.random_scalar(&mut rand::thread_rng()));
+        let inf = G1Affine::infinity(curve.fp());
+        let keys = [
+            (a_g, a_s_g),
+            (a_s_g, a_g),
+            (random(), random()),
+            (a_g, random()),
+            (random(), a_s_g),
+            (inf, a_s_g),
+            (a_g, inf),
+            (inf, inf),
+        ];
+        let mut accepted = 0;
+        for (a_g, a_s_g) in keys {
+            let key = UserPublicKey::from_points(curve, a_g, a_s_g).unwrap();
+            for srv in [server.public(), foreign.public()] {
+                let expect = key.validate(curve, srv);
+                let got = SenderPrecomp::new(curve, srv, &key).map(|_| ());
+                assert_eq!(got, expect);
+                accepted += usize::from(expect.is_ok());
+            }
+        }
+        assert_eq!(accepted, 1, "only the honest key under its own server");
+        // A key bound to the foreign server passes there and fails here,
+        // as `validate` says.
+        let theirs = UserKeyPair::generate(curve, foreign.public(), &mut rng);
+        assert!(SenderPrecomp::new(curve, foreign.public(), theirs.public()).is_ok());
+        assert_eq!(
+            SenderPrecomp::new(curve, server.public(), theirs.public()).map(|_| ()),
+            theirs.public().validate(curve, server.public())
+        );
     }
 
     #[test]

@@ -102,11 +102,12 @@ impl<'c, const L: usize> Sender<'c, L> {
 /// "is this update trusted?" judgement.
 ///
 /// Who pays for preparation, and when: [`Receiver::new`] prepares the
-/// server key's Miller coefficients (three preparations, no fixed-base
-/// table). Verifying or admitting an update prepares nothing. The first
-/// [`Receiver::open`] (or [`Receiver::open_bulk`]) of a tag prepares its
-/// `I_T` once; later opens of that tag, from this session or from any
-/// clone made after it, replay the preparation.
+/// server key's Miller coefficients for the verification lanes (two
+/// preparations, no fixed-base table; the `sG` preparation waits for a
+/// rare path to read it). Verifying or admitting an update prepares
+/// nothing. The first [`Receiver::open`] (or [`Receiver::open_bulk`]) of
+/// a tag prepares its `I_T` once; later opens of that tag, from this
+/// session or from any clone made after it, replay the preparation.
 #[derive(Clone, Debug)]
 pub struct Receiver<'c, const L: usize> {
     curve: &'c Curve<L>,
@@ -122,8 +123,8 @@ pub struct Receiver<'c, const L: usize> {
 impl<'c, const L: usize> Receiver<'c, L> {
     /// Opens a receiving session for an existing key pair bound to
     /// `server`. The server key is prepared once here (Miller
-    /// coefficients for `sG`, `(h mod q)·sG` and `−G`), so every later
-    /// update verification skips its Miller-loop point arithmetic.
+    /// coefficients for `(h mod q)·sG` and `−G`), so every later update
+    /// verification skips its Miller-loop point arithmetic.
     pub fn new(curve: &'c Curve<L>, server: ServerPublicKey<L>, keys: UserKeyPair<L>) -> Self {
         Self {
             curve,
@@ -695,14 +696,14 @@ mod tests {
         let h_s_g = curve.g1_mul(pk.s_g(), curve.cofactor_mod_q());
         let (_, eager) = ops(|| {
             curve.g1_mul(pk.s_g(), curve.cofactor_mod_q());
-            for p in [*pk.s_g(), h_s_g, curve.g1_neg(pk.g())] {
+            for p in [h_s_g, curve.g1_neg(pk.g())] {
                 curve.prepare(&p);
             }
         });
         let (_, new) = ops(|| Receiver::new(curve, pk, receiver.key_pair().clone()));
         assert!(
             new.fp_muls <= eager.fp_muls,
-            "Receiver::new spent {} fp muls; 3 preparations and 1 g1_mul cost {}",
+            "Receiver::new spent {} fp muls; 2 preparations and 1 g1_mul cost {}",
             new.fp_muls,
             eager.fp_muls
         );

@@ -18,7 +18,8 @@
 //!   Lines are ordered by a logical sequence counter so seeded workloads
 //!   produce byte-identical [`Trace::to_jsonl`] dumps.
 //! * Crypto cost hooks — [`record_pairings`], [`record_scalar_mul`],
-//!   [`record_h2c_iter`], [`record_sym_bytes`], [`record_hash_bytes`] —
+//!   [`record_h2c_iter`], [`record_fp_muls`], [`record_fp_inv`],
+//!   [`record_fp_sqrt`], [`record_sym_bytes`], [`record_hash_bytes`] —
 //!   called from `tre-pairing` / `tre-sym` / `tre-hashes` and attributed
 //!   to the innermost open span, rolling up to parents at exit.
 //!
@@ -37,7 +38,7 @@ pub use catalog::{Catalog, Metric};
 pub use hist::LatencyHistogram;
 pub use registry::Registry;
 pub use trace::{
-    enable, event, finish, is_enabled, json_str, record_fp_muls, record_h2c_iter,
-    record_hash_bytes, record_pairings, record_scalar_mul, record_sym_bytes, span, CryptoOps,
-    SpanGuard, SpanRecord, Trace, TraceLine,
+    enable, event, finish, is_enabled, json_str, record_fp_inv, record_fp_muls, record_fp_sqrt,
+    record_h2c_iter, record_hash_bytes, record_pairings, record_scalar_mul, record_sym_bytes, span,
+    CryptoOps, SpanGuard, SpanRecord, Trace, TraceLine,
 };

@@ -45,6 +45,12 @@ pub struct CryptoOps {
     /// variants (e.g. prepared vs generic Miller loops) at fixed pairing
     /// counts.
     pub fp_muls: u64,
+    /// Base-field inversions (each a binary extended GCD, worth ~150
+    /// `fp_muls` on toy64 and not counted in them).
+    pub fp_invs: u64,
+    /// Base-field square-root attempts (each a `(p+1)/4` power whose
+    /// squarings are not counted in `fp_muls`).
+    pub fp_sqrts: u64,
 }
 
 impl CryptoOps {
@@ -56,6 +62,8 @@ impl CryptoOps {
         self.sym_bytes += other.sym_bytes;
         self.hash_bytes += other.hash_bytes;
         self.fp_muls += other.fp_muls;
+        self.fp_invs += other.fp_invs;
+        self.fp_sqrts += other.fp_sqrts;
     }
 
     /// Whether every counter is zero.
@@ -463,6 +471,20 @@ pub fn record_h2c_iter() {
 #[inline]
 pub fn record_fp_muls(n: u64) {
     add_ops(|o| o.fp_muls += n);
+}
+
+/// Records one base-field inversion (hook for `tre-pairing`'s
+/// `Fp::invert`).
+#[inline]
+pub fn record_fp_inv() {
+    add_ops(|o| o.fp_invs += 1);
+}
+
+/// Records one base-field square-root attempt (hook for `tre-pairing`'s
+/// `Fp::sqrt`).
+#[inline]
+pub fn record_fp_sqrt() {
+    add_ops(|o| o.fp_sqrts += 1);
 }
 
 /// Records `n` bytes processed by the symmetric AEAD (hook for `tre-sym`).

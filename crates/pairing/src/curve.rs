@@ -112,6 +112,9 @@ pub struct Curve<const L: usize> {
     /// Width-[`G1_WNAF_WIDTH`] wNAF digits of `q`, recoded once for the
     /// subgroup check.
     order_naf: Vec<i8>,
+    /// The NAF of `q` (digits in `{0, ±1}`), recoded once for every
+    /// Miller loop.
+    miller_naf: Vec<i8>,
     gen: G1Affine<L>,
     name: &'static str,
 }
@@ -152,6 +155,7 @@ impl<const L: usize> Curve<L> {
             cofactor_mod_q,
             cofactor_naf: wnaf_digits(&cof, GT_WNAF_WIDTH),
             order_naf: wnaf_digits(&q, G1_WNAF_WIDTH),
+            miller_naf: wnaf_digits(&q, 2),
             gen,
             name,
         };
@@ -202,6 +206,14 @@ impl<const L: usize> Curve<L> {
     #[inline]
     pub(crate) fn cofactor_naf(&self) -> &[i8] {
         &self.cofactor_naf
+    }
+
+    /// The Miller loop's signed digits: the NAF of `q` below its leading
+    /// `1`, most significant first. Each digit is one doubling step,
+    /// followed by an addition step with `±P` when it is non-zero.
+    #[inline]
+    pub(crate) fn miller_digits(&self) -> impl Iterator<Item = i8> + '_ {
+        self.miller_naf.iter().rev().skip(1).copied()
     }
 
     /// The subgroup generator `G`.

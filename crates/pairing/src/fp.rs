@@ -78,8 +78,25 @@ impl<const L: usize> FpCtx<L> {
     }
 
     /// Reduces an arbitrary-length big-endian byte string into `F_p`.
+    ///
+    /// Montgomery Horner over `BYTES`-sized chunks, most significant
+    /// first: with `R = 2^(8·BYTES)`, the step `acc ← acc·R + c` is
+    /// `to_monty(acc) + to_monty(c)` on the Montgomery form `acc·R`, so
+    /// each chunk costs two Montgomery products and no division.
     pub fn from_be_bytes_mod(&self, bytes: &[u8]) -> Fp<L> {
-        self.from_uint(&Uint::from_be_bytes_mod(bytes, self.modulus()))
+        let (head, rest) = bytes.split_at(bytes.len() % Uint::<L>::BYTES);
+        let mut acc = Uint::ZERO;
+        for chunk in [head]
+            .into_iter()
+            .filter(|c| !c.is_empty())
+            .chain(rest.chunks_exact(Uint::<L>::BYTES))
+        {
+            let c = Uint::from_be_bytes(chunk).expect("a chunk fits one element");
+            acc = self
+                .monty
+                .add(&self.monty.to_monty(&acc), &self.monty.to_monty(&c));
+        }
+        Fp(acc)
     }
 
     /// Inverts every element in place with Montgomery's batch trick
@@ -159,6 +176,7 @@ impl<const L: usize> Fp<L> {
 
     /// Multiplicative inverse; `None` for zero.
     pub fn invert(&self, ctx: &FpCtx<L>) -> Option<Self> {
+        tre_obs::record_fp_inv();
         ctx.monty.inv(&self.0).map(Fp)
     }
 
@@ -170,6 +188,7 @@ impl<const L: usize> Fp<L> {
     /// Square root for `p ≡ 3 (mod 4)`: `a^((p+1)/4)` with verification.
     /// Returns `None` for quadratic non-residues.
     pub fn sqrt(&self, ctx: &FpCtx<L>) -> Option<Self> {
+        tre_obs::record_fp_sqrt();
         if self.is_zero() {
             return Some(*self);
         }
@@ -180,6 +199,13 @@ impl<const L: usize> Fp<L> {
         } else {
             None
         }
+    }
+
+    /// Whether this is a square in `F_p` (zero included): the Jacobi
+    /// symbol of the canonical representative, a screen that costs a
+    /// fraction of [`Fp::sqrt`]'s exponentiation.
+    pub fn is_square(&self, ctx: &FpCtx<L>) -> bool {
+        tre_bigint::prime::jacobi(&ctx.to_uint(self), ctx.modulus()) >= 0
     }
 
     /// Whether the canonical representative is odd (used as the compressed
@@ -481,5 +507,44 @@ mod tests {
     fn rejects_p_1_mod_4() {
         // 13 ≡ 1 (mod 4)
         let _ = Ctx::new(Uint::from_u64(13));
+    }
+
+    /// The Montgomery Horner reduction against the `Uint` path it
+    /// replaced (byte-serial `rem_bytes`, then `from_uint`), for every
+    /// length up to three elements' worth of bytes.
+    fn check_bytes_mod<const L: usize>(c: &FpCtx<L>, seed: u8) {
+        let n = Uint::<L>::BYTES;
+        for len in 0..=3 * n {
+            let random: Vec<u8> = (0..len)
+                .map(|i| (i as u8).wrapping_mul(167).wrapping_add(seed) ^ (len as u8))
+                .collect();
+            for bytes in [random, vec![0xff; len], vec![0; len]] {
+                let expect = c.from_uint(&Uint::from_be_bytes_mod(&bytes, c.modulus()));
+                assert_eq!(c.from_be_bytes_mod(&bytes), expect, "len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn bytes_mod_matches_uint_path_on_every_curve() {
+        check_bytes_mod(crate::toy64().fp(), 1);
+        check_bytes_mod(crate::mid96().fp(), 2);
+        check_bytes_mod(crate::high128().fp(), 3);
+        check_bytes_mod(&ctx(), 4);
+    }
+
+    #[test]
+    fn square_screen_agrees_with_sqrt() {
+        let mut rng = rand::thread_rng();
+        let c = crate::toy64().fp();
+        let p_minus_1 = c.one().neg(c);
+        let mut xs = vec![c.zero(), c.one(), p_minus_1, c.from_u64(2), c.from_u64(3)];
+        xs.extend((0..200).map(|_| c.from_uint(&Uint::random(&mut rng))));
+        for x in xs {
+            assert_eq!(x.is_square(c), x.sqrt(c).is_some(), "{:?}", c.to_uint(&x));
+            assert!(x.square(c).is_square(c));
+        }
+        // −1 is a non-residue for p ≡ 3 (mod 4).
+        assert!(!p_minus_1.is_square(c));
     }
 }

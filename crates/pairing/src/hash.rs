@@ -59,6 +59,11 @@ impl<const L: usize> Curve<L> {
             let sign_byte = h[fp_bytes + 16];
             let x = ctx.from_be_bytes_mod(&h[..fp_bytes + 16]);
             let rhs = x.square(ctx).mul(&x, ctx).add(&x, ctx);
+            // About half of all counters are non-residues: the Jacobi
+            // screen turns them away before the square root.
+            if !rhs.is_square(ctx) {
+                continue;
+            }
             let y = match rhs.sqrt(ctx) {
                 Some(y) => y,
                 None => continue,
@@ -91,5 +96,57 @@ impl<const L: usize> Curve<L> {
         dom.push(b'/');
         dom.extend_from_slice(domain);
         dom
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fp::Fp;
+    use crate::params::toy64;
+
+    /// The try-and-increment loop without the Jacobi screen: every
+    /// counter pays the square root.
+    fn candidate_unscreened<const L: usize>(
+        curve: &Curve<L>,
+        domain: &[u8],
+        msg: &[u8],
+    ) -> (u32, G1Affine<L>) {
+        let ctx = curve.fp();
+        let n = tre_bigint::Uint::<L>::BYTES;
+        for ctr in 0..=u32::MAX {
+            let input = [msg, &ctr.to_be_bytes()].concat();
+            let h = xof::<Sha256>(&curve.h1_domain(domain), &input, n + 17);
+            let x = ctx.from_uint(&tre_bigint::Uint::from_be_bytes_mod(
+                &h[..n + 16],
+                ctx.modulus(),
+            ));
+            let rhs = x.square(ctx).mul(&x, ctx).add(&x, ctx);
+            if let Some(y) = rhs.sqrt(ctx) {
+                let y: Fp<L> = if (h[n + 16] & 1 == 1) != y.is_odd(ctx) {
+                    y.neg(ctx)
+                } else {
+                    y
+                };
+                return (ctr, G1Affine { x, y, inf: false });
+            }
+        }
+        unreachable!()
+    }
+
+    #[test]
+    fn screened_candidates_match_unscreened_loop() {
+        let curve = toy64();
+        for i in 0u32..2000 {
+            let msg = format!("epoch-{i}");
+            let expect = candidate_unscreened(curve, b"tag", msg.as_bytes());
+            tre_obs::enable();
+            let got = curve.h1_candidate_from(b"tag", msg.as_bytes(), 0);
+            let ops = tre_obs::finish().total_ops();
+            assert_eq!(got, expect, "{msg}");
+            // Same counters walked, one square root (the accepted one).
+            assert_eq!(ops.h2c_iters, u64::from(expect.0) + 1, "{msg}");
+            assert_eq!(ops.fp_sqrts, 1, "{msg}");
+        }
     }
 }

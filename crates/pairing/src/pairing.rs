@@ -17,6 +17,16 @@
 //!    constant, so slopes never need to be normalized: the tangent line is
 //!    scaled by `2y_T·Z⁶` and the chord by `2(x_P − x_T)·Z³`, clearing all
 //!    denominators.
+//!
+//! Every Miller loop walks the NAF of `q` (recoded once in
+//! [`Curve::new`]) rather than its bits: one doubling step per digit and
+//! one addition step per non-zero digit, so toy64's 160-bit `q` costs 52
+//! additions instead of 77. A `−1` digit adds the chord through `T` and
+//! `−P`. The identity `f_{n−1,P} = f_{n,P}·f_{−1,P}·l_{nP,−P}/v_{(n−1)P}`
+//! differs from the unsigned step only by `f_{−1,P} = 1/v_P` and a
+//! vertical line, both `F_p` values at `φ(Q)` that fact 1 annihilates
+//! (Barreto–Kim–Lynn–Scott, CRYPTO 2002), so every `G_T` value is the one
+//! the bit loop gives.
 
 use tre_bigint::{Uint, U256};
 
@@ -45,8 +55,9 @@ pub struct Gt<const L: usize>(pub(crate) Fp2<L>);
 /// value `(n0 + n1·x_φQ) + y_Q·i`, and one sparse `F_{p²}` mul — less than
 /// a third of the generic Miller-loop work.
 ///
-/// Entries are in replay order (one per doubling, plus one per set order
-/// bit); `None` marks a degenerate step that contributes no line factor.
+/// Entries are in replay order (one per doubling, plus one per non-zero
+/// NAF digit of `q`); `None` marks a degenerate step that contributes no
+/// line factor.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MillerPrecomp<const L: usize> {
     steps: Vec<Option<(Fp<L>, Fp<L>)>>,
@@ -62,6 +73,65 @@ impl<const L: usize> MillerPrecomp<L> {
     }
 }
 
+/// `P` for a `+1` digit, `−P` for a `−1` digit.
+#[inline]
+fn signed<'a, const L: usize>(
+    d: i8,
+    p: &'a G1Affine<L>,
+    neg_p: &'a G1Affine<L>,
+) -> &'a G1Affine<L> {
+    if d > 0 {
+        p
+    } else {
+        neg_p
+    }
+}
+
+/// One generic lane of a Miller loop: the running point `T`, the first
+/// argument `±P`, and `φ(Q) = (−x_Q, i·y_Q)`, both of whose coordinates
+/// live in `F_p`.
+struct GenLane<const L: usize> {
+    t: G1Jac<L>,
+    p: G1Affine<L>,
+    neg_p: G1Affine<L>,
+    xq_neg: Fp<L>,
+    yq: Fp<L>,
+}
+
+impl<const L: usize> GenLane<L> {
+    fn new(curve: &Curve<L>, p: &G1Affine<L>, q: &G1Affine<L>) -> Self {
+        let ctx = curve.fp();
+        Self {
+            t: G1Jac::from_affine(p, ctx),
+            p: *p,
+            neg_p: curve.g1_neg(p),
+            xq_neg: q.x().neg(ctx),
+            yq: *q.y(),
+        }
+    }
+
+    /// The lane's line factors for one NAF digit `d` (a doubling, then an
+    /// addition of `±P` when `d ≠ 0`), multiplied into `f`.
+    fn step(&mut self, curve: &Curve<L>, f: &Fp2<L>, d: i8) -> Fp2<L> {
+        let ctx = curve.fp();
+        let mut f = *f;
+        let (t, line) = curve.double_step(&self.t, &self.xq_neg, &self.yq);
+        if let Some(l) = line {
+            f = f.mul(&l, ctx);
+        }
+        self.t = t;
+        if d != 0 {
+            let p = signed(d, &self.p, &self.neg_p);
+            let (t, line) = curve.add_step(&self.t, p, &self.xq_neg, &self.yq);
+            if let Some(l) = line {
+                f = f.mul(&l, ctx);
+            }
+            self.t = t;
+        }
+        f
+    }
+}
+
 impl<const L: usize> Curve<L> {
     /// The reduced Tate pairing with the distortion map applied to `Q`.
     ///
@@ -74,32 +144,10 @@ impl<const L: usize> Curve<L> {
         if p.is_infinity() || q_pt.is_infinity() {
             return Gt(Fp2::one(ctx));
         }
-        // φ(Q) = (−x_Q, i·y_Q); both coordinates live in F_p.
-        let xq_neg = q_pt.x().neg(ctx);
-        let yq = *q_pt.y();
-
+        let mut lane = GenLane::new(self, p, q_pt);
         let mut f = Fp2::one(ctx);
-        let mut t = G1Jac {
-            x: *p.x(),
-            y: *p.y(),
-            z: ctx.one(),
-        };
-        let order = *self.order();
-        let bits = order.bits();
-        for i in (0..bits - 1).rev() {
-            f = f.square(ctx);
-            let (t2, line) = self.double_step(&t, &xq_neg, &yq);
-            if let Some(l) = line {
-                f = f.mul(&l, ctx);
-            }
-            t = t2;
-            if order.bit(i) {
-                let (t3, line) = self.add_step(&t, p, &xq_neg, &yq);
-                if let Some(l) = line {
-                    f = f.mul(&l, ctx);
-                }
-                t = t3;
-            }
+        for d in self.miller_digits() {
+            f = lane.step(self, &f.square(ctx), d);
         }
         self.final_exponentiation(&f)
     }
@@ -121,25 +169,10 @@ impl<const L: usize> Curve<L> {
     /// bisection still isolates the offending entry).
     pub fn multi_pairing(&self, pairs: &[(G1Affine<L>, G1Affine<L>)]) -> Gt<L> {
         let ctx = self.fp();
-        struct Lane<const L: usize> {
-            t: G1Jac<L>,
-            p: G1Affine<L>,
-            xq_neg: Fp<L>,
-            yq: Fp<L>,
-        }
-        let mut lanes: Vec<Lane<L>> = pairs
+        let mut lanes: Vec<GenLane<L>> = pairs
             .iter()
             .filter(|(p, q)| !p.is_infinity() && !q.is_infinity())
-            .map(|(p, q)| Lane {
-                t: G1Jac {
-                    x: *p.x(),
-                    y: *p.y(),
-                    z: ctx.one(),
-                },
-                p: *p,
-                xq_neg: q.x().neg(ctx),
-                yq: *q.y(),
-            })
+            .map(|(p, q)| GenLane::new(self, p, q))
             .collect();
         if lanes.is_empty() {
             return Gt(Fp2::one(ctx));
@@ -148,25 +181,10 @@ impl<const L: usize> Curve<L> {
         // cost, not the number of bilinear evaluations performed.
         tre_obs::record_pairings(lanes.len() as u64);
         let mut f = Fp2::one(ctx);
-        let order = *self.order();
-        let bits = order.bits();
-        for i in (0..bits - 1).rev() {
+        for d in self.miller_digits() {
             f = f.square(ctx);
             for lane in &mut lanes {
-                let (t2, line) = self.double_step(&lane.t, &lane.xq_neg, &lane.yq);
-                if let Some(l) = line {
-                    f = f.mul(&l, ctx);
-                }
-                lane.t = t2;
-            }
-            if order.bit(i) {
-                for lane in &mut lanes {
-                    let (t3, line) = self.add_step(&lane.t, &lane.p, &lane.xq_neg, &lane.yq);
-                    if let Some(l) = line {
-                        f = f.mul(&l, ctx);
-                    }
-                    lane.t = t3;
-                }
+                f = lane.step(self, &f, d);
             }
         }
         self.final_exponentiation(&f)
@@ -197,20 +215,15 @@ impl<const L: usize> Curve<L> {
                 inf: true,
             };
         }
+        let neg_p = self.g1_neg(p);
         let mut raw: Vec<Option<(Fp<L>, Fp<L>, Fp<L>)>> = Vec::new();
-        let mut t = G1Jac {
-            x: *p.x(),
-            y: *p.y(),
-            z: ctx.one(),
-        };
-        let order = *self.order();
-        let bits = order.bits();
-        for i in (0..bits - 1).rev() {
+        let mut t = G1Jac::from_affine(p, ctx);
+        for d in self.miller_digits() {
             let (t2, coeffs) = self.double_step_coeffs(&t);
             raw.push(coeffs);
             t = t2;
-            if order.bit(i) {
-                let (t3, coeffs) = self.add_step_coeffs(&t, p);
+            if d != 0 {
+                let (t3, coeffs) = self.add_step_coeffs(&t, signed(d, p, &neg_p));
                 raw.push(coeffs);
                 t = t3;
             }
@@ -251,14 +264,12 @@ impl<const L: usize> Curve<L> {
         let xq_neg = q_pt.x().neg(ctx);
         let yq = *q_pt.y();
         let mut f = Fp2::one(ctx);
-        let order = *self.order();
-        let bits = order.bits();
         let mut si = 0usize;
-        for i in (0..bits - 1).rev() {
+        for d in self.miller_digits() {
             f = f.square(ctx);
             f = self.eval_prepared_line(&f, &prep.steps[si], &xq_neg, &yq);
             si += 1;
-            if order.bit(i) {
+            if d != 0 {
                 f = self.eval_prepared_line(&f, &prep.steps[si], &xq_neg, &yq);
                 si += 1;
             }
@@ -291,12 +302,6 @@ impl<const L: usize> Curve<L> {
             xq_neg: Fp<L>,
             yq: Fp<L>,
         }
-        struct GenLane<const L: usize> {
-            t: G1Jac<L>,
-            p: G1Affine<L>,
-            xq_neg: Fp<L>,
-            yq: Fp<L>,
-        }
         let plines: Vec<PrepLane<'_, L>> = prepared
             .iter()
             .filter(|(prep, q)| !prep.inf && !q.is_infinity())
@@ -309,53 +314,28 @@ impl<const L: usize> Curve<L> {
         let mut glines: Vec<GenLane<L>> = generic
             .iter()
             .filter(|(p, q)| !p.is_infinity() && !q.is_infinity())
-            .map(|(p, q)| GenLane {
-                t: G1Jac {
-                    x: *p.x(),
-                    y: *p.y(),
-                    z: ctx.one(),
-                },
-                p: *p,
-                xq_neg: q.x().neg(ctx),
-                yq: *q.y(),
-            })
+            .map(|(p, q)| GenLane::new(self, p, q))
             .collect();
         if plines.is_empty() && glines.is_empty() {
             return Gt(Fp2::one(ctx));
         }
         tre_obs::record_pairings((plines.len() + glines.len()) as u64);
         let mut f = Fp2::one(ctx);
-        let order = *self.order();
-        let bits = order.bits();
         // All preparations for one curve have identical step structure
-        // (one entry per doubling plus one per set order bit), so a single
-        // shared index walks every prepared lane in lockstep.
+        // (one entry per doubling plus one per non-zero NAF digit), so a
+        // single shared index walks every prepared lane in lockstep.
         let mut si = 0usize;
-        for i in (0..bits - 1).rev() {
+        for d in self.miller_digits() {
             f = f.square(ctx);
+            let adds = usize::from(d != 0);
             for lane in &plines {
-                f = self.eval_prepared_line(&f, &lane.prep.steps[si], &lane.xq_neg, &lane.yq);
+                for step in &lane.prep.steps[si..=si + adds] {
+                    f = self.eval_prepared_line(&f, step, &lane.xq_neg, &lane.yq);
+                }
             }
-            si += 1;
+            si += 1 + adds;
             for lane in &mut glines {
-                let (t2, line) = self.double_step(&lane.t, &lane.xq_neg, &lane.yq);
-                if let Some(l) = line {
-                    f = f.mul(&l, ctx);
-                }
-                lane.t = t2;
-            }
-            if order.bit(i) {
-                for lane in &plines {
-                    f = self.eval_prepared_line(&f, &lane.prep.steps[si], &lane.xq_neg, &lane.yq);
-                }
-                si += 1;
-                for lane in &mut glines {
-                    let (t3, line) = self.add_step(&lane.t, &lane.p, &lane.xq_neg, &lane.yq);
-                    if let Some(l) = line {
-                        f = f.mul(&l, ctx);
-                    }
-                    lane.t = t3;
-                }
+                f = lane.step(self, &f, d);
             }
         }
         self.final_exponentiation(&f)
@@ -925,6 +905,7 @@ mod kernel_tests {
     use super::*;
     use crate::params::toy64;
     use proptest::prelude::*;
+    use rand::RngCore;
 
     /// The binary final exponentiation the signed window replaced:
     /// `conj(f)·f⁻¹`, then a square-and-multiply power by the cofactor.
@@ -947,6 +928,94 @@ mod kernel_tests {
         U256::from_limbs(raw).rem(curve.order())
     }
 
+    /// The unsigned Miller loop the NAF loops replaced: one doubling step
+    /// per bit of `q` below the top, one addition step with `P` per set
+    /// bit.
+    fn pairing_bits<const L: usize>(curve: &Curve<L>, p: &G1Affine<L>, q: &G1Affine<L>) -> Gt<L> {
+        let ctx = curve.fp();
+        if p.is_infinity() || q.is_infinity() {
+            return Gt::one(curve);
+        }
+        let (xq_neg, yq) = (q.x().neg(ctx), *q.y());
+        let mut f = Fp2::one(ctx);
+        let mut t = G1Jac::from_affine(p, ctx);
+        let order = *curve.order();
+        for i in (0..order.bits() - 1).rev() {
+            f = f.square(ctx);
+            let (t2, line) = curve.double_step(&t, &xq_neg, &yq);
+            if let Some(l) = line {
+                f = f.mul(&l, ctx);
+            }
+            t = t2;
+            if order.bit(i) {
+                let (t3, line) = curve.add_step(&t, p, &xq_neg, &yq);
+                if let Some(l) = line {
+                    f = f.mul(&l, ctx);
+                }
+                t = t3;
+            }
+        }
+        curve.final_exponentiation(&f)
+    }
+
+    /// Random subgroup points `A`, `B` and `−A`, infinity, the order-2
+    /// point `(0, 0)`, an uncleared hash candidate (full curve order) and
+    /// its `h`-torsion part `q·C`.
+    fn miller_points<const L: usize>(curve: &Curve<L>, ra: u64, rb: u64) -> Vec<G1Affine<L>> {
+        let ctx = curve.fp();
+        let g = curve.generator();
+        let a = curve.g1_mul(&g, &U256::from_u64(ra | 1));
+        let b = curve.g1_mul(&g, &U256::from_u64(rb | 1));
+        let cand = curve.h1_candidate(b"miller-naf", &rb.to_be_bytes());
+        let torsion = curve.g1_mul(&cand, curve.order());
+        let two_torsion = G1Affine {
+            x: ctx.zero(),
+            y: ctx.zero(),
+            inf: false,
+        };
+        vec![
+            a,
+            b,
+            curve.g1_neg(&a),
+            G1Affine::infinity(ctx),
+            two_torsion,
+            cand,
+            torsion,
+        ]
+    }
+
+    /// Every NAF Miller loop against [`pairing_bits`] on all ordered
+    /// pairs of `points` (so `P = ±Q` too), and the shared loops on
+    /// adjacent pairs against the product of references.
+    fn check_miller_loops<const L: usize>(curve: &Curve<L>, points: &[G1Affine<L>]) {
+        let preps: Vec<_> = points.iter().map(|p| curve.prepare(p)).collect();
+        let mut pairs = Vec::new();
+        for (p, prep) in points.iter().zip(&preps) {
+            for q in points {
+                let expect = pairing_bits(curve, p, q);
+                assert_eq!(curve.pairing(p, q), expect, "generic");
+                assert_eq!(curve.pairing_prepared(prep, q), expect, "prepared");
+                pairs.push((*p, prep, *q, expect));
+            }
+        }
+        for w in pairs.windows(2) {
+            let [(p0, prep0, q0, e0), (p1, _, q1, e1)] = w else {
+                unreachable!()
+            };
+            let expect = e0.mul(e1, curve);
+            assert_eq!(
+                curve.multi_pairing(&[(*p0, *q0), (*p1, *q1)]),
+                expect,
+                "multi"
+            );
+            assert_eq!(
+                curve.multi_pairing_mixed(&[(prep0, *q0)], &[(*p1, *q1)]),
+                expect,
+                "mixed"
+            );
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -966,6 +1035,12 @@ mod kernel_tests {
             let g = curve.generator();
             let e = curve.pairing(&curve.g1_mul(&g, &scalar(curve, ra)), &curve.g1_mul(&g, &scalar(curve, rb)));
             prop_assert_eq!(e.square(curve).0, e.0.square(ctx));
+        }
+
+        #[test]
+        fn naf_miller_loops_match_bit_loop_toy64(ra in any::<u64>(), rb in any::<u64>()) {
+            let curve = toy64();
+            check_miller_loops(curve, &miller_points(curve, ra, rb));
         }
 
         #[test]
@@ -991,6 +1066,27 @@ mod kernel_tests {
                 prop_assert_eq!(table.pow(&e, curve), expect);
             }
         }
+    }
+
+    #[test]
+    fn naf_miller_loops_match_bit_loop_mid96() {
+        let curve = crate::params::mid96();
+        let mut rng = rand::thread_rng();
+        let (ra, rb) = (rng.next_u64(), rng.next_u64());
+        check_miller_loops(curve, &miller_points(curve, ra, rb));
+    }
+
+    #[test]
+    fn naf_loop_is_shorter() {
+        // toy64's q: 160 bits with 78 set, and a NAF of 161 digits with
+        // 53 non-zero — one doubling per digit below the top, one
+        // addition per non-zero digit below the top.
+        let curve = toy64();
+        let digits: Vec<i8> = curve.miller_digits().collect();
+        let adds = digits.iter().filter(|&&d| d != 0).count();
+        assert_eq!((digits.len(), adds), (160, 52));
+        let p = curve.generator();
+        assert_eq!(curve.prepare(&p).steps.len(), 160 + 52);
     }
 
     #[test]
